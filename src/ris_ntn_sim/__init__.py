@@ -1,6 +1,6 @@
 """Simulator and phase-shift optimizer for a relay-surface-assisted satellite downlink."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .channel_model import (
     KA_BAND_HZ,
@@ -30,6 +30,7 @@ from .link_metrics import (
     RfConfig,
     dbm_to_watts,
     energy_efficiency,
+    link_columns,
     link_report,
     noise_power_dbm,
     noise_power_watts,
@@ -42,6 +43,7 @@ from .phase_optimizer import (
     OptimizeResult,
     brute_force_fc2,
     brute_force_sc,
+    closed_form_objective,
     optimize,
     optimize_fc,
     optimize_gc,
@@ -56,7 +58,7 @@ from .ris_core import (
     project_to_unitary,
     validate,
 )
-from .sweep import CSV_HEADER, SweepRecord, derive_trial_seed, emit_csv, run_sweep
+from .sweep import CSV_HEADER, SweepRecord, SweepRecords, derive_trial_seed, emit_csv, run_sweep
 
 __all__ = [
     "__version__",
@@ -65,12 +67,13 @@ __all__ = [
     "SPEED_OF_LIGHT", "KA_BAND_HZ", "LinkGeometry", "FadingSpec",
     "fspl_amplitude", "path_loss_db", "build_geometry", "generate_channels",
     "OptimizeResult", "optimize", "optimize_sc", "optimize_fc", "optimize_gc",
+    "closed_form_objective",
     "brute_force_sc", "brute_force_fc2",
     "RfConfig", "LinkReport", "dbm_to_watts", "watts_to_dbm",
     "noise_power_dbm", "noise_power_watts", "snr_linear", "snr_db",
-    "rate_bps", "energy_efficiency", "link_report",
+    "rate_bps", "energy_efficiency", "link_columns", "link_report",
     "SimConfig", "parse_config", "format_config", "ConfigError",
-    "SweepRecord", "run_sweep", "emit_csv", "derive_trial_seed", "CSV_HEADER",
+    "SweepRecord", "SweepRecords", "run_sweep", "emit_csv", "derive_trial_seed", "CSV_HEADER",
     "SimulatorError", "DimensionMismatch", "ConstraintViolated", "SingularInput",
     "NonPositiveInput", "InvalidAltitudes", "TooLarge", "WrongDimension",
     "NonPositivePower", "SweepError",

@@ -13,9 +13,14 @@ from .channel_model import FadingSpec
 from .errors import SimulatorError
 from .ris_core import Architecture
 
-# Bounds baked into the per-trial seed derivation (see sweep.derive_trial_seed)
+# MAX_TRIALS keeps every trial index inside sweep.derive_trial_seed's domain.
 MAX_ELEMENTS = 0xFFFF
 MAX_TRIALS = 2**31 - 1
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is not a trial count or a seed
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class ConfigError(SimulatorError, ValueError):
@@ -78,6 +83,8 @@ class SimConfig:
     static_power_w: float = 0.0
 
     def __post_init__(self):
+        if any(isinstance(m, bool) for m in self.elements_sweep):
+            raise ConstraintError("elements_sweep", "element counts must be integers, not booleans")
         object.__setattr__(self, "elements_sweep", tuple(int(m) for m in self.elements_sweep))
         object.__setattr__(self, "architectures", tuple(str(a).strip() for a in self.architectures))
 
@@ -122,9 +129,9 @@ class SimConfig:
         if self.direct_link not in ("blocked", "clear"):
             raise ConstraintError("direct_link", "must be 'blocked' or 'clear'")
 
-        if not isinstance(self.trials, int) or not 1 <= self.trials <= MAX_TRIALS:
+        if not _is_int(self.trials) or not 1 <= self.trials <= MAX_TRIALS:
             raise ConstraintError("trials", f"must be an integer in [1, {MAX_TRIALS}]")
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise ConstraintError("seed", "must be an integer")
 
     @property

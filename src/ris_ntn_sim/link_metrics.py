@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NonPositivePower
 
 _LN2 = math.log(2.0)
@@ -62,23 +64,23 @@ def noise_power_watts(rf: RfConfig) -> float:
     return dbm_to_watts(noise_power_dbm(rf))
 
 
-def snr_linear(h_eff: complex, rf: RfConfig) -> float:
-    return dbm_to_watts(rf.tx_power_dbm) * abs(h_eff) ** 2 / noise_power_watts(rf)
+def snr_linear(h_eff, rf: RfConfig):
+    """Received SNR for a channel gain or an array of them."""
+    return dbm_to_watts(rf.tx_power_dbm) * np.abs(h_eff) ** 2 / noise_power_watts(rf)
 
 
-def snr_db(h_eff: complex, rf: RfConfig) -> float:
-    lin = snr_linear(h_eff, rf)
-    if lin == 0.0:
-        return float("-inf")
-    return 10.0 * math.log10(lin)
+def snr_db(h_eff, rf: RfConfig):
+    # a zero channel gives -inf dB, without numpy's divide-by-zero warning
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(snr_linear(h_eff, rf))
 
 
-def rate_bps(h_eff: complex, rf: RfConfig) -> float:
+def rate_bps(h_eff, rf: RfConfig):
     # log1p keeps precision in the deep-noise regime where SNR << eps
-    return rf.bandwidth_hz * math.log1p(snr_linear(h_eff, rf)) / _LN2
+    return rf.bandwidth_hz * np.log1p(snr_linear(h_eff, rf)) / _LN2
 
 
-def energy_efficiency(rate: float, tx_power_dbm: float, static_power_w: float = 0.0) -> float:
+def energy_efficiency(rate, tx_power_dbm: float, static_power_w: float = 0.0):
     """Achievable rate divided by consumed power, in bits per joule."""
     power_w = dbm_to_watts(tx_power_dbm) + static_power_w
     if not power_w > 0:
@@ -86,11 +88,20 @@ def energy_efficiency(rate: float, tx_power_dbm: float, static_power_w: float = 
     return rate / power_w
 
 
-def link_report(h_eff: complex, rf: RfConfig) -> LinkReport:
+def link_columns(h_eff, rf: RfConfig) -> np.ndarray:
+    """(h_eff_mag, snr_db, rate_bps, ee_bits_per_joule) along a new last axis.
+
+    h_eff is a channel gain or an array of them; the columns are those of a
+    LinkReport and of the sweep CSV.
+    """
     rate = rate_bps(h_eff, rf)
-    return LinkReport(
-        h_eff_mag=abs(h_eff),
-        snr_db=snr_db(h_eff, rf),
-        rate_bps=rate,
-        ee_bits_per_joule=energy_efficiency(rate, rf.tx_power_dbm, rf.static_power_w),
-    )
+    return np.stack([
+        np.abs(h_eff),
+        snr_db(h_eff, rf),
+        rate,
+        energy_efficiency(rate, rf.tx_power_dbm, rf.static_power_w),
+    ], axis=-1)
+
+
+def link_report(h_eff: complex, rf: RfConfig) -> LinkReport:
+    return LinkReport(*link_columns(h_eff, rf).tolist())

@@ -37,6 +37,37 @@ def _reference_phase(h_d: complex) -> float:
     return float(np.angle(h_d)) if h_d != 0 else 0.0
 
 
+def _block_norms(x: np.ndarray, size: int) -> np.ndarray:
+    """Euclidean norms of consecutive size-element blocks along the last axis."""
+    power = x.real ** 2 + x.imag ** 2
+    return np.sqrt(power.reshape(power.shape[:-1] + (-1, size)).sum(axis=-1))
+
+
+def closed_form_objective(g, h, h_d, arch: Architecture) -> np.ndarray:
+    """Optimal |g^T Phi h + h_d| for every channel row of (..., M) arrays.
+
+    sc gives |h_d| + sum_m |g_m h_m|, gc:U gives |h_d| + sum_u ||g_u|| ||h_u||
+    and fc is the one-group case |h_d| + ||g|| ||h||. h_d is a scalar or has
+    the leading shape of g and h. Each row is reduced on its own along the
+    last axis, so a row's result does not depend on the rows batched with it,
+    and the optimize_* functions report exactly this value.
+    """
+    g = np.asarray(g, dtype=np.complex128)
+    h = np.asarray(h, dtype=np.complex128)
+    if g.shape != h.shape or g.ndim < 1:
+        raise DimensionMismatch(f"g and h must have equal shapes, got {g.shape} and {h.shape}")
+    if arch.kind == "sc":
+        gain = np.abs(g * h).sum(axis=-1)
+    else:
+        size = arch.block_size(g.shape[-1])  # raises DimensionMismatch unless groups | M
+        gain = (_block_norms(g, size) * _block_norms(h, size)).sum(axis=-1)
+    return np.abs(h_d) + gain
+
+
+def _objective(ch: ChannelSet, arch: Architecture) -> float:
+    return float(closed_form_objective(ch.g, ch.h, ch.h_d, arch))
+
+
 def optimize_sc(ch: ChannelSet) -> OptimizeResult:
     """Best diagonal design: phase-align every cascade term with the direct path.
 
@@ -44,13 +75,11 @@ def optimize_sc(ch: ChannelSet) -> OptimizeResult:
     h_d = 0. The objective |h_d| + sum_m |g_m h_m| is the global optimum over
     unit-modulus diagonal matrices.
     """
-    cascade = ch.g * ch.h
     reference = _reference_phase(ch.h_d)
-    phases = np.exp(1j * (reference - np.angle(cascade)))
+    phases = np.exp(1j * (reference - np.angle(ch.g * ch.h)))
     phi = PhaseShiftMatrix.diagonal(phases)
     validate(phi)
-    objective = abs(ch.h_d) + float(np.abs(cascade).sum())
-    return OptimizeResult(phi, objective, phi.arch)
+    return OptimizeResult(phi, _objective(ch, phi.arch), phi.arch)
 
 
 def _orthonormal_complement(unit: np.ndarray) -> np.ndarray:
@@ -60,8 +89,8 @@ def _orthonormal_complement(unit: np.ndarray) -> np.ndarray:
     return q[:, 1:]
 
 
-def _unitary_block(g_blk: np.ndarray, h_blk: np.ndarray, reference: float):
-    """Optimal unitary for one block and the gain ||g|| ||h|| it contributes.
+def _unitary_block(g_blk: np.ndarray, h_blk: np.ndarray, reference: float) -> np.ndarray:
+    """Optimal unitary for one block, reaching the block gain ||g|| ||h||.
 
     Falls back to exp(j reference) * I when either block channel is zero,
     which keeps single-element blocks consistent with the diagonal design.
@@ -70,13 +99,13 @@ def _unitary_block(g_blk: np.ndarray, h_blk: np.ndarray, reference: float):
     g_norm = float(np.linalg.norm(g_blk))
     h_norm = float(np.linalg.norm(h_blk))
     if g_norm == 0.0 or h_norm == 0.0:
-        return np.exp(1j * reference) * np.eye(size, dtype=np.complex128), 0.0
+        return np.exp(1j * reference) * np.eye(size, dtype=np.complex128)
     u = g_blk.conj() / g_norm
     v = h_blk / h_norm
     block = np.exp(1j * reference) * np.outer(u, v.conj())
     if size > 1:
         block = block + _orthonormal_complement(u) @ _orthonormal_complement(v).conj().T
-    return block, g_norm * h_norm
+    return block
 
 
 def optimize_fc(ch: ChannelSet) -> OptimizeResult:
@@ -91,12 +120,10 @@ def optimize_fc(ch: ChannelSet) -> OptimizeResult:
     if np.linalg.norm(ch.g) == 0.0 or np.linalg.norm(ch.h) == 0.0:
         phi = PhaseShiftMatrix.full(np.eye(m, dtype=np.complex128))
         validate(phi)
-        return OptimizeResult(phi, abs(ch.h_d), phi.arch, degenerate=True)
-    reference = _reference_phase(ch.h_d)
-    block, gain = _unitary_block(ch.g, ch.h, reference)
-    phi = PhaseShiftMatrix.full(block)
+        return OptimizeResult(phi, _objective(ch, phi.arch), phi.arch, degenerate=True)
+    phi = PhaseShiftMatrix.full(_unitary_block(ch.g, ch.h, _reference_phase(ch.h_d)))
     validate(phi)
-    return OptimizeResult(phi, abs(ch.h_d) + gain, phi.arch)
+    return OptimizeResult(phi, _objective(ch, phi.arch), phi.arch)
 
 
 def optimize_gc(ch: ChannelSet, groups: int) -> OptimizeResult:
@@ -109,16 +136,12 @@ def optimize_gc(ch: ChannelSet, groups: int) -> OptimizeResult:
     arch = Architecture.group_connected(groups)
     size = arch.block_size(m)  # raises DimensionMismatch unless groups | m
     reference = _reference_phase(ch.h_d)
-    blocks = []
-    total_gain = 0.0
-    for s in range(0, m, size):
-        block, gain = _unitary_block(ch.g[s:s + size], ch.h[s:s + size], reference)
-        blocks.append(block)
-        total_gain += gain
+    blocks = [_unitary_block(ch.g[s:s + size], ch.h[s:s + size], reference)
+              for s in range(0, m, size)]
     phi = PhaseShiftMatrix.block_diagonal(blocks)
     validate(phi)
     degenerate = np.linalg.norm(ch.g) == 0.0 or np.linalg.norm(ch.h) == 0.0
-    return OptimizeResult(phi, abs(ch.h_d) + total_gain, phi.arch, degenerate=degenerate)
+    return OptimizeResult(phi, _objective(ch, arch), phi.arch, degenerate=degenerate)
 
 
 def optimize(ch: ChannelSet, arch: Architecture) -> OptimizeResult:

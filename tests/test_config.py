@@ -104,6 +104,15 @@ class TestConstraints:
         with pytest.raises(ConstraintError):
             parse_config(text)
 
+    @pytest.mark.parametrize("overrides", [
+        {"trials": True},
+        {"seed": False},
+        {"elements_sweep": (8, True)},
+    ])
+    def test_booleans_rejected_for_integer_keys(self, overrides):
+        with pytest.raises(ConstraintError):
+            SimConfig(**overrides)
+
     def test_gc_divisibility_is_not_a_config_error(self):
         # mismatched (gc:U, M) pairs are skipped at sweep time, not rejected here
         cfg = parse_config("architectures = gc:3\nelements_sweep = 8")

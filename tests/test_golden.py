@@ -1,0 +1,49 @@
+"""Golden output: a fixed small sweep must keep its exact bytes.
+
+An intended output change bumps the package version, replaces these values
+and says why in CHANGES.md.
+"""
+
+import hashlib
+
+from ris_ntn_sim import SimConfig, emit_csv, run_sweep
+from ris_ntn_sim.sweep import _metadata_path
+
+GOLDEN_CONFIG = SimConfig(trials=50, architectures=("sc", "fc", "gc:4"), seed=42)
+
+GOLDEN_CSV_SHA256 = "01f3e304a3dc96825e5da243ed1ce9b6943de20a52176ae6c71297a73cf02199"
+
+GOLDEN_META_TAIL = """\
+software = ris-ntn-sim 0.2.0
+records = 1248
+noise_psd_note = noise_psd_dbm_hz is a power spectral density in dBm/Hz; total noise power is noise_psd_dbm_hz + 10*log10(bandwidth_hz)
+
+[resolved config]
+carrier_hz = 18700000000.0
+tx_power_dbm = 50.0
+bandwidth_hz = 20000000.0
+noise_psd_dbm_hz = -170.0
+leo_altitude_m = 600000.0
+haps_altitude_m = 15000.0
+elements_sweep = 8, 16, 24, 32, 40, 48, 56, 64
+architectures = sc, fc, gc:4
+fading_model = rician
+rician_k_db = 10.0
+fading_phase_mode = iid_uniform
+direct_link = blocked
+trials = 50
+seed = 42
+tx_gain_dbi = 0.0
+ris_element_gain_dbi = 0.0
+rx_gain_dbi = 0.0
+static_power_w = 0.0
+"""
+
+
+def test_golden_csv_and_metadata(tmp_path):
+    path = tmp_path / "golden.csv"
+    emit_csv(run_sweep(GOLDEN_CONFIG), path, GOLDEN_CONFIG)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256
+    timestamp, tail = _metadata_path(path).read_text(encoding="utf-8").split("\n", 1)
+    assert timestamp.startswith("generated_at = ")
+    assert tail == GOLDEN_META_TAIL

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ import pytest
 from ris_ntn_sim import (
     CSV_HEADER,
     Architecture,
+    ChannelSet,
     FadingSpec,
     SimConfig,
+    SweepError,
     build_geometry,
     derive_trial_seed,
     emit_csv,
@@ -18,6 +21,7 @@ from ris_ntn_sim import (
     optimize,
     run_sweep,
 )
+from ris_ntn_sim import sweep
 from ris_ntn_sim.cli import main
 from ris_ntn_sim.sweep import _metadata_path
 
@@ -50,14 +54,9 @@ class TestRunSweep:
         b = csv_bytes(tmp_path, run_sweep(SMALL), SMALL, "b.csv")
         assert a == b
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
-        base = run_sweep(SMALL, workers=1)
-        for workers in (2, 5):
-            assert run_sweep(SMALL, workers=workers) == base
-
     def test_seed_changes_output(self, tmp_path):
         other = SimConfig(trials=6, elements_sweep=(4, 8), architectures=("sc", "fc"), seed=4)
-        assert run_sweep(SMALL) != run_sweep(other)
+        assert list(run_sweep(SMALL)) != list(run_sweep(other))
 
     def test_incompatible_gc_cells_are_skipped_with_warning(self, caplog):
         cfg = SimConfig(trials=2, elements_sweep=(8, 9), architectures=("gc:3",), seed=1)
@@ -65,6 +64,13 @@ class TestRunSweep:
             records = run_sweep(cfg)
         assert any("does not divide" in rec.message for rec in caplog.records)
         assert {r.elements for r in records} == {9}
+
+    def test_all_cells_skipped_gives_header_only(self, tmp_path):
+        cfg = SimConfig(trials=3, elements_sweep=(8,), architectures=("gc:3",))
+        with run_sweep(cfg) as records:
+            assert len(records) == 0
+            assert emit_csv(records, tmp_path / "none.csv", cfg) == 0
+        assert (tmp_path / "none.csv").read_text() == CSV_HEADER + "\n"
 
     def test_aggregates_match_trial_statistics(self):
         records = run_sweep(SMALL)
@@ -94,30 +100,87 @@ class TestRunSweep:
         stderr = next(r for r in records if r.trial == "stderr")
         assert stderr.ee_bits_per_joule == 0.0
 
+    def test_every_cell_of_a_trial_shares_one_draw(self):
+        cfg = SimConfig(trials=4, elements_sweep=(4, 8), architectures=("sc", "fc", "gc:2"), seed=5)
+        records = run_sweep(cfg)
+        geom = build_geometry(cfg)
+        full = {t: generate_channels(geom, cfg.fading_spec, 8, derive_trial_seed(5, t),
+                                     direct_blocked=True) for t in range(4)}
+        for r in records:
+            if isinstance(r.trial, int):
+                assert r.seed == derive_trial_seed(5, r.trial)
+                ch = full[r.trial]
+                prefix = ChannelSet(h=ch.h[:r.elements], g=ch.g[:r.elements], h_d=ch.h_d)
+                assert optimize(prefix, Architecture.from_label(r.arch)).objective == r.h_eff_mag
+
+    def test_records_index_like_a_list(self):
+        records = run_sweep(SMALL)
+        as_list = list(records)
+        assert len(as_list) == len(records) == 4 * 8
+        assert records[:] == as_list
+        assert records[-1] == as_list[-1]
+        assert [records[i] for i in range(len(records))] == as_list
+        with pytest.raises(IndexError):
+            records[len(records)]
+
+    def test_failed_certificate_is_a_sweep_error(self, monkeypatch):
+        monkeypatch.setattr(sweep, "effective_channel", lambda phi, ch: 0.0)
+        with pytest.raises(SweepError, match="arch=fc elements=4"):
+            run_sweep(SMALL)
+
+
+class TestChunking:
+    CFG = SimConfig(trials=30, elements_sweep=(2, 8), architectures=("sc", "fc", "gc:2"), seed=11)
+
+    @pytest.mark.parametrize("chunk_trials", [1, 7])
+    def test_chunks_change_no_trial_row(self, tmp_path, monkeypatch, chunk_trials):
+        one = tmp_path / "one.csv"
+        emit_csv(run_sweep(self.CFG), one, self.CFG)
+        monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", chunk_trials * 8)
+        chunked = tmp_path / "chunked.csv"
+        emit_csv(run_sweep(self.CFG), chunked, self.CFG)
+        rows = lambda p: [line.split(",") for line in p.read_text().splitlines()[1:]]
+        for a, b in zip(rows(one), rows(chunked), strict=True):
+            if a[2] in ("mean", "stderr"):
+                assert a[:3] == b[:3] and a[7] == b[7]
+                assert [float(x) for x in b[3:7]] == pytest.approx(
+                    [float(x) for x in a[3:7]], rel=1e-12)
+            else:
+                assert a == b
+
+    def test_memory_does_not_grow_with_chunks(self, tmp_path, monkeypatch):
+        chunk = 256
+        monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", chunk * 64)
+
+        def peak(trials):
+            cfg = SimConfig(trials=trials, elements_sweep=(16, 64), seed=2)
+            tracemalloc.start()
+            try:
+                with run_sweep(cfg) as records:
+                    emit_csv(records, tmp_path / f"{trials}.csv", cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_chunk, four_chunks = peak(chunk), peak(4 * chunk)
+        assert four_chunks <= 1.5 * one_chunk
+
 
 class TestTrialSeeds:
-    def test_injective_over_cells(self):
-        seen = set()
-        archs = [Architecture.single_connected(), Architecture.fully_connected(),
-                 Architecture.group_connected(4), Architecture.group_connected(16)]
-        for arch in archs:
-            for m in (1, 8, 64, 65535):
-                for trial in (0, 1, 999, 2**31 - 1):
-                    seen.add(derive_trial_seed(42, arch, m, trial))
-        assert len(seen) == len(archs) * 4 * 4
+    def test_injective_over_trials(self):
+        trials = list(range(1000)) + [2**20, 2**31 - 2, 2**31 - 1]
+        seeds = {derive_trial_seed(42, trial) for trial in trials}
+        assert len(seeds) == len(trials)
 
     def test_depends_on_run_seed(self):
-        arch = Architecture.single_connected()
-        assert derive_trial_seed(1, arch, 8, 0) != derive_trial_seed(2, arch, 8, 0)
+        assert derive_trial_seed(1, 0) != derive_trial_seed(2, 0)
+        assert derive_trial_seed(1, 2**31 - 1) != derive_trial_seed(2, 2**31 - 1)
 
     def test_bounds_enforced(self):
-        arch = Architecture.single_connected()
         with pytest.raises(ValueError):
-            derive_trial_seed(1, arch, 0, 0)
+            derive_trial_seed(1, -1)
         with pytest.raises(ValueError):
-            derive_trial_seed(1, arch, 70000, 0)
-        with pytest.raises(ValueError):
-            derive_trial_seed(1, arch, 8, 2**31)
+            derive_trial_seed(1, 2**31)
 
 
 class TestEmitCsv:
@@ -157,6 +220,23 @@ class TestEmitCsv:
         assert text.startswith("generated_at = ")
         assert "dBm/Hz" in text
         assert "trials = 6" in text
+
+    def test_failed_stream_leaves_previous_output_untouched(self, tmp_path):
+        path = tmp_path / "run.csv"
+        emit_csv(run_sweep(SMALL), path, SMALL)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def failing():
+            yield from run_sweep(SMALL)[:3]
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            emit_csv(failing(), path, SMALL)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_returns_record_count(self, tmp_path):
+        records = run_sweep(SMALL)
+        assert emit_csv(records, tmp_path / "n.csv", SMALL) == len(records)
 
     def test_metadata_deterministic_after_timestamp(self, tmp_path):
         records = run_sweep(SMALL)
@@ -224,3 +304,26 @@ class TestCli:
                      "--arch", "sc"])
         assert code == 3
         assert capsys.readouterr().err.startswith("ris-ntn-sim: error: runtime:")
+
+    def test_non_finite_metrics_fail_the_sweep(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("tx_power_dbm = -3100\ntrials = 3\nelements_sweep = 4, 8\n")
+        out_csv = tmp_path / "out" / "out.csv"
+        out_csv.parent.mkdir()
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out_csv)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ris-ntn-sim: error: runtime: SweepError")
+        assert "arch=fc elements=4" in err and "non-finite" in err
+        # neither a partial CSV nor a sidecar nor a temporary file is left behind
+        assert list(out_csv.parent.iterdir()) == []
+
+    def test_workers_flag_is_deprecated_and_ignored(self, tmp_path, caplog):
+        out = tmp_path / "out.csv"
+        args = ["sweep", "--out", str(out), "--trials", "2", "--arch", "sc"]
+        assert main(args) == 0
+        plain = out.read_bytes()
+        with caplog.at_level(logging.WARNING, logger="ris_ntn_sim.cli"):
+            assert main(args + ["--workers", "3"]) == 0
+        assert [r.message for r in caplog.records if "--workers" in r.message] == [
+            "--workers is deprecated and ignored: the sweep runs on one thread"]
+        assert out.read_bytes() == plain
