@@ -16,14 +16,9 @@ from .config import ConfigError, SimConfig, format_config, parse_config
 from .errors import (
     ConstraintViolated,
     DimensionMismatch,
-    InvalidAltitudes,
-    NonPositiveInput,
-    NonPositivePower,
+    InvalidInput,
     SimulatorError,
-    SingularInput,
     SweepError,
-    TooLarge,
-    WrongDimension,
 )
 from .link_metrics import (
     LinkReport,
@@ -41,8 +36,6 @@ from .link_metrics import (
 )
 from .phase_optimizer import (
     OptimizeResult,
-    brute_force_fc2,
-    brute_force_sc,
     closed_form_objective,
     optimize,
     optimize_fc,
@@ -68,13 +61,10 @@ __all__ = [
     "fspl_amplitude", "path_loss_db", "build_geometry", "generate_channels",
     "OptimizeResult", "optimize", "optimize_sc", "optimize_fc", "optimize_gc",
     "closed_form_objective",
-    "brute_force_sc", "brute_force_fc2",
     "RfConfig", "LinkReport", "dbm_to_watts", "watts_to_dbm",
     "noise_power_dbm", "noise_power_watts", "snr_linear", "snr_db",
     "rate_bps", "energy_efficiency", "link_columns", "link_report",
     "SimConfig", "parse_config", "format_config", "ConfigError",
     "SweepRecord", "SweepRecords", "run_sweep", "emit_csv", "derive_trial_seed", "CSV_HEADER",
-    "SimulatorError", "DimensionMismatch", "ConstraintViolated", "SingularInput",
-    "NonPositiveInput", "InvalidAltitudes", "TooLarge", "WrongDimension",
-    "NonPositivePower", "SweepError",
+    "SimulatorError", "DimensionMismatch", "ConstraintViolated", "InvalidInput", "SweepError",
 ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAltitudes, NonPositiveInput
+from .errors import InvalidInput
 from .ris_core import ChannelSet
 
 logger = logging.getLogger(__name__)
@@ -34,9 +34,9 @@ _COMPONENT_LOS_PHASE, _COMPONENT_DIFFUSE = 0, 1
 def fspl_amplitude(distance_m: float, freq_hz: float) -> float:
     """Free-space amplitude gain lambda / (4 pi d) of one hop."""
     if distance_m <= 0:
-        raise NonPositiveInput(f"distance must be positive, got {distance_m}")
+        raise InvalidInput(f"distance must be positive, got {distance_m}")
     if freq_hz <= 0:
-        raise NonPositiveInput(f"frequency must be positive, got {freq_hz}")
+        raise InvalidInput(f"frequency must be positive, got {freq_hz}")
     return SPEED_OF_LIGHT / (4.0 * math.pi * distance_m * freq_hz)
 
 
@@ -58,16 +58,16 @@ class LinkGeometry:
 
     def __post_init__(self):
         if not (self.leo_altitude_m > self.haps_altitude_m > 0):
-            raise InvalidAltitudes(
+            raise InvalidInput(
                 f"need leo_altitude_m > haps_altitude_m > 0, "
                 f"got {self.leo_altitude_m} and {self.haps_altitude_m}"
             )
         if self.carrier_hz <= 0:
-            raise NonPositiveInput(f"carrier must be positive, got {self.carrier_hz}")
+            raise InvalidInput(f"carrier must be positive, got {self.carrier_hz}")
         if min(self.d_direct_m, self.d_leo_ris_m, self.d_ris_ut_m) <= 0:
-            raise InvalidAltitudes("slant distances must all be positive")
+            raise InvalidInput("slant distances must all be positive")
         if self.d_leo_ris_m + self.d_ris_ut_m < self.d_direct_m * (1.0 - 1e-9):
-            raise InvalidAltitudes("two-hop distance cannot be shorter than the direct distance")
+            raise InvalidInput("two-hop distance cannot be shorter than the direct distance")
         if not KA_BAND_HZ[0] <= self.carrier_hz <= KA_BAND_HZ[1]:
             logger.warning(
                 "carrier %.6g Hz is outside the Ka band %.4g-%.4g Hz",
@@ -85,8 +85,6 @@ def build_geometry(cfg) -> LinkGeometry:
     """
     leo = float(cfg.leo_altitude_m)
     haps = float(cfg.haps_altitude_m)
-    if not leo > haps > 0:
-        raise InvalidAltitudes(f"need leo_altitude_m > haps_altitude_m > 0, got {leo} and {haps}")
     return LinkGeometry(
         leo_altitude_m=leo,
         haps_altitude_m=haps,
@@ -97,8 +95,8 @@ def build_geometry(cfg) -> LinkGeometry:
     )
 
 
-_FADING_MODELS = ("pure_los", "rician")
-_PHASE_MODES = ("common_los", "iid_uniform")
+FADING_MODELS = ("pure_los", "rician")
+PHASE_MODES = ("common_los", "iid_uniform")
 
 
 @dataclass(frozen=True)
@@ -116,10 +114,10 @@ class FadingSpec:
     phase_mode: str = "iid_uniform"
 
     def __post_init__(self):
-        if self.model not in _FADING_MODELS:
-            raise ValueError(f"unknown fading model {self.model!r} (expected {_FADING_MODELS})")
-        if self.phase_mode not in _PHASE_MODES:
-            raise ValueError(f"unknown phase mode {self.phase_mode!r} (expected {_PHASE_MODES})")
+        if self.model not in FADING_MODELS:
+            raise ValueError(f"unknown fading model {self.model!r} (expected {FADING_MODELS})")
+        if self.phase_mode not in PHASE_MODES:
+            raise ValueError(f"unknown phase mode {self.phase_mode!r} (expected {PHASE_MODES})")
         if not math.isfinite(self.k_factor_db):
             raise ValueError("k_factor_db must be finite")
 
@@ -171,7 +169,7 @@ def generate_channels(
     grows. With direct_blocked the direct path gain is exactly zero.
     """
     if elements < 1:
-        raise NonPositiveInput(f"element count must be positive, got {elements}")
+        raise InvalidInput(f"element count must be positive, got {elements}")
     f = geom.carrier_hz
     gain_tx = 10.0 ** (tx_gain_dbi / 20.0)
     gain_ris = 10.0 ** (ris_element_gain_dbi / 20.0)

@@ -9,12 +9,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .channel_model import FadingSpec
+from .channel_model import FADING_MODELS, PHASE_MODES, FadingSpec
 from .errors import SimulatorError
 from .ris_core import Architecture
 
+# Trial 0 of every sweep cell builds and validates a dense M x M complex
+# matrix: at 4096 elements one matrix is 268 MB and validate needs about
+# 1.1 GB, so larger surfaces are refused rather than exhausting memory.
+MAX_ELEMENTS = 4096
 # MAX_TRIALS keeps every trial index inside sweep.derive_trial_seed's domain.
-MAX_ELEMENTS = 0xFFFF
 MAX_TRIALS = 2**31 - 1
 
 
@@ -122,10 +125,10 @@ class SimConfig:
             except ValueError as exc:
                 raise ConstraintError("architectures", str(exc)) from None
 
-        if self.fading_model not in ("pure_los", "rician"):
-            raise ConstraintError("fading_model", "must be 'pure_los' or 'rician'")
-        if self.fading_phase_mode not in ("common_los", "iid_uniform"):
-            raise ConstraintError("fading_phase_mode", "must be 'common_los' or 'iid_uniform'")
+        if self.fading_model not in FADING_MODELS:
+            raise ConstraintError("fading_model", f"must be one of {FADING_MODELS}")
+        if self.fading_phase_mode not in PHASE_MODES:
+            raise ConstraintError("fading_phase_mode", f"must be one of {PHASE_MODES}")
         if self.direct_link not in ("blocked", "clear"):
             raise ConstraintError("direct_link", "must be 'blocked' or 'clear'")
 

@@ -23,28 +23,12 @@ class ConstraintViolated(SimulatorError, ValueError):
         super().__init__(f"{reason} at {self.location} (residual {self.residual:.3e})")
 
 
-class SingularInput(SimulatorError, ValueError):
-    """Matrix is singular to working precision."""
+class InvalidInput(SimulatorError, ValueError):
+    """An input lies outside its domain.
 
-
-class NonPositiveInput(SimulatorError, ValueError):
-    """A quantity that must be strictly positive was not."""
-
-
-class InvalidAltitudes(SimulatorError, ValueError):
-    """Platform altitudes do not describe a satellite above a relay above ground."""
-
-
-class TooLarge(SimulatorError, ValueError):
-    """Problem size exceeds what an exhaustive search will accept."""
-
-
-class WrongDimension(SimulatorError, ValueError):
-    """Operation is only defined for a specific element count."""
-
-
-class NonPositivePower(SimulatorError, ValueError):
-    """Transmit power must be strictly positive."""
+    A non-positive distance, carrier, power or element count, altitudes that
+    do not put the satellite above the relay above ground, or a singular matrix.
+    """
 
 
 class SweepError(SimulatorError, RuntimeError):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositivePower
+from .errors import InvalidInput
 
 _LN2 = math.log(2.0)
 
@@ -18,7 +18,7 @@ def dbm_to_watts(p_dbm: float) -> float:
 
 def watts_to_dbm(p_w: float) -> float:
     if p_w <= 0:
-        raise NonPositivePower(f"power must be positive, got {p_w} W")
+        raise InvalidInput(f"power must be positive, got {p_w} W")
     return 10.0 * math.log10(p_w) + 30.0
 
 
@@ -84,7 +84,7 @@ def energy_efficiency(rate, tx_power_dbm: float, static_power_w: float = 0.0):
     """Achievable rate divided by consumed power, in bits per joule."""
     power_w = dbm_to_watts(tx_power_dbm) + static_power_w
     if not power_w > 0:
-        raise NonPositivePower(f"total power must be positive, got {power_w} W")
+        raise InvalidInput(f"total power must be positive, got {power_w} W")
     return rate / power_w
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstraintViolated, DimensionMismatch, SingularInput
+from .errors import ConstraintViolated, DimensionMismatch, InvalidInput
 
 # Feasibility tolerance in max-norm. Double-precision construction lands
 # around 1e-15; the headroom absorbs projection round-trips.
@@ -255,7 +255,7 @@ def project_to_unitary(matrix: np.ndarray) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     u, s, vh = np.linalg.svd(mat)
     if s[0] == 0.0 or s[-1] <= s[0] * mat.shape[0] * np.finfo(np.float64).eps:
-        raise SingularInput(
+        raise InvalidInput(
             f"matrix is singular to working precision (smallest singular value {s[-1]:.3e})"
         )
     return u @ vh

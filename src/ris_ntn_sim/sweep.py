@@ -14,9 +14,9 @@ import math
 import os
 import tempfile
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +67,7 @@ def derive_trial_seed(run_seed: int, trial: int) -> int:
     return trial ^ _splitmix64(run_seed & _MASK64)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One output row: a single trial, or a per-cell 'mean'/'stderr' aggregate."""
 
     arch: str
@@ -310,8 +309,7 @@ def emit_csv(records: Iterable[SweepRecord], destination, cfg: SimConfig) -> int
         with open(csv_tmp, "w", encoding="utf-8") as out:
             out.write(CSV_HEADER + "\n")
             for r in records:
-                out.write(_ROW_FORMAT % (r.arch, r.elements, r.trial, r.h_eff_mag, r.snr_db,
-                                         r.rate_bps, r.ee_bits_per_joule, r.seed))
+                out.write(_ROW_FORMAT % r)
                 count += 1
         meta = [
             f"generated_at = {datetime.now(timezone.utc).isoformat()}",

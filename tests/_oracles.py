@@ -1,0 +1,95 @@
+"""Brute-force grid-search oracles that cross-check the closed-form optimizers.
+
+Independent of the closed forms they check: each one searches a uniform
+grid of feasible matrices and is refused for instances too large to search.
+"""
+
+import numpy as np
+
+from ris_ntn_sim import ChannelSet, OptimizeResult, PhaseShiftMatrix, validate
+
+
+def brute_force_sc(ch: ChannelSet, grid: int) -> OptimizeResult:
+    """Exhaustive search over per-element phases drawn from a uniform grid.
+
+    Cost grows as grid**elements; refuses more than 4 elements. Test oracle,
+    not a production path.
+    """
+    m = ch.elements
+    if m > 4:
+        raise ValueError(f"exhaustive search over grid^{m} points refused for more than 4 elements")
+    if grid < 4:
+        raise ValueError(f"grid must be at least 4, got {grid}")
+    phasors = np.exp(2j * np.pi * np.arange(grid) / grid)
+    cascade = ch.g * ch.h
+
+    # accumulate elements m-1 .. 1 into a (grid,)*(m-1) tensor, then scan
+    # element 0 one grid point at a time to bound memory
+    acc = np.array(ch.h_d, dtype=np.complex128)
+    for c_m in cascade[:0:-1]:
+        acc = c_m * phasors.reshape((grid,) + (1,) * acc.ndim) + acc[None, ...]
+
+    best_val = -1.0
+    best_key: tuple[int, ...] = ()
+    for k0 in range(grid):
+        vals = np.abs(cascade[0] * phasors[k0] + acc)
+        if m == 1:
+            candidate, key = float(vals), (k0,)
+        else:
+            flat = int(vals.argmax())
+            candidate = float(vals.ravel()[flat])
+            key = (k0,) + tuple(int(i) for i in np.unravel_index(flat, vals.shape))
+        if candidate > best_val:
+            best_val, best_key = candidate, key
+
+    phi = PhaseShiftMatrix.diagonal(phasors[list(best_key)])
+    validate(phi)
+    return OptimizeResult(phi, best_val, phi.arch)
+
+
+def brute_force_fc2(ch: ChannelSet, grid: int) -> OptimizeResult:
+    """Exhaustive search over 2x2 unitaries via the four-angle parametrization.
+
+    Phi = exp(ja) [[exp(jb) cos c, exp(jd) sin c],
+                   [-exp(-jd) sin c, exp(-jb) cos c]]
+    with each angle swept over a uniform grid. Test oracle for two elements.
+    """
+    if ch.elements != 2:
+        raise ValueError(f"this oracle is defined for exactly 2 elements, got {ch.elements}")
+    if grid < 4:
+        raise ValueError(f"grid must be at least 4, got {grid}")
+    angles = 2.0 * np.pi * np.arange(grid) / grid
+    e = np.exp(1j * angles)
+    cos_c, sin_c = np.cos(angles), np.sin(angles)
+
+    g1, g2 = ch.g
+    h1, h2 = ch.h
+    # g^T Phi h with the parametrized matrix, grouped by angle:
+    # exp(ja) [cos c (g1 h1 e^{jb} + g2 h2 e^{-jb}) + sin c (g1 h2 e^{jd} - g2 h1 e^{-jd})]
+    p = g1 * h1 * e + g2 * h2 * e.conj()  # over b
+    q = g1 * h2 * e - g2 * h1 * e.conj()  # over d
+    inner = (
+        cos_c[None, :, None] * p[:, None, None]
+        + sin_c[None, :, None] * q[None, None, :]
+    ).ravel()
+
+    best_val = -1.0
+    best_a = best_flat = 0
+    for a_idx in range(grid):
+        vals = np.abs(ch.h_d + e[a_idx] * inner)
+        flat = int(vals.argmax())
+        if vals[flat] > best_val:
+            best_val = float(vals[flat])
+            best_a, best_flat = a_idx, flat
+
+    b_idx, c_idx, d_idx = np.unravel_index(best_flat, (grid, grid, grid))
+    mat = e[best_a] * np.array(
+        [
+            [e[b_idx] * cos_c[c_idx], e[d_idx] * sin_c[c_idx]],
+            [-e[d_idx].conjugate() * sin_c[c_idx], e[b_idx].conjugate() * cos_c[c_idx]],
+        ],
+        dtype=np.complex128,
+    )
+    phi = PhaseShiftMatrix.full(mat)
+    validate(phi)
+    return OptimizeResult(phi, best_val, phi.arch)

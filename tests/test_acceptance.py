@@ -14,8 +14,6 @@ from ris_ntn_sim import (
     Architecture,
     FadingSpec,
     SimConfig,
-    brute_force_fc2,
-    brute_force_sc,
     build_geometry,
     effective_channel,
     emit_csv,
@@ -33,6 +31,7 @@ from ris_ntn_sim.link_metrics import RfConfig
 from ris_ntn_sim.sweep import _metadata_path
 
 from _helpers import unit_channel
+from _oracles import brute_force_fc2, brute_force_sc
 
 RESIDUAL_TOL = 1e-10
 CHAIN_SLACK = 1e-9

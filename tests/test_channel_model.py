@@ -10,8 +10,7 @@ import pytest
 from ris_ntn_sim import (
     SPEED_OF_LIGHT,
     FadingSpec,
-    InvalidAltitudes,
-    NonPositiveInput,
+    InvalidInput,
     SimConfig,
     build_geometry,
     fspl_amplitude,
@@ -41,9 +40,9 @@ class TestFspl:
         assert abs(loss - 141.4) <= 0.1
 
     def test_rejects_non_positive_inputs(self):
-        with pytest.raises(NonPositiveInput):
+        with pytest.raises(InvalidInput):
             fspl_amplitude(0.0, 1e9)
-        with pytest.raises(NonPositiveInput):
+        with pytest.raises(InvalidInput):
             fspl_amplitude(1e3, -1.0)
 
     def test_strictly_decreasing_in_distance_and_frequency(self):
@@ -72,7 +71,7 @@ class TestGeometry:
             haps_altitude_m = 15e3
             carrier_hz = 18.7e9
 
-        with pytest.raises(InvalidAltitudes):
+        with pytest.raises(InvalidInput):
             build_geometry(Cfg())
 
     def test_out_of_band_carrier_warns(self, caplog):
@@ -173,7 +172,7 @@ class TestGenerateChannels:
         assert np.array_equal(blocked.g, clear.g)
 
     def test_element_count_must_be_positive(self):
-        with pytest.raises(NonPositiveInput):
+        with pytest.raises(InvalidInput):
             generate_channels(self.geom, FadingSpec(), 0, 1)
 
 

@@ -89,6 +89,7 @@ class TestConstraints:
         "elements_sweep = 8, 8",
         "elements_sweep = 0",
         "elements_sweep = 70000",
+        "elements_sweep = 4097",
         "architectures = sc, sc",
         "architectures = xx",
         "architectures = gc:0",
@@ -103,6 +104,9 @@ class TestConstraints:
     def test_rejected(self, text):
         with pytest.raises(ConstraintError):
             parse_config(text)
+
+    def test_largest_element_count_accepted(self):
+        assert parse_config("elements_sweep = 4096").elements_sweep == (4096,)
 
     @pytest.mark.parametrize("overrides", [
         {"trials": True},

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ris_ntn_sim import (
+    InvalidInput,
     LinkReport,
-    NonPositivePower,
     RfConfig,
     dbm_to_watts,
     energy_efficiency,
@@ -75,9 +75,9 @@ class TestEnergyEfficiency:
         assert energy_efficiency(0.0, 50.0) == 0.0
 
     def test_non_positive_power_rejected(self):
-        with pytest.raises(NonPositivePower):
+        with pytest.raises(InvalidInput):
             energy_efficiency(1.0, float("-inf"))
-        with pytest.raises(NonPositivePower):
+        with pytest.raises(InvalidInput):
             watts_to_dbm(0.0)
 
     def test_static_power_term(self):

@@ -11,10 +11,6 @@ from ris_ntn_sim import (
     DimensionMismatch,
     FadingSpec,
     SimConfig,
-    TooLarge,
-    WrongDimension,
-    brute_force_fc2,
-    brute_force_sc,
     build_geometry,
     effective_channel,
     generate_channels,
@@ -26,6 +22,7 @@ from ris_ntn_sim import (
 )
 
 from _helpers import unit_channel
+from _oracles import brute_force_fc2, brute_force_sc
 
 
 class TestOptimizeSc:
@@ -80,9 +77,10 @@ class TestOptimizeFc:
         assert oracle.objective <= closed.objective + 1e-9
         assert oracle.objective >= 0.99 * closed.objective
 
-    def test_zero_channel_degenerates_to_identity(self):
+    @pytest.mark.parametrize("label", ["sc", "fc", "gc:3"])
+    def test_zero_channel_degenerates_to_identity(self, label):
         ch = ChannelSet(h=np.ones(3, dtype=complex), g=np.zeros(3, dtype=complex), h_d=2j)
-        result = optimize_fc(ch)
+        result = optimize(ch, Architecture.from_label(label))
         assert result.degenerate
         assert result.objective == pytest.approx(2.0, rel=1e-12)
         assert np.array_equal(result.phi.matrix, np.eye(3))
@@ -128,7 +126,17 @@ class TestOptimizeGc:
         result = optimize_gc(ch, 2)
         expected = 0.5 + float(np.linalg.norm(g[2:]) * np.linalg.norm(h[2:]))
         assert result.objective == pytest.approx(expected, rel=1e-12)
+        assert np.array_equal(result.phi.matrix[:2, :2], np.eye(2))
         validate(result.phi)
+
+    def test_disjoint_blocks_degenerate(self):
+        # g and h are nonzero, but no block sees both, so no block has a gain
+        g = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex)
+        ch = ChannelSet(h=g[::-1], g=g, h_d=0.5j)
+        result = optimize_gc(ch, 2)
+        assert result.degenerate
+        assert result.objective == pytest.approx(0.5, rel=1e-12)
+        assert np.array_equal(result.phi.matrix, np.eye(4))
 
 
 class TestOrderingAndInvariance:
@@ -179,7 +187,7 @@ class TestBruteForceSc:
         assert brute_force_sc(ch, 32).objective <= optimize_sc(ch).objective + 1e-12
 
     def test_refuses_large_instances(self):
-        with pytest.raises(TooLarge):
+        with pytest.raises(ValueError, match="refused for more than 4 elements"):
             brute_force_sc(unit_channel(5, 0), 8)
 
     def test_refuses_tiny_grid(self):
@@ -195,7 +203,7 @@ class TestBruteForceSc:
 
 class TestBruteForceFc2:
     def test_wrong_dimension_rejected(self):
-        with pytest.raises(WrongDimension):
+        with pytest.raises(ValueError, match="defined for exactly 2 elements"):
             brute_force_fc2(unit_channel(3, 0), 16)
 
     def test_disjoint_supports_reach_optimum(self):

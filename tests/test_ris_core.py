@@ -10,8 +10,8 @@ from ris_ntn_sim import (
     ChannelSet,
     ConstraintViolated,
     DimensionMismatch,
+    InvalidInput,
     PhaseShiftMatrix,
-    SingularInput,
     effective_channel,
     optimize,
     optimize_fc,
@@ -178,9 +178,9 @@ class TestProjectToUnitary:
 
     def test_singular_input_rejected(self):
         rank_one = np.outer(np.ones(3), np.ones(3)).astype(complex)
-        with pytest.raises(SingularInput):
+        with pytest.raises(InvalidInput):
             project_to_unitary(rank_one)
-        with pytest.raises(SingularInput):
+        with pytest.raises(InvalidInput):
             project_to_unitary(np.zeros((2, 2)))
 
     def test_non_square_rejected(self):
