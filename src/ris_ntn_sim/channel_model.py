@@ -164,9 +164,9 @@ def generate_channels(
     Per hop the amplitude is the free-space gain times the endpoint antenna
     gains, the phase is the carrier phase over the slant distance, and each
     element gets one fade draw. The result is a pure function of the
-    arguments: identical inputs give bit-identical output regardless of
-    thread count, and draws for element i never move when the element count
-    grows. With direct_blocked the direct path gain is exactly zero.
+    arguments: identical inputs give bit-identical output, and draws for
+    element i never move when the element count grows. With direct_blocked
+    the direct path gain is exactly zero.
     """
     if elements < 1:
         raise InvalidInput(f"element count must be positive, got {elements}")

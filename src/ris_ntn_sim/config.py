@@ -7,6 +7,7 @@ are hard errors so typos never silently fall back to defaults.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 
 from .channel_model import FADING_MODELS, PHASE_MODES, FadingSpec
@@ -14,8 +15,9 @@ from .errors import SimulatorError
 from .ris_core import Architecture
 
 # Trial 0 of every sweep cell builds and validates a dense M x M complex
-# matrix: at 4096 elements one matrix is 268 MB and validate needs about
-# 1.1 GB, so larger surfaces are refused rather than exhausting memory.
+# matrix: at 4096 elements one matrix is 268 MB and about 0.8 GB is held
+# while validate runs, so larger surfaces are refused rather than
+# exhausting memory.
 MAX_ELEMENTS = 4096
 # MAX_TRIALS keeps every trial index inside sweep.derive_trial_seed's domain.
 MAX_TRIALS = 2**31 - 1
@@ -88,14 +90,16 @@ class SimConfig:
     def __post_init__(self):
         if any(isinstance(m, bool) for m in self.elements_sweep):
             raise ConstraintError("elements_sweep", "element counts must be integers, not booleans")
-        object.__setattr__(self, "elements_sweep", tuple(int(m) for m in self.elements_sweep))
+        try:
+            counts = tuple(operator.index(m) for m in self.elements_sweep)
+        except TypeError:
+            raise ConstraintError("elements_sweep", "element counts must be integers") from None
+        object.__setattr__(self, "elements_sweep", counts)
         object.__setattr__(self, "architectures", tuple(str(a).strip() for a in self.architectures))
 
-        for key in ("carrier_hz", "tx_power_dbm", "bandwidth_hz", "noise_psd_dbm_hz",
-                    "leo_altitude_m", "haps_altitude_m", "rician_k_db", "tx_gain_dbi",
-                    "ris_element_gain_dbi", "rx_gain_dbi", "static_power_w"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConstraintError(key, "must be finite")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConstraintError(f.name, "must be finite")
         if self.carrier_hz <= 0:
             raise ConstraintError("carrier_hz", "must be positive")
         if self.bandwidth_hz <= 0:
@@ -178,25 +182,16 @@ def _parse_str(key: str, value: str) -> str:
     return value
 
 
+# Every key is a SimConfig field; its annotation picks the parser.
 _PARSERS = {
-    "carrier_hz": _parse_float,
-    "tx_power_dbm": _parse_float,
-    "bandwidth_hz": _parse_float,
-    "noise_psd_dbm_hz": _parse_float,
-    "leo_altitude_m": _parse_float,
-    "haps_altitude_m": _parse_float,
-    "elements_sweep": _parse_int_list,
-    "architectures": _parse_str_list,
-    "fading_model": _parse_str,
-    "rician_k_db": _parse_float,
-    "fading_phase_mode": _parse_str,
-    "direct_link": _parse_str,
-    "trials": _parse_int,
-    "seed": _parse_int,
-    "tx_gain_dbi": _parse_float,
-    "ris_element_gain_dbi": _parse_float,
-    "rx_gain_dbi": _parse_float,
-    "static_power_w": _parse_float,
+    f.name: {
+        "float": _parse_float,
+        "int": _parse_int,
+        "str": _parse_str,
+        "tuple[int, ...]": _parse_int_list,
+        "tuple[str, ...]": _parse_str_list,
+    }[f.type]
+    for f in fields(SimConfig)
 }
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .ris_core import Architecture, ChannelSet, PhaseShiftMatrix, validate
+from .ris_core import Architecture, ChannelSet, PhaseShiftMatrix, diagonal_blocks, validate
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def _block_matrix(w_u: np.ndarray, w_v: np.ndarray, corner: np.ndarray,
     """
     groups, size = w_u.shape
     mat = np.zeros((groups * size, groups * size), dtype=np.complex128)
-    blocks = np.einsum("iaib->iab", mat.reshape(groups, size, groups, size))  # writable view
+    blocks = diagonal_blocks(mat, size)
     # R_v, then its first row times corner, then R_u applied from the left
     np.multiply(w_v[:, :, None], -2.0 * w_v.conj()[:, None, :], out=blocks)
     diagonal = np.arange(size)

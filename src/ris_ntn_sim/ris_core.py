@@ -135,19 +135,16 @@ class PhaseShiftMatrix:
     @classmethod
     def block_diagonal(cls, blocks: Sequence[np.ndarray]) -> "PhaseShiftMatrix":
         """Group-connected matrix from equally sized square blocks."""
-        if not blocks:
-            raise DimensionMismatch("need at least one block")
-        arrs = [np.asarray(b, dtype=np.complex128) for b in blocks]
-        size = arrs[0].shape[0] if arrs[0].ndim == 2 else -1
-        for b in arrs:
-            if b.ndim != 2 or b.shape != (size, size) or size < 1:
-                raise DimensionMismatch("blocks must all be square and equally sized")
-        m = size * len(arrs)
-        mat = np.zeros((m, m), dtype=np.complex128)
-        for i, b in enumerate(arrs):
-            s = i * size
-            mat[s:s + size, s:s + size] = b
-        return cls(mat, Architecture.group_connected(len(arrs)), m)
+        try:
+            arrs = np.asarray(blocks, dtype=np.complex128)
+        except ValueError:  # ragged: blocks of different shapes
+            arrs = None
+        if arrs is None or arrs.ndim != 3 or arrs.shape[1] != arrs.shape[2] or arrs.size == 0:
+            raise DimensionMismatch("need one or more square blocks, all equally sized")
+        groups, size = arrs.shape[:2]
+        mat = np.zeros((groups * size, groups * size), dtype=np.complex128)
+        diagonal_blocks(mat, size)[...] = arrs
+        return cls(mat, Architecture.group_connected(groups), groups * size)
 
 
 @dataclass(frozen=True)
@@ -184,57 +181,60 @@ class ChannelSet:
         return int(self.h.size)
 
 
-def _first_nonzero_outside_blocks(mat: np.ndarray, block: int) -> tuple[int, int] | None:
-    """Row-major first entry outside the block-diagonal pattern that is not exactly zero."""
-    m = mat.shape[0]
-    outside = np.ones((m, m), dtype=bool)
-    for s in range(0, m, block):
-        outside[s:s + block, s:s + block] = False
-    hits = np.argwhere((mat != 0) & outside)
-    if hits.size == 0:
-        return None
-    return int(hits[0, 0]), int(hits[0, 1])
+def diagonal_blocks(mat: np.ndarray, size: int) -> np.ndarray:
+    """(M/size, size, size) view of the diagonal blocks of an M x M array, writable when mat is."""
+    groups = mat.shape[0] // size
+    return np.einsum("iaib->iab", mat.reshape(groups, size, groups, size))
+
+
+def _first(mask: np.ndarray) -> tuple[int, ...] | None:
+    """Row-major index of the first True entry of mask, or None."""
+    k = int(mask.argmax())
+    return np.unravel_index(k, mask.shape) if mask.flat[k] else None
 
 
 def validate(phi: PhaseShiftMatrix) -> None:
     """Check phi against its architecture's feasibility constraints.
 
     Raises DimensionMismatch when the group count does not divide the element
-    count, and ConstraintViolated at the first offending entry otherwise:
-    a non-unit-modulus diagonal entry, a non-unitary block, or a nonzero
-    entry outside the diagonal/block pattern.
+    count, and ConstraintViolated at the row-major first offending entry
+    otherwise, checking in this order: a non-finite entry, a nonzero entry
+    outside the diagonal/block pattern, then a non-unit-modulus diagonal
+    entry (sc and size-1 blocks) or the first block that is not unitary.
     """
     mat = phi.matrix
     m = phi.elements
-    block = phi.arch.block_size(m)
+    size = phi.arch.block_size(m)
 
-    finite = np.isfinite(mat.real) & np.isfinite(mat.imag)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise ConstraintViolated((i, j), float("inf"), "non-finite entry")
+    hit = _first(~np.isfinite(mat))
+    if hit is not None:
+        raise ConstraintViolated(hit, float("inf"), "non-finite entry")
 
-    if block < m:
-        hit = _first_nonzero_outside_blocks(mat, block)
+    if size < m:
+        owner = np.arange(m) // size
+        hit = _first((mat != 0) & (owner[:, None] != owner))
         if hit is not None:
-            i, j = hit
             raise ConstraintViolated(
-                (i, j), abs(mat[i, j]), "entry outside the diagonal/block pattern must be exactly zero"
+                hit, abs(mat[hit]), "entry outside the diagonal/block pattern must be exactly zero"
             )
 
-    eye = np.eye(block)
-    for s in range(0, m, block):
-        blk = mat[s:s + block, s:s + block]
-        if block == 1:
-            residual = abs(abs(blk[0, 0]) - 1.0)
-            # "not <=" instead of ">" so NaN residuals fail closed
-            if not residual <= UNIT_TOLERANCE:
-                raise ConstraintViolated((s, s), residual, "diagonal entry must have unit modulus")
-        else:
-            deviation = np.abs(blk.conj().T @ blk - eye)
-            residual = float(deviation.max())
-            if not residual <= UNIT_TOLERANCE:
-                i, j = np.unravel_index(int(deviation.argmax()), deviation.shape)
-                raise ConstraintViolated((s + i, s + j), residual, "block is not unitary")
+    blocks = diagonal_blocks(mat, size)
+    if size == 1:
+        # hypot rounds like abs() of one entry; np.abs over an array can differ in the last bit
+        deviation = np.abs(np.hypot(blocks.real, blocks.imag) - 1.0)
+        reason = "diagonal entry must have unit modulus"
+    else:
+        gram = blocks.conj().transpose(0, 2, 1) @ blocks
+        diagonal = np.arange(size)
+        gram[:, diagonal, diagonal] -= 1.0
+        deviation = np.abs(gram)
+        reason = "block is not unitary"
+    # "not <=" instead of ">" so NaN residuals fail closed
+    failing = ~(deviation.max(axis=(1, 2)) <= UNIT_TOLERANCE)
+    if failing.any():
+        u = int(failing.argmax())
+        i, j = np.unravel_index(int(deviation[u].argmax()), (size, size))
+        raise ConstraintViolated((u * size + i, u * size + j), deviation[u, i, j], reason)
 
 
 def effective_channel(phi: PhaseShiftMatrix, ch: ChannelSet) -> complex:

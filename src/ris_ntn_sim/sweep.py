@@ -222,6 +222,7 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     failed certificate, raises SweepError.
     """
     geom = build_geometry(cfg)
+    fading = cfg.fading_spec
     rf = RfConfig(cfg.tx_power_dbm, cfg.bandwidth_hz, cfg.noise_psd_dbm_hz,
                   cfg.static_power_w)
     cells = _cells(cfg)
@@ -242,7 +243,7 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
             for i, (trial, seed) in enumerate(zip(trials, seeds)):
                 try:
                     ch = generate_channels(
-                        geom, cfg.fading_spec, m_max, seed,
+                        geom, fading, m_max, seed,
                         tx_gain_dbi=cfg.tx_gain_dbi,
                         ris_element_gain_dbi=cfg.ris_element_gain_dbi,
                         rx_gain_dbi=cfg.rx_gain_dbi,

@@ -1,12 +1,49 @@
-"""Brute-force grid-search oracles that cross-check the closed-form optimizers.
+"""Reference implementations that cross-check the package.
 
-Independent of the closed forms they check: each one searches a uniform
-grid of feasible matrices and is refused for instances too large to search.
+The brute-force grid searches check the closed-form optimizers
+independently of them: each one searches a uniform grid of feasible
+matrices and is refused for instances too large to search. loop_validate
+is the entry-by-entry, block-by-block form of ris_core.validate.
 """
 
 import numpy as np
 
-from ris_ntn_sim import ChannelSet, OptimizeResult, PhaseShiftMatrix, validate
+from ris_ntn_sim import (
+    ChannelSet,
+    ConstraintViolated,
+    OptimizeResult,
+    PhaseShiftMatrix,
+    validate,
+)
+from ris_ntn_sim.ris_core import UNIT_TOLERANCE
+
+
+def loop_validate(phi: PhaseShiftMatrix) -> None:
+    """validate written as Python loops over entries and blocks, with the same errors."""
+    mat = phi.matrix
+    m = phi.elements
+    size = phi.arch.block_size(m)
+    for i in range(m):
+        for j in range(m):
+            if not np.isfinite(mat[i, j]):
+                raise ConstraintViolated((i, j), float("inf"), "non-finite entry")
+    for i in range(m):
+        for j in range(m):
+            if i // size != j // size and mat[i, j] != 0:
+                raise ConstraintViolated(
+                    (i, j), abs(mat[i, j]), "entry outside the diagonal/block pattern must be exactly zero"
+                )
+    for s in range(0, m, size):
+        blk = mat[s:s + size, s:s + size]
+        if size == 1:
+            residual = abs(abs(blk[0, 0]) - 1.0)
+            if not residual <= UNIT_TOLERANCE:
+                raise ConstraintViolated((s, s), residual, "diagonal entry must have unit modulus")
+        else:
+            deviation = np.abs(blk.conj().T @ blk - np.eye(size))
+            if not deviation.max() <= UNIT_TOLERANCE:
+                i, j = np.unravel_index(int(deviation.argmax()), deviation.shape)
+                raise ConstraintViolated((s + i, s + j), deviation.max(), "block is not unitary")
 
 
 def brute_force_sc(ch: ChannelSet, grid: int) -> OptimizeResult:

@@ -112,8 +112,10 @@ class TestConstraints:
         {"trials": True},
         {"seed": False},
         {"elements_sweep": (8, True)},
+        {"elements_sweep": (8.5,)},
+        {"elements_sweep": ("32",)},
     ])
-    def test_booleans_rejected_for_integer_keys(self, overrides):
+    def test_non_integers_rejected_for_integer_keys(self, overrides):
         with pytest.raises(ConstraintError):
             SimConfig(**overrides)
 

@@ -1,6 +1,7 @@
 """Constraint validation, channel application and unitary projection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,16 @@ from ris_ntn_sim import (
 )
 
 from _helpers import random_unitary, unit_channel
+from _oracles import loop_validate
+
+
+def _outcome(check, phi):
+    """(reason, location, residual) of the error check raises on phi, or None."""
+    try:
+        check(phi)
+    except ConstraintViolated as err:
+        return err.reason, err.location, repr(err.residual)
+    return None
 
 
 class TestArchitecture:
@@ -104,6 +115,64 @@ class TestValidate:
         with pytest.raises(ConstraintViolated) as err:
             validate(phi)
         assert err.value.location[0] >= 2
+
+    def test_first_of_several_non_unitary_blocks_reported(self):
+        # block 1 has Gram diag(1, 4), block 2 diag(9, 1): block 1's (1, 1) entry is reported
+        blocks = [random_unitary(2, 0), np.diag([1.0, 2.0]), np.diag([3.0, 1.0])]
+        with pytest.raises(ConstraintViolated) as err:
+            validate(PhaseShiftMatrix.block_diagonal(blocks))
+        assert err.value.location == (3, 3)
+        assert err.value.residual == 3.0
+        assert err.value.reason == "block is not unitary"
+
+    @pytest.mark.parametrize("label", ["sc", "gc:2"])
+    def test_first_of_several_off_pattern_entries_reported(self, label):
+        mat = np.diag([2.0 + 0j, 1.0, 1.0, 1.0])  # also non-unit: the pattern is checked first
+        mat[2, 0] = 5.0
+        mat[1, 3] = 0.25
+        mat[3, 1] = 7.0
+        phi = PhaseShiftMatrix(mat, Architecture.from_label(label), 4)
+        with pytest.raises(ConstraintViolated) as err:
+            validate(phi)
+        assert err.value.location == (1, 3)
+        assert err.value.residual == 0.25
+
+    def test_first_of_several_non_unit_diagonal_entries_reported(self):
+        phi = PhaseShiftMatrix.diagonal([1.0, 1j, 1.5j, -0.25, 2.0])
+        with pytest.raises(ConstraintViolated) as err:
+            validate(phi)
+        assert err.value.location == (2, 2)
+        assert err.value.residual == 0.5
+        assert err.value.reason == "diagonal entry must have unit modulus"
+
+    @pytest.mark.parametrize("label,m", [("sc", 6), ("fc", 4), ("gc:2", 6), ("gc:3", 6), ("gc:6", 6)])
+    def test_matches_loop_reference(self, label, m):
+        # feasible matrices with 0-2 entries perturbed: small drifts, large
+        # changes, off-pattern fill-ins and overflowing or non-finite values
+        arch = Architecture.from_label(label)
+        rng = np.random.default_rng(m)
+        outcomes = set()
+        for trial in range(200):
+            mat = np.array(optimize(unit_channel(m, trial), arch).phi.matrix)
+            for _ in range(rng.integers(0, 3)):
+                i, j = rng.integers(0, m, 2)
+                mat[i, j] = [mat[i, j] * (1 + 1e-9), mat[i, j] + 0.5, 1e-13, 1e200j, np.nan][trial % 5]
+            phi = PhaseShiftMatrix(mat, arch, m)
+            with np.errstate(all="ignore"):
+                expected = _outcome(loop_validate, phi)
+                assert _outcome(validate, phi) == expected
+            outcomes.add(expected and expected[0])
+        assert None in outcomes and len(outcomes) >= 3  # passes and two kinds of failure or more
+
+    def test_memory_peak_of_a_fully_connected_check(self):
+        phi = PhaseShiftMatrix.full(random_unitary(256, 4))
+        tracemalloc.start()
+        try:
+            validate(phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * phi.matrix.nbytes
 
     def test_group_count_not_dividing_elements(self):
         phi = PhaseShiftMatrix(np.eye(4), Architecture.group_connected(3), 4)
