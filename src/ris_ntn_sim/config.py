@@ -14,18 +14,25 @@ from .channel_model import FADING_MODELS, PHASE_MODES, FadingSpec
 from .errors import SimulatorError
 from .ris_core import Architecture
 
-# Trial 0 of every sweep cell builds and validates a dense M x M complex
-# matrix: at 4096 elements one matrix is 268 MB and about 0.8 GB is held
-# while validate runs, so larger surfaces are refused rather than
-# exhausting memory.
+# The sweep itself needs O(M) memory per trial, but any swept cell can be
+# inspected with phase_optimizer.optimize, which builds and validates the
+# dense M x M complex matrix: at 4096 elements one matrix is 268 MB and about
+# 0.8 GB is held while validate runs, so larger surfaces are refused rather
+# than leaving cells that cannot be inspected.
 MAX_ELEMENTS = 4096
 # MAX_TRIALS keeps every trial index inside sweep.derive_trial_seed's domain.
 MAX_TRIALS = 2**31 - 1
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass, but True is not a trial count or a seed
-    return isinstance(value, int) and not isinstance(value, bool)
+def _as_int(key: str, value) -> int:
+    """value as a Python int: any integer operator.index accepts, numpy's included, but bool."""
+    # bool is an int subclass, but True is not a count or a seed
+    if isinstance(value, bool):
+        raise ConstraintError(key, "must be an integer, not a boolean")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConstraintError(key, "must be an integer") from None
 
 
 class ConfigError(SimulatorError, ValueError):
@@ -88,13 +95,10 @@ class SimConfig:
     static_power_w: float = 0.0
 
     def __post_init__(self):
-        if any(isinstance(m, bool) for m in self.elements_sweep):
-            raise ConstraintError("elements_sweep", "element counts must be integers, not booleans")
-        try:
-            counts = tuple(operator.index(m) for m in self.elements_sweep)
-        except TypeError:
-            raise ConstraintError("elements_sweep", "element counts must be integers") from None
-        object.__setattr__(self, "elements_sweep", counts)
+        object.__setattr__(self, "elements_sweep",
+                           tuple(_as_int("elements_sweep", m) for m in self.elements_sweep))
+        object.__setattr__(self, "trials", _as_int("trials", self.trials))
+        object.__setattr__(self, "seed", _as_int("seed", self.seed))
         object.__setattr__(self, "architectures", tuple(str(a).strip() for a in self.architectures))
 
         for f in fields(self):
@@ -136,10 +140,8 @@ class SimConfig:
         if self.direct_link not in ("blocked", "clear"):
             raise ConstraintError("direct_link", "must be 'blocked' or 'clear'")
 
-        if not _is_int(self.trials) or not 1 <= self.trials <= MAX_TRIALS:
+        if not 1 <= self.trials <= MAX_TRIALS:
             raise ConstraintError("trials", f"must be an integer in [1, {MAX_TRIALS}]")
-        if not _is_int(self.seed):
-            raise ConstraintError("seed", "must be an integer")
 
     @property
     def fading_spec(self) -> FadingSpec:

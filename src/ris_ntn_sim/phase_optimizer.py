@@ -5,17 +5,23 @@ optimum. A diagonal matrix aligns each cascade term g_m h_m with the direct
 path, reaching |h_d| + sum |g_m h_m|. A unitary matrix rotates h onto the
 conjugate of g, reaching |h_d| + ||g|| ||h|| (the Cauchy-Schwarz bound), and
 a block-diagonal design applies that rotation per group. All three are one
-construction on blocks of size 1, M or M/U.
+construction on blocks of size 1, M or M/U. optimize builds the M x M
+matrix of that design; certify checks the same design from its factors in
+O(M), without the matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .ris_core import Architecture, ChannelSet, PhaseShiftMatrix, diagonal_blocks, validate
+
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,30 @@ def _block_matrix(w_u: np.ndarray, w_v: np.ndarray, corner: np.ndarray,
     return mat
 
 
+class _Design(NamedTuple):
+    """Factors of the block-diagonal design: block u is R_u diag(corner_u, 1, ..., 1) R_v.
+
+    R_x = I - 2 w_x w_x^H with w_u, w_v of shape (groups, size); blocks that
+    are not live are the identity.
+    """
+
+    w_u: np.ndarray
+    w_v: np.ndarray
+    corner: np.ndarray
+    live: np.ndarray
+
+
+def _design(ch: ChannelSet, arch: Architecture) -> _Design:
+    """Reflector vectors, corner phases and live mask of the optimal design, in O(M)."""
+    size = arch.block_size(ch.elements)  # raises DimensionMismatch unless groups | M
+    g_norm, h_norm = _block_norms(ch.g, size), _block_norms(ch.h, size)
+    live = (g_norm > 0) & (h_norm > 0)
+    w_u, beta_u = _reflectors(ch.g.conj().reshape(-1, size) / np.where(live, g_norm, 1.0)[:, None])
+    w_v, beta_v = _reflectors(ch.h.reshape(-1, size) / np.where(live, h_norm, 1.0)[:, None])
+    reference = ch.h_d / abs(ch.h_d) if ch.h_d else 1.0
+    return _Design(w_u, w_v, reference * beta_u * beta_v.conj(), live)
+
+
 def optimize(ch: ChannelSet, arch: Architecture) -> OptimizeResult:
     """Optimal design for any architecture: each block rotates h onto conj(g).
 
@@ -106,19 +136,62 @@ def optimize(ch: ChannelSet, arch: Architecture) -> OptimizeResult:
     A block whose g or h is zero is the identity; degenerate marks a channel
     where every block is, so the objective collapses to |h_d|.
     """
-    m = ch.elements
-    size = arch.block_size(m)  # raises DimensionMismatch unless groups | m
-    g_norm, h_norm = _block_norms(ch.g, size), _block_norms(ch.h, size)
-    live = (g_norm > 0) & (h_norm > 0)
-    w_u, beta_u = _reflectors(ch.g.conj().reshape(-1, size) / np.where(live, g_norm, 1.0)[:, None])
-    w_v, beta_v = _reflectors(ch.h.reshape(-1, size) / np.where(live, h_norm, 1.0)[:, None])
-    reference = ch.h_d / abs(ch.h_d) if ch.h_d else 1.0
+    design = _design(ch, arch)
     # the build buffers are gone before validate runs: only phi's copy stays
-    phi = PhaseShiftMatrix(_block_matrix(w_u, w_v, reference * beta_u * beta_v.conj(), live),
-                           arch, m)
+    phi = PhaseShiftMatrix(_block_matrix(*design), arch, ch.elements)
     validate(phi)
     objective = float(closed_form_objective(ch.g, ch.h, ch.h_d, arch))
-    return OptimizeResult(phi, objective, arch, degenerate=not live.any())
+    return OptimizeResult(phi, objective, arch, degenerate=not design.live.any())
+
+
+class Certificate(NamedTuple):
+    """What the design optimize(ch, arch) builds achieves, computed from its factors.
+
+    achieved is |g^T Phi h + h_d|. unitarity_bound bounds the max-norm residual
+    max |B^H B - I| over the blocks B of Phi, the residual validate checks
+    against UNIT_TOLERANCE; it is inf when a factor is not finite.
+    """
+
+    achieved: float
+    unitarity_bound: float
+
+
+def _norm_excess(squared_norm: np.ndarray, terms: int) -> np.ndarray:
+    """Bound on | ||x||^2 - 1 | from the rounded squared norm of a terms-entry complex vector."""
+    return np.abs(squared_norm - 1.0) + (terms + 2) * _EPS * squared_norm
+
+
+def _reflector_error(w: np.ndarray) -> np.ndarray:
+    """Bound e on ||R^H R - I||_2 for R = I - 2 w w^H, per row of w."""
+    delta = _norm_excess((w.real ** 2 + w.imag ** 2).sum(axis=1), w.shape[1])
+    return 4.0 * delta * (1.0 + delta)
+
+
+def certify(ch: ChannelSet, arch: Architecture) -> Certificate:
+    """Certificate of the design optimize(ch, arch) builds, in O(M) and without Phi.
+
+    R_x^H R_x - I = 4 (||w_x||^2 - 1) w_x w_x^H, so with delta_x bounding
+    | ||w_x||^2 - 1 | its spectral norm is at most e_x = 4 delta_x (1 + delta_x),
+    and with f bounding | |c|^2 - 1 | each block B = R_u D R_v satisfies
+    ||B^H B - I||_2 <= e_v + (1 + e_v)(f + (1 + f) e_u), which bounds every
+    entry of B^H B - I. The bounds include the rounding of the squared norms.
+    The identity blocks that are not live contribute no residual.
+    """
+    w_u, w_v, corner, live = _design(ch, arch)
+    g, h = ch.g.reshape(w_u.shape), ch.h.reshape(w_u.shape)
+    # g_u^T R_u D R_v h_u through the reflectors. A block that is not live has
+    # g_u = 0 or h_u = 0, so it adds exactly 0 here, as its identity block does.
+    y = h - 2.0 * w_v * (w_v.conj() * h).sum(axis=1, keepdims=True)
+    y[:, 0] *= corner
+    gain = (g * y).sum(axis=1) - 2.0 * (g * w_u).sum(axis=1) * (w_u.conj() * y).sum(axis=1)
+    achieved = abs(gain.sum() + ch.h_d)
+
+    if not all(np.isfinite(x).all() for x in (w_u, w_v, corner)):
+        return Certificate(float(achieved), math.inf)
+    e_u, e_v = _reflector_error(w_u), _reflector_error(w_v)
+    f = _norm_excess(corner.real ** 2 + corner.imag ** 2, 1)
+    bound = e_v + (1.0 + e_v) * (f + (1.0 + f) * e_u)
+    return Certificate(float(achieved), float(bound.max(where=live, initial=0.0)))
 
 
 def optimize_sc(ch: ChannelSet) -> OptimizeResult:

@@ -13,6 +13,7 @@ import logging
 import math
 import os
 import tempfile
+import weakref
 from collections.abc import Iterable, Sequence
 from datetime import datetime, timezone
 from pathlib import Path
@@ -25,8 +26,8 @@ from .channel_model import build_geometry, generate_channels
 from .config import SimConfig, format_config
 from .errors import SimulatorError, SweepError
 from .link_metrics import RfConfig, link_columns
-from .phase_optimizer import closed_form_objective, optimize
-from .ris_core import Architecture, ChannelSet, effective_channel
+from .phase_optimizer import certify, closed_form_objective
+from .ris_core import UNIT_TOLERANCE, Architecture, ChannelSet
 
 logger = logging.getLogger(__name__)
 
@@ -37,8 +38,8 @@ CSV_HEADER = "arch,elements,trial,h_eff_mag,snr_db,rate_bps,ee_bits_per_joule,se
 # fits in one chunk.
 CHUNK_ELEMENTS = 1 << 16
 
-# Largest relative gap allowed between |g^T Phi h + h_d| of a built matrix and
-# the closed-form objective it certifies.
+# Largest relative gap allowed between |g^T Phi h + h_d| of the designed
+# matrix and the closed-form objective it certifies.
 CERTIFICATE_RTOL = 1e-9
 
 # Per-trial values stay in memory up to this many bytes, then go to a temporary file.
@@ -97,6 +98,7 @@ class SweepRecords(Sequence):
         self._chunk_trials = chunk_trials
         self._labels = [(label, m) for label, _, m in cells]
         self._spool = tempfile.SpooledTemporaryFile(max_size=_SPOOL_MEMORY_BYTES)
+        self._release = weakref.finalize(self, self._spool.close)
         self._aggregates = np.zeros((len(cells), 2, 4))
 
     def __len__(self) -> int:
@@ -125,7 +127,7 @@ class SweepRecords(Sequence):
             yield self._aggregate(cell, 1)
 
     def close(self) -> None:
-        self._spool.close()
+        self._release()
 
     def __enter__(self) -> "SweepRecords":
         return self
@@ -171,9 +173,13 @@ def _cells(cfg: SimConfig) -> list[tuple[str, Architecture, int]]:
 
 
 def _certify(ch: ChannelSet, arch: Architecture, elements: int, objective: float) -> None:
-    """Build and validate one matrix and check that it reaches the closed-form objective."""
+    """Check from its factors that the designed matrix is feasible and reaches the objective."""
     prefix = ChannelSet(h=ch.h[:elements], g=ch.g[:elements], h_d=ch.h_d)
-    achieved = abs(effective_channel(optimize(prefix, arch).phi, prefix))
+    achieved, unitarity_bound = certify(prefix, arch)
+    # "not <=" instead of ">" so NaN fails closed
+    if not unitarity_bound <= UNIT_TOLERANCE:
+        raise SweepError(f"trial 0: matrix is not unitary to {UNIT_TOLERANCE:g} "
+                         f"(residual bound {unitarity_bound!r})")
     if not abs(achieved - objective) <= CERTIFICATE_RTOL * objective:
         raise SweepError(f"trial 0: matrix reaches {achieved!r}, closed form gives {objective!r}")
 
@@ -217,9 +223,11 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
 
     Trials run in chunks: each chunk's channels are drawn once, at the
     largest element count, and every cell is evaluated on them. For trial 0
-    of each cell the phase-shift matrix is built and validated as a
-    certificate of the closed form. A cell with a non-finite value, or a
-    failed certificate, raises SweepError.
+    of each cell the optimal design is certified from its factors in O(M),
+    without building the M x M matrix: a bound on its unitarity residual
+    must be within UNIT_TOLERANCE and |g^T Phi h + h_d|, applied through the
+    factors, must match the closed form. A cell with a non-finite value, or
+    a failed certificate, raises SweepError.
     """
     geom = build_geometry(cfg)
     fading = cfg.fading_spec

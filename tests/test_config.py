@@ -1,5 +1,6 @@
 """Config parsing: defaults, overrides, and typo rejection."""
 
+import numpy as np
 import pytest
 
 from ris_ntn_sim import SimConfig, format_config, parse_config
@@ -114,10 +115,25 @@ class TestConstraints:
         {"elements_sweep": (8, True)},
         {"elements_sweep": (8.5,)},
         {"elements_sweep": ("32",)},
+        {"trials": 5.0},
+        {"seed": "7"},
+        {"trials": np.bool_(True)},
     ])
     def test_non_integers_rejected_for_integer_keys(self, overrides):
         with pytest.raises(ConstraintError):
             SimConfig(**overrides)
+
+    @pytest.mark.parametrize("key, value", [
+        ("trials", np.int64(5)),
+        ("seed", np.int64(5)),
+        ("seed", np.uint32(7)),
+        ("elements_sweep", (np.int64(8),)),
+    ])
+    def test_numpy_integers_accepted_as_python_ints(self, key, value):
+        cfg = SimConfig(**{key: value})
+        got = getattr(cfg, key)
+        assert got == value
+        assert all(type(v) is int for v in (got if isinstance(got, tuple) else (got,)))
 
     def test_gc_divisibility_is_not_a_config_error(self):
         # mismatched (gc:U, M) pairs are skipped at sweep time, not rejected here

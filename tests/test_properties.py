@@ -1,12 +1,20 @@
-"""Property tests of the batched closed forms the sweep evaluates."""
+"""Property tests of the batched closed forms and the factored certificate the sweep evaluates."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ris_ntn_sim import Architecture, ChannelSet, SimConfig, optimize, run_sweep
-from ris_ntn_sim.phase_optimizer import closed_form_objective
+from ris_ntn_sim import (
+    UNIT_TOLERANCE,
+    Architecture,
+    ChannelSet,
+    SimConfig,
+    effective_channel,
+    optimize,
+    run_sweep,
+)
+from ris_ntn_sim.phase_optimizer import certify, closed_form_objective
 
 # The ordering bounds are exact in real arithmetic; the two sides are rounded
 # through different sums, so they may cross by a few ulps.
@@ -28,6 +36,20 @@ def channel_batches(draw, divisible_by=1):
     parts = draw(arrays(np.float64, (4, trials, elements), elements=_COMPONENT))
     direct = draw(arrays(np.float64, (2, trials), elements=_COMPONENT))
     return parts[0] + 1j * parts[1], parts[2] + 1j * parts[3], direct[0] + 1j * direct[1]
+
+
+@st.composite
+def channels_with_zero_blocks(draw, max_elements=64):
+    """(channel, groups) with up to max_elements elements, some g and h blocks zeroed."""
+    groups = draw(st.integers(1, 8))
+    elements = groups * draw(st.integers(1, max_elements // groups))
+    parts = draw(arrays(np.float64, (4, elements), elements=_COMPONENT))
+    g, h = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+    zero = draw(arrays(np.bool_, (2, groups)))
+    g.reshape(groups, -1)[zero[0]] = 0.0
+    h.reshape(groups, -1)[zero[1]] = 0.0
+    h_d = draw(st.just(0.0) | st.builds(complex, _COMPONENT, _COMPONENT))
+    return ChannelSet(h=h, g=g, h_d=h_d), groups
 
 
 def _at_most(a, b):
@@ -80,3 +102,16 @@ def test_shared_draws_never_lose_gain_as_the_surface_grows(seed, elements, direc
             series.setdefault((r.arch, r.trial), []).append(r.h_eff_mag)
     for gains in series.values():
         assert gains == sorted(gains)
+
+
+@settings(max_examples=100, deadline=None)
+@given(channels_with_zero_blocks())
+def test_factored_certificate_matches_the_dense_matrix(drawn):
+    ch, groups = drawn
+    for arch in (SC, FC, Architecture.group_connected(groups)):
+        achieved, bound = certify(ch, arch)
+        phi = optimize(ch, arch).phi
+        dense = abs(effective_channel(phi, ch))
+        assert abs(achieved - dense) <= 1e-12 * dense
+        assert bound <= UNIT_TOLERANCE
+        assert bound >= np.abs(phi.matrix.conj().T @ phi.matrix - np.eye(ch.elements)).max()

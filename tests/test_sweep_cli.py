@@ -1,5 +1,6 @@
 """Sweep orchestration, CSV emission and the command-line interface."""
 
+import itertools
 import logging
 import math
 import tracemalloc
@@ -21,7 +22,7 @@ from ris_ntn_sim import (
     optimize,
     run_sweep,
 )
-from ris_ntn_sim import sweep
+from ris_ntn_sim import phase_optimizer, sweep
 from ris_ntn_sim.cli import main
 from ris_ntn_sim.sweep import _metadata_path
 
@@ -124,9 +125,45 @@ class TestRunSweep:
             records[len(records)]
 
     def test_failed_certificate_is_a_sweep_error(self, monkeypatch):
-        monkeypatch.setattr(sweep, "effective_channel", lambda phi, ch: 0.0)
-        with pytest.raises(SweepError, match="arch=fc elements=4"):
+        # swapped reflectors keep every block unitary but no longer align h with conj(g)
+        design = phase_optimizer._design
+
+        def swapped(ch, arch):
+            d = design(ch, arch)
+            return d._replace(w_u=d.w_v, w_v=d.w_u)
+
+        monkeypatch.setattr(phase_optimizer, "_design", swapped)
+        with pytest.raises(SweepError, match="arch=fc elements=4: trial 0: matrix reaches"):
             run_sweep(SMALL)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda w: w * np.sqrt(1.0 + 1e-8),  # ||w||^2 = 1 + 1e-8
+        lambda w: np.full_like(w, np.nan),
+    ], ids=["norm_drift", "non_finite"])
+    @pytest.mark.parametrize("reflector", [0, 1], ids=["w_u", "w_v"])
+    def test_non_unitary_design_is_a_sweep_error(self, monkeypatch, corrupt, reflector):
+        # each design computes w_u, then w_v; only the chosen one is corrupted
+        reflectors, calls = phase_optimizer._reflectors, itertools.count()
+
+        def corrupted(x):
+            w, beta = reflectors(x)
+            return (corrupt(w) if next(calls) % 2 == reflector else w), beta
+
+        monkeypatch.setattr(phase_optimizer, "_reflectors", corrupted)
+        with pytest.raises(SweepError, match="arch=fc elements=4: trial 0: matrix is not unitary"):
+            run_sweep(SMALL)
+
+    def test_no_dense_matrix_on_the_sweep_path(self):
+        # one dense fc matrix at M = 4096 alone would be 268 MB
+        cfg = SimConfig(trials=2, elements_sweep=(4096,), architectures=("fc", "gc:4"))
+        tracemalloc.start()
+        try:
+            with run_sweep(cfg) as records:
+                assert len(records) == 2 * (2 + 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestChunking:
