@@ -64,6 +64,10 @@ class MalformedLine(ConfigError):
         super().__init__(f"line {lineno}: expected 'key = value', got {line!r}")
 
 
+_DECIBEL_KEYS = (("tx_gain_dbi", 20.0), ("ris_element_gain_dbi", 20.0),
+                 ("rx_gain_dbi", 20.0), ("rician_k_db", 10.0))
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Full description of one element-sweep experiment.
@@ -104,6 +108,13 @@ class SimConfig:
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ConstraintError(f.name, "must be finite")
+        # the channel model scales amplitudes by 10^(gain/20) and the Rician factor is 10^(k/10)
+        for key, per_decade in _DECIBEL_KEYS:
+            try:
+                10.0 ** (getattr(self, key) / per_decade)
+            except OverflowError:
+                raise ConstraintError(
+                    key, f"10 ** ({key} / {per_decade:g}) overflows a float") from None
         if self.carrier_hz <= 0:
             raise ConstraintError("carrier_hz", "must be positive")
         if self.bandwidth_hz <= 0:

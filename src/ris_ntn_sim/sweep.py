@@ -1,10 +1,11 @@
 """Trial-major Monte-Carlo sweep over element counts and architectures, with CSV output.
 
 Each trial draws one channel realization, at the largest element count, from
-a seed derived from (run seed, trial) alone. Every (architecture, element
-count) cell evaluates its closed form on an element prefix of that same draw,
-so all cells share their random numbers. The sweep is a pure function of the
-config: identical configs give byte-identical CSV.
+a seed derived from (run seed, trial) alone; a chunk of trials is drawn in
+one call. Every (architecture, element count) cell evaluates its closed form
+on an element prefix of that same draw, so all cells share their random
+numbers. The sweep is a pure function of the config: identical configs give
+byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .channel_model import build_geometry, generate_channels
+from .channel_model import COMPONENTS, LINKS, build_geometry, draw_channels, stream_keys
 from .config import SimConfig, format_config
 from .errors import SimulatorError, SweepError
 from .link_metrics import RfConfig, link_columns
@@ -66,6 +67,24 @@ def derive_trial_seed(run_seed: int, trial: int) -> int:
     if not 0 <= trial < _TRIAL_LIMIT:
         raise ValueError(f"trial index must be in [0, 2^31), got {trial}")
     return trial ^ _splitmix64(run_seed & _MASK64)
+
+
+def _trial_seeds(run_seed: int, start: int, stop: int) -> np.ndarray:
+    """derive_trial_seed(run_seed, t) for t in [start, stop), as one uint64 array."""
+    if not 0 <= start <= stop <= _TRIAL_LIMIT:
+        raise ValueError(f"trial range must lie in [0, 2^31), got [{start}, {stop})")
+    return np.arange(start, stop, dtype=np.uint64) ^ np.uint64(_splitmix64(run_seed & _MASK64))
+
+
+def _check_stream_keys(seed: int) -> None:
+    """Fail closed unless stream_keys gives numpy's SeedSequence keys for seed."""
+    keys = stream_keys([seed])[0]
+    for link in range(LINKS):
+        for component in range(COMPONENTS):
+            sequence = np.random.SeedSequence(seed, spawn_key=(link, component))
+            if keys[link, component].tolist() != sequence.generate_state(2, np.uint64).tolist():
+                raise SweepError(f"Philox key of stream (link={link}, component={component}) "
+                                 f"differs from numpy's SeedSequence for seed {seed}")
 
 
 class SweepRecord(NamedTuple):
@@ -135,8 +154,8 @@ class SweepRecords(Sequence):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _write_chunk(self, seeds: list[int], values: np.ndarray) -> None:
-        self._spool.write(np.array(seeds, dtype=np.uint64).tobytes())
+    def _write_chunk(self, seeds: np.ndarray, values: np.ndarray) -> None:
+        self._spool.write(seeds.tobytes())
         self._spool.write(np.ascontiguousarray(values, dtype=np.float64).tobytes())
 
     def _read(self, cell: int, start: int) -> tuple[list[int], list[list[float]]]:
@@ -221,8 +240,11 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     each cell's trials. Group-connected cells whose group count does not
     divide the element count are skipped with a warning.
 
-    Trials run in chunks: each chunk's channels are drawn once, at the
-    largest element count, and every cell is evaluated on them. For trial 0
+    Trials run in chunks: each chunk's channels are drawn in one call, at
+    the largest element count, and every cell is evaluated on them. When
+    the fading draws random numbers, trial 0's batched Philox keys are
+    checked against numpy's SeedSequence once per sweep; a mismatch raises
+    SweepError naming the stream. For trial 0
     of each cell the optimal design is certified from its factors in O(M),
     without building the M x M matrix: a bound on its unitarity residual
     must be within UNIT_TOLERANCE and |g^T Phi h + h_d|, applied through the
@@ -242,26 +264,23 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
 
     moments = _Moments(len(cells))
     try:
+        if fading.model != "pure_los":
+            _check_stream_keys(derive_trial_seed(cfg.seed, 0))
         for start in range(0, cfg.trials, chunk_trials):
             trials = range(start, min(cfg.trials, start + chunk_trials))
-            seeds = [derive_trial_seed(cfg.seed, t) for t in trials]
-            g = np.empty((len(trials), m_max), dtype=np.complex128)
-            h = np.empty_like(g)
-            h_d = np.empty(len(trials), dtype=np.complex128)
-            for i, (trial, seed) in enumerate(zip(trials, seeds)):
-                try:
-                    ch = generate_channels(
-                        geom, fading, m_max, seed,
-                        tx_gain_dbi=cfg.tx_gain_dbi,
-                        ris_element_gain_dbi=cfg.ris_element_gain_dbi,
-                        rx_gain_dbi=cfg.rx_gain_dbi,
-                        direct_blocked=cfg.direct_link == "blocked",
-                    )
-                except (SimulatorError, ValueError, ArithmeticError) as exc:
-                    raise SweepError(f"trial={trial}: {exc}") from exc
-                g[i], h[i], h_d[i] = ch.g, ch.h, ch.h_d
-                if trial == 0:
-                    first = ch
+            seeds = _trial_seeds(cfg.seed, start, trials.stop)
+            try:
+                h, g, h_d = draw_channels(
+                    geom, fading, m_max, seeds,
+                    tx_gain_dbi=cfg.tx_gain_dbi,
+                    ris_element_gain_dbi=cfg.ris_element_gain_dbi,
+                    rx_gain_dbi=cfg.rx_gain_dbi,
+                    direct_blocked=cfg.direct_link == "blocked",
+                )
+                if start == 0:
+                    first = ChannelSet(h=h[0], g=g[0], h_d=h_d[0])
+            except (SimulatorError, ValueError, ArithmeticError) as exc:
+                raise SweepError(f"trials {trials.start}..{trials.stop - 1}: {exc}") from exc
 
             values = np.empty((len(cells), len(trials), 4))
             for c, (label, arch, m) in enumerate(cells):

@@ -4,18 +4,29 @@ The brute-force grid searches check the closed-form optimizers
 independently of them: each one searches a uniform grid of feasible
 matrices and is refused for instances too large to search. loop_validate
 is the entry-by-entry, block-by-block form of ris_core.validate.
+per_trial_channels is the channel draw with one SeedSequence -> Philox ->
+Generator construction per stream, the reference for the batched draw.
 """
+
+import math
 
 import numpy as np
 
 from ris_ntn_sim import (
+    SPEED_OF_LIGHT,
     ChannelSet,
     ConstraintViolated,
+    InvalidInput,
     OptimizeResult,
     PhaseShiftMatrix,
+    fspl_amplitude,
     validate,
 )
 from ris_ntn_sim.ris_core import UNIT_TOLERANCE
+
+_MASK64 = (1 << 64) - 1
+_LINK_SAT_RIS, _LINK_RIS_UT, _LINK_DIRECT = 0, 1, 2
+_COMPONENT_LOS_PHASE, _COMPONENT_DIFFUSE = 0, 1
 
 
 def loop_validate(phi: PhaseShiftMatrix) -> None:
@@ -130,3 +141,67 @@ def brute_force_fc2(ch: ChannelSet, grid: int) -> OptimizeResult:
     phi = PhaseShiftMatrix.full(mat)
     validate(phi)
     return OptimizeResult(phi, best_val, phi.arch)
+
+
+def _stream(seed: int, link: int, component: int) -> np.random.Generator:
+    seq = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=(link, component))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def _fades(fading, count: int, seed: int, link: int) -> np.ndarray:
+    if fading.model == "pure_los":
+        return np.ones(count, dtype=np.complex128)
+    k_lin = 10.0 ** (fading.k_factor_db / 10.0)
+    los_amp = math.sqrt(k_lin / (k_lin + 1.0))
+    diffuse_amp = math.sqrt(1.0 / (k_lin + 1.0))
+    if fading.phase_mode == "common_los":
+        los = np.full(count, los_amp, dtype=np.complex128)
+    else:
+        theta = _stream(seed, link, _COMPONENT_LOS_PHASE).uniform(0.0, 2.0 * math.pi, count)
+        los = los_amp * np.exp(1j * theta)
+    # (count, 2) in C order: element i always consumes draws 2i and 2i+1
+    pair = _stream(seed, link, _COMPONENT_DIFFUSE).standard_normal((count, 2))
+    diffuse = (pair[:, 0] + 1j * pair[:, 1]) / math.sqrt(2.0)
+    return los + diffuse_amp * diffuse
+
+
+def per_trial_channels(
+    geom,
+    fading,
+    elements: int,
+    seed: int,
+    *,
+    tx_gain_dbi: float = 0.0,
+    ris_element_gain_dbi: float = 0.0,
+    rx_gain_dbi: float = 0.0,
+    direct_blocked: bool = False,
+) -> ChannelSet:
+    """One seeded channel realization for a surface with the given element count.
+
+    Per hop the amplitude is the free-space gain times the endpoint antenna
+    gains, the phase is the carrier phase over the slant distance, and each
+    element gets one fade draw. The result is a pure function of the
+    arguments: identical inputs give bit-identical output, and draws for
+    element i never move when the element count grows. With direct_blocked
+    the direct path gain is exactly zero.
+    """
+    if elements < 1:
+        raise InvalidInput(f"element count must be positive, got {elements}")
+    f = geom.carrier_hz
+    gain_tx = 10.0 ** (tx_gain_dbi / 20.0)
+    gain_ris = 10.0 ** (ris_element_gain_dbi / 20.0)
+    gain_rx = 10.0 ** (rx_gain_dbi / 20.0)
+
+    def hop(distance_m: float) -> complex:
+        phase = -2.0 * math.pi * distance_m * f / SPEED_OF_LIGHT
+        return fspl_amplitude(distance_m, f) * complex(math.cos(phase), math.sin(phase))
+
+    h = gain_tx * gain_ris * hop(geom.d_leo_ris_m) * _fades(fading, elements, seed, _LINK_SAT_RIS)
+    g = gain_ris * gain_rx * hop(geom.d_ris_ut_m) * _fades(fading, elements, seed, _LINK_RIS_UT)
+    if direct_blocked:
+        h_d = 0j
+    else:
+        h_d = gain_tx * gain_rx * hop(geom.d_direct_m) * complex(
+            _fades(fading, 1, seed, _LINK_DIRECT)[0]
+        )
+    return ChannelSet(h=h, g=g, h_d=h_d)

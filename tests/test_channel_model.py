@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ris_ntn_sim import (
     SPEED_OF_LIGHT,
@@ -17,6 +19,10 @@ from ris_ntn_sim import (
     generate_channels,
     path_loss_db,
 )
+from ris_ntn_sim.channel_model import COMPONENTS, LINKS, draw_channels, stream_keys
+from ris_ntn_sim.sweep import _trial_seeds
+
+from _oracles import per_trial_channels
 
 
 def fspl_db_oracle(d, f):
@@ -174,6 +180,54 @@ class TestGenerateChannels:
     def test_element_count_must_be_positive(self):
         with pytest.raises(InvalidInput):
             generate_channels(self.geom, FadingSpec(), 0, 1)
+
+
+class TestStreamKeys:
+    # One- and two-word seeds: below 2^32 numpy's entropy is one uint32 word.
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
+    @example([0])
+    @example([2**32 - 1])
+    @example([2**32])
+    @example([2**64 - 1])
+    @example([0, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_keys_equal_seed_sequence_keys(self, seeds):
+        keys = stream_keys(seeds)
+        assert keys.shape == (len(seeds), LINKS, COMPONENTS, 2)
+        assert keys.dtype == np.uint64
+        for i, seed in enumerate(seeds):
+            for link in range(LINKS):
+                for component in range(COMPONENTS):
+                    expected = np.random.SeedSequence(seed, spawn_key=(link, component))
+                    assert np.array_equal(keys[i, link, component],
+                                          expected.generate_state(2, np.uint64))
+
+
+class TestDrawChannels:
+    GAINS = {"tx_gain_dbi": 3.3, "ris_element_gain_dbi": 0.5, "rx_gain_dbi": -1.7}
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("elements", [1, 8, 63])
+    @pytest.mark.parametrize("direct_blocked", [True, False])
+    @pytest.mark.parametrize("phase_mode", ["common_los", "iid_uniform"])
+    @pytest.mark.parametrize("model", ["pure_los", "rician"])
+    def test_every_trial_equals_the_per_trial_reference(self, model, phase_mode, direct_blocked,
+                                                        elements, chunk):
+        geom = build_geometry(SimConfig())
+        fading = FadingSpec(model=model, phase_mode=phase_mode)
+        seeds = _trial_seeds(17, 2**31 - chunk, 2**31)
+        h, g, h_d = draw_channels(geom, fading, elements, seeds,
+                                  direct_blocked=direct_blocked, **self.GAINS)
+        assert h.shape == g.shape == (chunk, elements) and h_d.shape == (chunk,)
+        for i, seed in enumerate(seeds.tolist()):
+            ref = per_trial_channels(geom, fading, elements, seed,
+                                     direct_blocked=direct_blocked, **self.GAINS)
+            assert h[i].tobytes() == ref.h.tobytes()
+            assert g[i].tobytes() == ref.g.tobytes()
+            assert h_d[i:i + 1].tobytes() == np.array([ref.h_d]).tobytes()
+            one = generate_channels(geom, fading, elements, seed,
+                                    direct_blocked=direct_blocked, **self.GAINS)
+            assert one.h.tobytes() == ref.h.tobytes() and one.g.tobytes() == ref.g.tobytes()
+            assert np.array([one.h_d]).tobytes() == np.array([ref.h_d]).tobytes()
 
 
 class TestFadingSpec:

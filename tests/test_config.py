@@ -106,6 +106,28 @@ class TestConstraints:
         with pytest.raises(ConstraintError):
             parse_config(text)
 
+    @pytest.mark.parametrize("key, value", [
+        ("tx_gain_dbi", 7000.0),
+        ("ris_element_gain_dbi", 6200.0),
+        ("rx_gain_dbi", 1e300),
+        ("rician_k_db", 4000.0),
+        ("rician_k_db", 3090.0),
+    ])
+    def test_decibel_values_whose_linear_value_overflows_are_rejected(self, key, value):
+        with pytest.raises(ConstraintError) as err:
+            SimConfig(**{key: value})
+        assert err.value.key == key
+        assert "overflows" in err.value.reason
+
+    @pytest.mark.parametrize("key, value", [
+        ("tx_gain_dbi", 6000.0),
+        ("rx_gain_dbi", -7000.0),
+        ("rician_k_db", 3000.0),
+        ("rician_k_db", -4000.0),
+    ])
+    def test_large_representable_decibel_values_accepted(self, key, value):
+        assert getattr(SimConfig(**{key: value}), key) == value
+
     def test_largest_element_count_accepted(self):
         assert parse_config("elements_sweep = 4096").elements_sweep == (4096,)
 

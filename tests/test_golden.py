@@ -40,6 +40,16 @@ static_power_w = 0.0
 """
 
 
+# Pins what the first config leaves out: the direct-link streams, common_los
+# fading, a single-element surface and skipped gc cells.
+GOLDEN_DIRECT_CONFIG = SimConfig(trials=40, architectures=("sc", "gc:2"),
+                                 elements_sweep=(1, 6, 8, 33), fading_phase_mode="common_los",
+                                 direct_link="clear", seed=7)
+
+GOLDEN_DIRECT_CSV_SHA256 = "8fa8c949c0ea57a24f418e3608fd586b08e5395679bfa84198c88e8c17431a1f"
+GOLDEN_DIRECT_RECORDS = 252
+
+
 def test_golden_csv_and_metadata(tmp_path):
     path = tmp_path / "golden.csv"
     emit_csv(run_sweep(GOLDEN_CONFIG), path, GOLDEN_CONFIG)
@@ -47,3 +57,10 @@ def test_golden_csv_and_metadata(tmp_path):
     timestamp, tail = _metadata_path(path).read_text(encoding="utf-8").split("\n", 1)
     assert timestamp.startswith("generated_at = ")
     assert tail == GOLDEN_META_TAIL
+
+
+def test_golden_direct_link_csv(tmp_path):
+    path = tmp_path / "golden_direct.csv"
+    count = emit_csv(run_sweep(GOLDEN_DIRECT_CONFIG), path, GOLDEN_DIRECT_CONFIG)
+    assert count == GOLDEN_DIRECT_RECORDS
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DIRECT_CSV_SHA256

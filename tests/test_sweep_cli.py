@@ -219,6 +219,62 @@ class TestTrialSeeds:
         with pytest.raises(ValueError):
             derive_trial_seed(1, 2**31)
 
+    @pytest.mark.parametrize("run_seed", [0, 42, -1, 2**64 - 1, 2**70 + 3])
+    @pytest.mark.parametrize("start, stop", [(0, 7), (7, 14), (2**31 - 5, 2**31)])
+    def test_chunk_seeds_equal_per_trial_seeds(self, run_seed, start, stop):
+        seeds = sweep._trial_seeds(run_seed, start, stop)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [derive_trial_seed(run_seed, t) for t in range(start, stop)]
+
+    def test_chunks_tile_the_trial_range(self):
+        tiled = np.concatenate([sweep._trial_seeds(9, 0, 7), sweep._trial_seeds(9, 7, 14)])
+        assert tiled.tolist() == sweep._trial_seeds(9, 0, 14).tolist()
+        with pytest.raises(ValueError):
+            sweep._trial_seeds(1, 0, 2**31 + 1)
+
+
+class TestStreamKeyGuard:
+    CFG_TEXT = "trials = 3\nelements_sweep = 4, 8\nseed = 5\n"
+
+    @pytest.mark.parametrize("link, component", [(0, 1), (2, 0)])
+    def test_corrupt_key_fails_closed(self, tmp_path, capsys, monkeypatch, link, component):
+        real = sweep.stream_keys
+
+        def corrupted(seeds):
+            keys = real(seeds)
+            keys[:, link, component, 1] ^= np.uint64(1)
+            return keys
+
+        monkeypatch.setattr(sweep, "stream_keys", corrupted)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(self.CFG_TEXT)
+        out_csv = tmp_path / "out" / "out.csv"
+        out_csv.parent.mkdir()
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out_csv)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ris-ntn-sim: error: runtime: SweepError")
+        assert f"(link={link}, component={component})" in err
+        assert list(out_csv.parent.iterdir()) == []
+
+    def test_seed_sequence_built_only_by_the_guard(self, monkeypatch):
+        built = []
+        real = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("spawn_key"))
+            return real(*args, **kwargs)
+
+        # a few trials per chunk, so 300 trials span many chunks
+        monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", 7 * 8)
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        counts = []
+        for trials in (1, 300):
+            built.clear()
+            run_sweep(SimConfig(trials=trials, elements_sweep=(4, 8), seed=5)).close()
+            counts.append(len(built))
+        assert counts == [6, 6]
+        assert sorted(built) == [(link, component) for link in range(3) for component in range(2)]
+
 
 class TestEmitCsv:
     def test_header_exact(self, tmp_path):
@@ -334,6 +390,15 @@ class TestCli:
     def test_sweep_bad_arch_flag_is_config_error(self, tmp_path, capsys):
         out_csv = tmp_path / "out.csv"
         assert main(["sweep", "--out", str(out_csv), "--arch", "bogus"]) == 2
+
+    def test_overflowing_gain_is_config_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("tx_gain_dbi = 7000\ntrials = 2\n")
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ris-ntn-sim: error: config: ConstraintError")
+        assert "'tx_gain_dbi'" in err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_sweep_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         out_csv = tmp_path / "missing_dir" / "out.csv"
