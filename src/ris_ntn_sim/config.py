@@ -66,6 +66,9 @@ class MalformedLine(ConfigError):
 
 _DECIBEL_KEYS = (("tx_gain_dbi", 20.0), ("ris_element_gain_dbi", 20.0),
                  ("rx_gain_dbi", 20.0), ("rician_k_db", 10.0))
+# The antenna gains draw_channels multiplies for each hop: sat -> RIS, RIS -> UT and direct.
+_HOP_GAIN_KEYS = (("tx_gain_dbi", "ris_element_gain_dbi"), ("ris_element_gain_dbi", "rx_gain_dbi"),
+                  ("tx_gain_dbi", "rx_gain_dbi"))
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,11 @@ class SimConfig:
             except OverflowError:
                 raise ConstraintError(
                     key, f"10 ** ({key} / {per_decade:g}) overflows a float") from None
+        for a, b in _HOP_GAIN_KEYS:
+            product = 10.0 ** (getattr(self, a) / 20.0) * 10.0 ** (getattr(self, b) / 20.0)
+            if not math.isfinite(product):
+                raise ConstraintError(
+                    a, f"10 ** ({a} / 20) * 10 ** ({b} / 20), a hop's gain, overflows a float")
         if self.carrier_hz <= 0:
             raise ConstraintError("carrier_hz", "must be positive")
         if self.bandwidth_hz <= 0:

@@ -5,14 +5,17 @@ optimum. A diagonal matrix aligns each cascade term g_m h_m with the direct
 path, reaching |h_d| + sum |g_m h_m|. A unitary matrix rotates h onto the
 conjugate of g, reaching |h_d| + ||g|| ||h|| (the Cauchy-Schwarz bound), and
 a block-diagonal design applies that rotation per group. All three are one
-construction on blocks of size 1, M or M/U. optimize builds the M x M
-matrix of that design; certify checks the same design from its factors in
-O(M), without the matrix.
+construction on blocks of size 1, M or M/U, and optimize builds the M x M
+matrix of that design. certify_cells checks the designs of many (architecture,
+element prefix) cells of one channel from their factors, without any matrix:
+it lays the prefixes end to end, one segment per block, so every norm and
+inner product of all cells is one segment sum, in bounded passes of at most
+PASS_ENTRIES entries. certify is its one-cell case.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,16 +68,52 @@ def closed_form_objective(g, h, h_d, arch: Architecture) -> np.ndarray:
     return np.abs(h_d) + gain
 
 
-def _reflectors(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder vectors w and unit phases beta with (I - 2 w w^H) x = beta e_1, per row.
+# Laid-out entries certified in one pass. A pass holds about 115 bytes per
+# entry, so memory stays bounded for any number of cells; a sweep whose cells
+# add up to at most this many elements (the default sweep has 576) takes one
+# pass, and a larger cell takes a pass alone. Passes of 4096 entries raised
+# peak RSS on cells of 2048 elements by about 0.4 MB.
+PASS_ENTRIES = 2048
 
-    Exact for rows of unit norm. beta = -exp(j arg x_1) keeps x - beta e_1
-    clear of cancellation, so its norm is at least 1 for any row.
+
+class _Layout(NamedTuple):
+    """Element prefixes of g and h laid end to end, one segment per (cell, block)."""
+
+    g: np.ndarray
+    h: np.ndarray
+    starts: np.ndarray  # first entry of every segment
+    lengths: np.ndarray  # entries of every segment
+    cells: np.ndarray  # first segment of every cell
+
+
+def _layout(ch: ChannelSet, cells: Sequence[tuple[Architecture, int]]) -> _Layout:
+    """Layout of the (architecture, element count) cells of ch, in order, built from whole arrays."""
+    elements = np.array([m for _, m in cells])
+    # raises DimensionMismatch unless groups | M
+    sizes = np.array([arch.block_size(m) for arch, m in cells])
+    groups = elements // sizes
+    ends = np.cumsum(elements)
+    index = np.arange(ends[-1]) - np.repeat(ends - elements, elements)
+    lengths = np.repeat(sizes, groups)
+    return _Layout(ch.g[index], ch.h[index], np.cumsum(lengths) - lengths, lengths,
+                   np.cumsum(groups) - groups)
+
+
+def _segment_power(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of every segment of x."""
+    return np.add.reduceat(x.real ** 2 + x.imag ** 2, starts)
+
+
+def _reflectors(x: np.ndarray, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
+    """Householder vectors w and unit phases beta with (I - 2 w w^H) x = beta e_1, per segment.
+
+    Exact for segments of unit norm. beta = -exp(j arg x_1) keeps x - beta e_1
+    clear of cancellation, so its norm is at least 1 for any segment.
     """
-    beta = -np.exp(1j * np.angle(x[:, 0]))
+    beta = -np.exp(1j * np.angle(x[layout.starts]))
     w = x.copy()
-    w[:, 0] -= beta
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    w[layout.starts] -= beta
+    w /= np.repeat(np.sqrt(_segment_power(w, layout.starts)), layout.lengths)
     return w, beta
 
 
@@ -82,8 +121,8 @@ def _block_matrix(w_u: np.ndarray, w_v: np.ndarray, corner: np.ndarray,
                   live: np.ndarray) -> np.ndarray:
     """Block-diagonal matrix of the blocks R_u diag(corner, 1, ..., 1) R_v, I where not live.
 
-    R_x = I - 2 w_x w_x^H. Each block costs O(size^2), built in place in the
-    diagonal blocks of one M x M array.
+    R_x = I - 2 w_x w_x^H with w_u, w_v of shape (groups, size). Each block
+    costs O(size^2), built in place in the diagonal blocks of one M x M array.
     """
     groups, size = w_u.shape
     mat = np.zeros((groups * size, groups * size), dtype=np.complex128)
@@ -99,10 +138,10 @@ def _block_matrix(w_u: np.ndarray, w_v: np.ndarray, corner: np.ndarray,
 
 
 class _Design(NamedTuple):
-    """Factors of the block-diagonal design: block u is R_u diag(corner_u, 1, ..., 1) R_v.
+    """Factors of the block-diagonal designs: block s is R_u diag(corner_s, 1, ..., 1) R_v.
 
-    R_x = I - 2 w_x w_x^H with w_u, w_v of shape (groups, size); blocks that
-    are not live are the identity.
+    R_x = I - 2 w_x w_x^H, where w_u and w_v hold segment s of the layout
+    the design was computed on; blocks that are not live are the identity.
     """
 
     w_u: np.ndarray
@@ -111,13 +150,15 @@ class _Design(NamedTuple):
     live: np.ndarray
 
 
-def _design(ch: ChannelSet, arch: Architecture) -> _Design:
-    """Reflector vectors, corner phases and live mask of the optimal design, in O(M)."""
-    size = arch.block_size(ch.elements)  # raises DimensionMismatch unless groups | M
-    g_norm, h_norm = _block_norms(ch.g, size), _block_norms(ch.h, size)
+def _design(ch: ChannelSet, layout: _Layout) -> _Design:
+    """Reflector vectors, corner phases and live mask of every laid-out block, in O(entries)."""
+    g, h = layout.g, layout.h
+    g_norm = np.sqrt(_segment_power(g, layout.starts))
+    h_norm = np.sqrt(_segment_power(h, layout.starts))
     live = (g_norm > 0) & (h_norm > 0)
-    w_u, beta_u = _reflectors(ch.g.conj().reshape(-1, size) / np.where(live, g_norm, 1.0)[:, None])
-    w_v, beta_v = _reflectors(ch.h.reshape(-1, size) / np.where(live, h_norm, 1.0)[:, None])
+    w_u, beta_u = _reflectors(g.conj() / np.repeat(np.where(live, g_norm, 1.0), layout.lengths),
+                              layout)
+    w_v, beta_v = _reflectors(h / np.repeat(np.where(live, h_norm, 1.0), layout.lengths), layout)
     reference = ch.h_d / abs(ch.h_d) if ch.h_d else 1.0
     return _Design(w_u, w_v, reference * beta_u * beta_v.conj(), live)
 
@@ -136,12 +177,14 @@ def optimize(ch: ChannelSet, arch: Architecture) -> OptimizeResult:
     A block whose g or h is zero is the identity; degenerate marks a channel
     where every block is, so the objective collapses to |h_d|.
     """
-    design = _design(ch, arch)
+    w_u, w_v, corner, live = _design(ch, _layout(ch, [(arch, ch.elements)]))
+    groups = corner.size
     # the build buffers are gone before validate runs: only phi's copy stays
-    phi = PhaseShiftMatrix(_block_matrix(*design), arch, ch.elements)
+    phi = PhaseShiftMatrix(_block_matrix(w_u.reshape(groups, -1), w_v.reshape(groups, -1),
+                                         corner, live), arch, ch.elements)
     validate(phi)
     objective = float(closed_form_objective(ch.g, ch.h, ch.h_d, arch))
-    return OptimizeResult(phi, objective, arch, degenerate=not design.live.any())
+    return OptimizeResult(phi, objective, arch, degenerate=not live.any())
 
 
 class Certificate(NamedTuple):
@@ -149,49 +192,75 @@ class Certificate(NamedTuple):
 
     achieved is |g^T Phi h + h_d|. unitarity_bound bounds the max-norm residual
     max |B^H B - I| over the blocks B of Phi, the residual validate checks
-    against UNIT_TOLERANCE; it is inf when a factor is not finite.
+    against UNIT_TOLERANCE; it is nan or inf when a factor of a live block is
+    not finite.
     """
 
     achieved: float
     unitarity_bound: float
 
 
-def _norm_excess(squared_norm: np.ndarray, terms: int) -> np.ndarray:
+def _norm_excess(squared_norm: np.ndarray, terms: np.ndarray | int) -> np.ndarray:
     """Bound on | ||x||^2 - 1 | from the rounded squared norm of a terms-entry complex vector."""
     return np.abs(squared_norm - 1.0) + (terms + 2) * _EPS * squared_norm
 
 
-def _reflector_error(w: np.ndarray) -> np.ndarray:
-    """Bound e on ||R^H R - I||_2 for R = I - 2 w w^H, per row of w."""
-    delta = _norm_excess((w.real ** 2 + w.imag ** 2).sum(axis=1), w.shape[1])
-    return 4.0 * delta * (1.0 + delta)
+def _certify_pass(ch: ChannelSet, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
+    """Achieved gain and unitarity bound of every cell of the layout, in one evaluation."""
+    w_u, w_v, corner, live = _design(ch, layout)
+    g, h = layout.g, layout.h
+    starts, lengths = layout.starts, layout.lengths
+    # g_u^T R_u D R_v h_u through the reflectors, per segment. A block that is
+    # not live has g_u = 0 or h_u = 0, so it adds exactly 0 here, as its
+    # identity block does.
+    y = h - 2.0 * w_v * np.repeat(np.add.reduceat(w_v.conj() * h, starts), lengths)
+    y[starts] *= corner
+    gain = (np.add.reduceat(g * y, starts)
+            - 2.0 * np.add.reduceat(g * w_u, starts) * np.add.reduceat(w_u.conj() * y, starts))
+    achieved = np.abs(np.add.reduceat(gain, layout.cells) + ch.h_d)
+
+    delta_u, delta_v = (_norm_excess(_segment_power(w, starts), lengths) for w in (w_u, w_v))
+    e_u, e_v = 4.0 * delta_u * (1.0 + delta_u), 4.0 * delta_v * (1.0 + delta_v)
+    f = _norm_excess(corner.real ** 2 + corner.imag ** 2, 1)
+    # nan from a non-finite factor survives np.maximum, so the cell fails closed
+    bound = np.where(live, e_v + (1.0 + e_v) * (f + (1.0 + f) * e_u), 0.0)
+    return achieved, np.maximum.reduceat(bound, layout.cells)
 
 
-def certify(ch: ChannelSet, arch: Architecture) -> Certificate:
-    """Certificate of the design optimize(ch, arch) builds, in O(M) and without Phi.
+def certify_cells(ch: ChannelSet,
+                  cells: Sequence[tuple[Architecture, int]]) -> Iterator[Certificate]:
+    """Certificate of optimize(ChannelSet(h=ch.h[:m], g=ch.g[:m], h_d=ch.h_d), arch) per cell.
+
+    The cells' prefixes lie end to end, one segment per block, and every norm
+    and inner product is a segment sum (np.add.reduceat). Cells go in order
+    into passes of at most PASS_ENTRIES entries and at least one cell, each
+    run when its first certificate is requested, so memory does not grow
+    with the number of cells.
 
     R_x^H R_x - I = 4 (||w_x||^2 - 1) w_x w_x^H, so with delta_x bounding
     | ||w_x||^2 - 1 | its spectral norm is at most e_x = 4 delta_x (1 + delta_x),
     and with f bounding | |c|^2 - 1 | each block B = R_u D R_v satisfies
     ||B^H B - I||_2 <= e_v + (1 + e_v)(f + (1 + f) e_u), which bounds every
-    entry of B^H B - I. The bounds include the rounding of the squared norms.
-    The identity blocks that are not live contribute no residual.
+    entry of B^H B - I. The identity blocks that are not live add nothing.
+    delta_x covers the rounding of an n-entry segment's squared norm: 2n
+    rounded squares, n pair sums, then n - 1 additions, which reduceat may do
+    in sequence. Any order of adding nonnegative terms errs by at most n - 1
+    roundings of the total, so the error is about (n + 1) eps/2 relative,
+    inside the (n + 2) eps margin, n being the segment's own length.
     """
-    w_u, w_v, corner, live = _design(ch, arch)
-    g, h = ch.g.reshape(w_u.shape), ch.h.reshape(w_u.shape)
-    # g_u^T R_u D R_v h_u through the reflectors. A block that is not live has
-    # g_u = 0 or h_u = 0, so it adds exactly 0 here, as its identity block does.
-    y = h - 2.0 * w_v * (w_v.conj() * h).sum(axis=1, keepdims=True)
-    y[:, 0] *= corner
-    gain = (g * y).sum(axis=1) - 2.0 * (g * w_u).sum(axis=1) * (w_u.conj() * y).sum(axis=1)
-    achieved = abs(gain.sum() + ch.h_d)
+    first = 0
+    while first < len(cells):
+        stop, entries = first + 1, cells[first][1]
+        while stop < len(cells) and entries + cells[stop][1] <= PASS_ENTRIES:
+            stop, entries = stop + 1, entries + cells[stop][1]
+        achieved, bound = _certify_pass(ch, _layout(ch, cells[first:stop]))
+        yield from map(Certificate, achieved.tolist(), bound.tolist())
+        first = stop
 
-    if not all(np.isfinite(x).all() for x in (w_u, w_v, corner)):
-        return Certificate(float(achieved), math.inf)
-    e_u, e_v = _reflector_error(w_u), _reflector_error(w_v)
-    f = _norm_excess(corner.real ** 2 + corner.imag ** 2, 1)
-    bound = e_v + (1.0 + e_v) * (f + (1.0 + f) * e_u)
-    return Certificate(float(achieved), float(bound.max(where=live, initial=0.0)))
+
+def certify(ch: ChannelSet, arch: Architecture) -> Certificate:
+    """Certificate of the design optimize(ch, arch) builds, in O(M) and without Phi: one cell."""
+    return next(certify_cells(ch, [(arch, ch.elements)]))
 
 
 def optimize_sc(ch: ChannelSet) -> OptimizeResult:

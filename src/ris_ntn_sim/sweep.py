@@ -27,7 +27,7 @@ from .channel_model import COMPONENTS, LINKS, build_geometry, draw_channels, str
 from .config import SimConfig, format_config
 from .errors import SimulatorError, SweepError
 from .link_metrics import RfConfig, link_columns
-from .phase_optimizer import certify, closed_form_objective
+from .phase_optimizer import certify_cells, closed_form_objective
 from .ris_core import UNIT_TOLERANCE, Architecture, ChannelSet
 
 logger = logging.getLogger(__name__)
@@ -191,18 +191,6 @@ def _cells(cfg: SimConfig) -> list[tuple[str, Architecture, int]]:
     return cells
 
 
-def _certify(ch: ChannelSet, arch: Architecture, elements: int, objective: float) -> None:
-    """Check from its factors that the designed matrix is feasible and reaches the objective."""
-    prefix = ChannelSet(h=ch.h[:elements], g=ch.g[:elements], h_d=ch.h_d)
-    achieved, unitarity_bound = certify(prefix, arch)
-    # "not <=" instead of ">" so NaN fails closed
-    if not unitarity_bound <= UNIT_TOLERANCE:
-        raise SweepError(f"trial 0: matrix is not unitary to {UNIT_TOLERANCE:g} "
-                         f"(residual bound {unitarity_bound!r})")
-    if not abs(achieved - objective) <= CERTIFICATE_RTOL * objective:
-        raise SweepError(f"trial 0: matrix reaches {achieved!r}, closed form gives {objective!r}")
-
-
 class _Moments:
     """Per-cell trial count, mean and sum of squared deviations of the four value columns.
 
@@ -244,12 +232,14 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     the largest element count, and every cell is evaluated on them. When
     the fading draws random numbers, trial 0's batched Philox keys are
     checked against numpy's SeedSequence once per sweep; a mismatch raises
-    SweepError naming the stream. For trial 0
-    of each cell the optimal design is certified from its factors in O(M),
-    without building the M x M matrix: a bound on its unitarity residual
-    must be within UNIT_TOLERANCE and |g^T Phi h + h_d|, applied through the
-    factors, must match the closed form. A cell with a non-finite value, or
-    a failed certificate, raises SweepError.
+    SweepError naming the stream. Trial 0's optimal design is certified for
+    every cell from its factors, without building an M x M matrix, by one
+    segment-wise evaluation over all cells (phase_optimizer.certify_cells, in
+    passes of at most PASS_ENTRIES laid-out entries): per cell, a bound on
+    the unitarity residual must be within UNIT_TOLERANCE, and |g^T Phi h +
+    h_d|, applied through the factors, must match the closed form. Cells are
+    checked in canonical order, each right after its non-finite check; a
+    non-finite value or a failed certificate raises SweepError naming the cell.
     """
     geom = build_geometry(cfg)
     fading = cfg.fading_spec
@@ -278,7 +268,8 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
                     direct_blocked=cfg.direct_link == "blocked",
                 )
                 if start == 0:
-                    first = ChannelSet(h=h[0], g=g[0], h_d=h_d[0])
+                    certificates = certify_cells(ChannelSet(h=h[0], g=g[0], h_d=h_d[0]),
+                                                 [(arch, m) for _, arch, m in cells])
             except (SimulatorError, ValueError, ArithmeticError) as exc:
                 raise SweepError(f"trials {trials.start}..{trials.stop - 1}: {exc}") from exc
 
@@ -292,7 +283,15 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
                             f"check tx_power_dbm, noise_psd_dbm_hz and the antenna gains"
                         )
                     if start == 0:
-                        _certify(first, arch, m, values[c, 0, 0])
+                        achieved, bound = next(certificates)
+                        objective = values[c, 0, 0]
+                        # "not <=" instead of ">" so NaN fails closed
+                        if not bound <= UNIT_TOLERANCE:
+                            raise SweepError(f"trial 0: matrix is not unitary to "
+                                             f"{UNIT_TOLERANCE:g} (residual bound {bound!r})")
+                        if not abs(achieved - objective) <= CERTIFICATE_RTOL * objective:
+                            raise SweepError(f"trial 0: matrix reaches {achieved!r}, "
+                                             f"closed form gives {objective!r}")
                 except (SimulatorError, ValueError, ArithmeticError) as exc:
                     raise SweepError(f"arch={label} elements={m}: {exc}") from exc
             records._write_chunk(seeds, values)

@@ -128,6 +128,25 @@ class TestConstraints:
     def test_large_representable_decibel_values_accepted(self, key, value):
         assert getattr(SimConfig(**{key: value}), key) == value
 
+    @pytest.mark.parametrize("a, b", [
+        ("tx_gain_dbi", "ris_element_gain_dbi"),
+        ("ris_element_gain_dbi", "rx_gain_dbi"),
+        ("tx_gain_dbi", "rx_gain_dbi"),
+    ])
+    def test_hop_gain_products_that_overflow_are_rejected(self, a, b):
+        # each gain is representable on its own; their product is not
+        with pytest.raises(ConstraintError) as err:
+            SimConfig(**{a: 6000.0, b: 6000.0})
+        assert err.value.key == a
+        assert b in err.value.reason and "overflows" in err.value.reason
+
+    def test_largest_representable_hop_gain_products_accepted(self):
+        # 10^(3080/20) squared is about 1e308, just below the largest float
+        cfg = SimConfig(tx_gain_dbi=3080.0, ris_element_gain_dbi=3080.0, rx_gain_dbi=3080.0)
+        assert cfg.tx_gain_dbi == 3080.0
+        with pytest.raises(ConstraintError):
+            SimConfig(tx_gain_dbi=3080.0, ris_element_gain_dbi=3090.0)
+
     def test_largest_element_count_accepted(self):
         assert parse_config("elements_sweep = 4096").elements_sweep == (4096,)
 

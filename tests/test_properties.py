@@ -1,5 +1,7 @@
 """Property tests of the batched closed forms and the factored certificate the sweep evaluates."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,8 @@ from ris_ntn_sim import (
     optimize,
     run_sweep,
 )
-from ris_ntn_sim.phase_optimizer import certify, closed_form_objective
+from ris_ntn_sim import phase_optimizer
+from ris_ntn_sim.phase_optimizer import certify, certify_cells, closed_form_objective
 
 # The ordering bounds are exact in real arithmetic; the two sides are rounded
 # through different sums, so they may cross by a few ulps.
@@ -50,6 +53,25 @@ def channels_with_zero_blocks(draw, max_elements=64):
     h.reshape(groups, -1)[zero[1]] = 0.0
     h_d = draw(st.just(0.0) | st.builds(complex, _COMPONENT, _COMPONENT))
     return ChannelSet(h=h, g=g, h_d=h_d), groups
+
+
+@st.composite
+def prefix_cells(draw, elements, groups):
+    """Up to 8 (architecture, m) cells on prefixes of an elements-long channel of groups blocks.
+
+    Prefixes of whole blocks make some gc blocks coincide with the zeroed ones.
+    """
+    size = elements // groups
+    cells = []
+    for _ in range(draw(st.integers(1, 8))):
+        m = draw(st.integers(1, elements) | st.integers(1, groups).map(size.__mul__))
+        kind = draw(st.sampled_from(["sc", "fc", "gc"]))
+        if kind == "gc":
+            divisors = [u for u in range(1, m + 1) if m % u == 0]
+            cells.append((Architecture.group_connected(draw(st.sampled_from(divisors))), m))
+        else:
+            cells.append((Architecture(kind), m))
+    return cells
 
 
 def _at_most(a, b):
@@ -115,3 +137,22 @@ def test_factored_certificate_matches_the_dense_matrix(drawn):
         assert abs(achieved - dense) <= 1e-12 * dense
         assert bound <= UNIT_TOLERANCE
         assert bound >= np.abs(phi.matrix.conj().T @ phi.matrix - np.eye(ch.elements)).max()
+
+
+@settings(max_examples=100, deadline=None)
+@given(channels_with_zero_blocks(), st.data(),
+       st.sampled_from([phase_optimizer.PASS_ENTRIES, 1, 7, 40]))
+def test_cell_certificates_match_the_dense_matrices(drawn, data, pass_entries):
+    # the default pass constant certifies all cells in one pass, the small ones in several
+    ch, groups = drawn
+    cells = data.draw(prefix_cells(ch.elements, groups))
+    with mock.patch.object(phase_optimizer, "PASS_ENTRIES", pass_entries):
+        certificates = list(certify_cells(ch, cells))
+    assert len(certificates) == len(cells)
+    for (arch, m), (achieved, bound) in zip(cells, certificates):
+        prefix = ChannelSet(h=ch.h[:m], g=ch.g[:m], h_d=ch.h_d)
+        phi = optimize(prefix, arch).phi
+        dense = abs(effective_channel(phi, prefix))
+        assert abs(achieved - dense) <= 1e-12 * dense
+        assert bound <= UNIT_TOLERANCE
+        assert bound >= np.abs(phi.matrix.conj().T @ phi.matrix - np.eye(m)).max()

@@ -4,6 +4,7 @@ import itertools
 import logging
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,18 @@ def csv_bytes(tmp_path, records, cfg, name="out.csv"):
     path = tmp_path / name
     emit_csv(records, path, cfg)
     return path.read_bytes()
+
+
+def count_passes(monkeypatch):
+    """List that receives the cell count of every certificate pass from now on."""
+    passes, certify_pass = [], phase_optimizer._certify_pass
+
+    def counting(ch, layout):
+        passes.append(len(layout.cells))
+        return certify_pass(ch, layout)
+
+    monkeypatch.setattr(phase_optimizer, "_certify_pass", counting)
+    return passes
 
 
 class TestRunSweep:
@@ -145,13 +158,67 @@ class TestRunSweep:
         # each design computes w_u, then w_v; only the chosen one is corrupted
         reflectors, calls = phase_optimizer._reflectors, itertools.count()
 
-        def corrupted(x):
-            w, beta = reflectors(x)
+        def corrupted(x, layout):
+            w, beta = reflectors(x, layout)
             return (corrupt(w) if next(calls) % 2 == reflector else w), beta
 
         monkeypatch.setattr(phase_optimizer, "_reflectors", corrupted)
         with pytest.raises(SweepError, match="arch=fc elements=4: trial 0: matrix is not unitary"):
             run_sweep(SMALL)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("norm_drift", "matrix is not unitary"),
+        ("swapped", "matrix reaches"),
+    ])
+    def test_only_the_faulty_cell_is_named(self, monkeypatch, fault, message):
+        # cells fc 4, fc 8, gc:2 4, gc:2 8, sc 4, sc 8 share one pass; only the
+        # segments of gc:2 at M = 8, the fourth cell, are corrupted
+        cfg = SimConfig(trials=3, elements_sweep=(4, 8), architectures=("sc", "fc", "gc:2"), seed=3)
+        design = phase_optimizer._design
+
+        def corrupted(ch, layout):
+            d = design(ch, layout)
+            cell = slice(layout.starts[layout.cells[3]], layout.starts[layout.cells[4]])
+            w_u, w_v = d.w_u.copy(), d.w_v.copy()
+            if fault == "norm_drift":
+                w_v[cell] *= np.sqrt(1.0 + 1e-8)
+            else:
+                w_u[cell], w_v[cell] = d.w_v[cell], d.w_u[cell]
+            return d._replace(w_u=w_u, w_v=w_v)
+
+        monkeypatch.setattr(phase_optimizer, "_design", corrupted)
+        with pytest.raises(SweepError, match=f"^arch=gc:2 elements=8: trial 0: {message}"):
+            run_sweep(cfg)
+
+    @pytest.mark.parametrize("cfg", [SMALL, SimConfig(trials=50)], ids=["small", "default"])
+    def test_one_certificate_pass_per_sweep(self, monkeypatch, cfg):
+        passes = count_passes(monkeypatch)
+        run_sweep(cfg).close()
+        assert passes == [len(cfg.architectures) * len(cfg.elements_sweep)]
+
+    @pytest.mark.parametrize("pass_entries, cells_per_pass", [
+        (12, [2, 2]),  # SMALL's cells hold 4, 8, 4 and 8 entries
+        (11, [1, 1, 1, 1]),
+        (3, [1, 1, 1, 1]),  # every cell is larger than a pass and goes alone
+    ])
+    def test_a_sweep_spans_several_passes(self, monkeypatch, pass_entries, cells_per_pass):
+        monkeypatch.setattr(phase_optimizer, "PASS_ENTRIES", pass_entries)
+        passes = count_passes(monkeypatch)
+        run_sweep(SMALL).close()
+        assert passes == cells_per_pass
+
+    def test_many_cells_certify_in_bounded_memory(self):
+        # 768 cells, 1.6 million laid-out entries: one unbounded pass peaks near 190 MiB
+        cfg = SimConfig(trials=1, elements_sweep=tuple(range(16, 4097, 16)),
+                        architectures=("sc", "fc", "gc:4"))
+        tracemalloc.start()
+        try:
+            with run_sweep(cfg) as records:
+                assert len(records) == 768 * 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_no_dense_matrix_on_the_sweep_path(self):
         # one dense fc matrix at M = 4096 alone would be 268 MB
@@ -399,6 +466,20 @@ class TestCli:
         assert err.startswith("ris-ntn-sim: error: config: ConstraintError")
         assert "'tx_gain_dbi'" in err
         assert not (tmp_path / "o.csv").exists()
+
+    def test_overflowing_hop_gain_product_is_config_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("tx_gain_dbi = 6000\nris_element_gain_dbi = 6000\ntrials = 2\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("ris-ntn-sim: error: config: ConstraintError")
+        assert "'tx_gain_dbi'" in err and "ris_element_gain_dbi" in err
+        assert "Warning" not in err
+        assert list(tmp_path.iterdir()) == [cfg_file]
 
     def test_sweep_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         out_csv = tmp_path / "missing_dir" / "out.csv"
