@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -12,8 +11,6 @@ from .channel_model import path_loss_db
 from .config import ConfigError, SimConfig, format_config, parse_config
 from .errors import SimulatorError
 from .sweep import emit_csv, run_sweep
-
-logger = logging.getLogger(__name__)
 
 
 def _load_config(path: Path | None) -> SimConfig:
@@ -37,8 +34,6 @@ def _cmd_sweep(args) -> int:
         overrides["architectures"] = tuple(tok.strip() for tok in args.arch.split(","))
     if overrides:
         cfg = replace(cfg, **overrides)
-    if args.workers is not None:
-        logger.warning("--workers is deprecated and ignored: the sweep runs on one thread")
     with run_sweep(cfg) as records:
         count = emit_csv(records, args.out, cfg)
     print(f"wrote {count} records to {args.out}")
@@ -71,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=int, help="override trial count")
     sweep.add_argument("--seed", type=int, help="override run seed")
     sweep.add_argument("--arch", help="override architectures, e.g. sc,fc,gc:4")
-    sweep.add_argument("--workers", type=int, help="deprecated and ignored")
     sweep.set_defaults(func=_cmd_sweep)
 
     validate = sub.add_parser("validate", help="parse and constraint-check a config file")

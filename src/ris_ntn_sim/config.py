@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields
 
 from .channel_model import FADING_MODELS, PHASE_MODES, FadingSpec
 from .errors import SimulatorError
+from .link_metrics import RfConfig, dbm_to_watts, noise_power_watts
 from .ris_core import Architecture
 
 # The sweep itself needs O(M) memory per trial, but any swept cell can be
@@ -127,6 +128,16 @@ class SimConfig:
             raise ConstraintError("carrier_hz", "must be positive")
         if self.bandwidth_hz <= 0:
             raise ConstraintError("bandwidth_hz", "must be positive")
+        # the link budget divides by both powers, so neither may overflow or round to zero
+        rf = RfConfig(self.tx_power_dbm, self.bandwidth_hz, self.noise_psd_dbm_hz)
+        for key, watts in (("tx_power_dbm", lambda: dbm_to_watts(rf.tx_power_dbm)),
+                           ("noise_psd_dbm_hz", lambda: noise_power_watts(rf))):
+            try:
+                power_w = watts()
+            except OverflowError:
+                power_w = math.inf
+            if not 0 < power_w < math.inf:
+                raise ConstraintError(key, f"power in watts is {power_w!r}; it must be finite and positive")
         if not self.leo_altitude_m > self.haps_altitude_m > 0:
             raise ConstraintError(
                 "leo_altitude_m", "satellite must sit above the relay platform, which must sit above ground"

@@ -15,7 +15,7 @@ import math
 import os
 import tempfile
 import weakref
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .channel_model import COMPONENTS, LINKS, build_geometry, draw_channels, stream_keys
 from .config import SimConfig, format_config
-from .errors import SimulatorError, SweepError
+from .errors import DimensionMismatch, SimulatorError, SweepError
 from .link_metrics import RfConfig, link_columns
 from .phase_optimizer import certify_cells, closed_form_objective
 from .ris_core import UNIT_TOLERANCE, Architecture, ChannelSet
@@ -58,22 +58,20 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def derive_trial_seed(run_seed: int, trial: int) -> int:
-    """Deterministic seed of one trial, shared by every cell of the sweep.
+def _trial_seeds(run_seed: int, start: int, stop: int) -> np.ndarray:
+    """The seeds of trials [start, stop), as one uint64 array.
 
-    The trial index is XORed with splitmix64(run seed), so for a fixed run
+    Each trial index is XORed with splitmix64(run seed), so for a fixed run
     seed no two trials in [0, 2^31) share a channel stream.
     """
-    if not 0 <= trial < _TRIAL_LIMIT:
-        raise ValueError(f"trial index must be in [0, 2^31), got {trial}")
-    return trial ^ _splitmix64(run_seed & _MASK64)
-
-
-def _trial_seeds(run_seed: int, start: int, stop: int) -> np.ndarray:
-    """derive_trial_seed(run_seed, t) for t in [start, stop), as one uint64 array."""
     if not 0 <= start <= stop <= _TRIAL_LIMIT:
         raise ValueError(f"trial range must lie in [0, 2^31), got [{start}, {stop})")
     return np.arange(start, stop, dtype=np.uint64) ^ np.uint64(_splitmix64(run_seed & _MASK64))
+
+
+def derive_trial_seed(run_seed: int, trial: int) -> int:
+    """Deterministic seed of one trial, shared by every cell of the sweep."""
+    return int(_trial_seeds(run_seed, trial, trial + 1)[0])
 
 
 def _check_stream_keys(seed: int) -> None:
@@ -100,14 +98,17 @@ class SweepRecord(NamedTuple):
     seed: int
 
 
-class SweepRecords(Sequence):
+class SweepRecords:
     """The records of one sweep in canonical order, streamed from a spool.
 
-    The spool holds, per chunk of n trials, the n trial seeds (uint64) and
-    then a (cells, n, 4) float64 block of trial values, so every (chunk,
-    cell) run of rows sits at an offset computed from the chunk size. Only
-    the per-cell mean and stderr rows are held in memory. close() releases
-    the spool; the records cannot be read after it.
+    The spool holds only what cannot be recomputed: per chunk of n trials,
+    one (cells, n, 4) float64 block of trial values, so the run of cell c
+    for the chunk that starts at trial start sits at byte
+    32 * (start * cells + n * c). Trial seeds are derived again on read, and
+    the per-cell moments behind the 'mean' and 'stderr' rows are merged, over
+    all cells at once, as each chunk is appended. The records can be
+    iterated front to back any number of times; close() releases the spool,
+    and they cannot be read after it.
     """
 
     def __init__(self, cfg: SimConfig, cells: list[tuple[str, Architecture, int]],
@@ -116,34 +117,27 @@ class SweepRecords(Sequence):
         self._trials = cfg.trials
         self._chunk_trials = chunk_trials
         self._labels = [(label, m) for label, _, m in cells]
+        self._moments = _Moments(len(cells))
         self._spool = tempfile.SpooledTemporaryFile(max_size=_SPOOL_MEMORY_BYTES)
         self._release = weakref.finalize(self, self._spool.close)
-        self._aggregates = np.zeros((len(cells), 2, 4))
 
     def __len__(self) -> int:
         return len(self._labels) * (self._trials + 2)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        if not -len(self) <= index < len(self):
-            raise IndexError("sweep record index out of range")
-        cell, row = divmod(index % len(self), self._trials + 2)
-        if row >= self._trials:
-            return self._aggregate(cell, row - self._trials)
-        j = row % self._chunk_trials
-        seeds, values = self._read(cell, row - j)
-        label, m = self._labels[cell]
-        return SweepRecord(label, m, row, *values[j], seeds[j])
-
     def __iter__(self):
-        for cell, (label, m) in enumerate(self._labels):
+        cells = len(self._labels)
+        mean, stderr = self._moments.mean.tolist(), self._moments.stderr().tolist()
+        for c, (label, m) in enumerate(self._labels):
             for start in range(0, self._trials, self._chunk_trials):
-                seeds, values = self._read(cell, start)
-                for j, (seed, row) in enumerate(zip(seeds, values)):
-                    yield SweepRecord(label, m, start + j, *row, seed)
-            yield self._aggregate(cell, 0)
-            yield self._aggregate(cell, 1)
+                stop = min(self._trials, start + self._chunk_trials)
+                n = stop - start
+                self._spool.seek(32 * (start * cells + n * c))
+                values = np.frombuffer(self._spool.read(32 * n), dtype=np.float64).reshape(n, 4)
+                seeds = _trial_seeds(self._run_seed, start, stop).tolist()
+                for trial, seed, row in zip(range(start, stop), seeds, values.tolist()):
+                    yield SweepRecord(label, m, trial, *row, seed)
+            yield SweepRecord(label, m, "mean", *mean[c], self._run_seed)
+            yield SweepRecord(label, m, "stderr", *stderr[c], self._run_seed)
 
     def close(self) -> None:
         self._release()
@@ -154,25 +148,10 @@ class SweepRecords(Sequence):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _write_chunk(self, seeds: np.ndarray, values: np.ndarray) -> None:
-        self._spool.write(seeds.tobytes())
-        self._spool.write(np.ascontiguousarray(values, dtype=np.float64).tobytes())
-
-    def _read(self, cell: int, start: int) -> tuple[list[int], list[list[float]]]:
-        """Seeds and trial values of one cell for the chunk starting at trial start."""
-        n = min(self._chunk_trials, self._trials - start)
-        chunk_bytes = self._chunk_trials * (8 + 32 * len(self._labels))
-        offset = start // self._chunk_trials * chunk_bytes
-        self._spool.seek(offset)
-        seeds = np.frombuffer(self._spool.read(8 * n), dtype=np.uint64)
-        self._spool.seek(offset + 8 * n + 32 * n * cell)
-        values = np.frombuffer(self._spool.read(32 * n), dtype=np.float64).reshape(n, 4)
-        return seeds.tolist(), values.tolist()
-
-    def _aggregate(self, cell: int, which: int) -> SweepRecord:
-        label, m = self._labels[cell]
-        return SweepRecord(label, m, ("mean", "stderr")[which],
-                           *self._aggregates[cell, which].tolist(), self._run_seed)
+    def _append(self, values: np.ndarray) -> None:
+        """Spool the next chunk's (cells, n, 4) float64 trial values and merge their moments."""
+        self._spool.write(values.tobytes())
+        self._moments.add(values)
 
 
 def _cells(cfg: SimConfig) -> list[tuple[str, Architecture, int]]:
@@ -181,11 +160,10 @@ def _cells(cfg: SimConfig) -> list[tuple[str, Architecture, int]]:
     for label in sorted(cfg.architectures):
         arch = Architecture.from_label(label)
         for elements in sorted(cfg.elements_sweep):
-            if arch.kind == "gc" and elements % arch.groups:
-                logger.warning(
-                    "skipping arch=%s elements=%d: group count %d does not divide element count",
-                    label, elements, arch.groups,
-                )
+            try:
+                arch.block_size(elements)
+            except DimensionMismatch as exc:
+                logger.warning("skipping arch=%s elements=%d: %s", label, elements, exc)
                 continue
             cells.append((label, arch, elements))
     return cells
@@ -229,7 +207,9 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     divide the element count are skipped with a warning.
 
     Trials run in chunks: each chunk's channels are drawn in one call, at
-    the largest element count, and every cell is evaluated on them. When
+    the largest element count, and every cell is evaluated on them. Only the
+    chunk's trial values go to the records' spool, 32 bytes per trial and
+    cell; seeds are derived again when the records are read. When
     the fading draws random numbers, trial 0's batched Philox keys are
     checked against numpy's SeedSequence once per sweep; a mismatch raises
     SweepError naming the stream. Trial 0's optimal design is certified for
@@ -252,7 +232,6 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     if not cells:
         return records
 
-    moments = _Moments(len(cells))
     try:
         if fading.model != "pure_los":
             _check_stream_keys(derive_trial_seed(cfg.seed, 0))
@@ -294,12 +273,10 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
                                              f"closed form gives {objective!r}")
                 except (SimulatorError, ValueError, ArithmeticError) as exc:
                     raise SweepError(f"arch={label} elements={m}: {exc}") from exc
-            records._write_chunk(seeds, values)
-            moments.add(values)
+            records._append(values)
     except BaseException:
         records.close()
         raise
-    records._aggregates = np.stack([moments.mean, moments.stderr()], axis=1)
     return records
 
 

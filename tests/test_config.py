@@ -140,6 +140,20 @@ class TestConstraints:
         assert err.value.key == a
         assert b in err.value.reason and "overflows" in err.value.reason
 
+    @pytest.mark.parametrize("key, value", [
+        ("tx_power_dbm", 3300.0),
+        ("tx_power_dbm", -3300.0),
+        ("noise_psd_dbm_hz", 3300.0),
+        ("noise_psd_dbm_hz", -3300.0),
+    ])
+    def test_powers_whose_watts_overflow_or_vanish_are_rejected(self, key, value):
+        with pytest.raises(ConstraintError) as err:
+            SimConfig(**{key: value})
+        assert err.value.key == key
+
+    def test_large_representable_transmit_power_accepted(self):
+        assert SimConfig(tx_power_dbm=3000.0).tx_power_dbm == 3000.0
+
     def test_largest_representable_hop_gain_products_accepted(self):
         # 10^(3080/20) squared is about 1e308, just below the largest float
         cfg = SimConfig(tx_gain_dbi=3080.0, ris_element_gain_dbi=3080.0, rx_gain_dbi=3080.0)

@@ -5,7 +5,10 @@ and says why in CHANGES.md.
 """
 
 import hashlib
+import re
+from pathlib import Path
 
+import ris_ntn_sim
 from ris_ntn_sim import SimConfig, emit_csv, run_sweep
 from ris_ntn_sim.sweep import _metadata_path
 
@@ -14,7 +17,7 @@ GOLDEN_CONFIG = SimConfig(trials=50, architectures=("sc", "fc", "gc:4"), seed=42
 GOLDEN_CSV_SHA256 = "01f3e304a3dc96825e5da243ed1ce9b6943de20a52176ae6c71297a73cf02199"
 
 GOLDEN_META_TAIL = """\
-software = ris-ntn-sim 0.2.0
+software = ris-ntn-sim 0.3.0
 records = 1248
 noise_psd_note = noise_psd_dbm_hz is a power spectral density in dBm/Hz; total noise power is noise_psd_dbm_hz + 10*log10(bandwidth_hz)
 
@@ -64,3 +67,10 @@ def test_golden_direct_link_csv(tmp_path):
     count = emit_csv(run_sweep(GOLDEN_DIRECT_CONFIG), path, GOLDEN_DIRECT_CONFIG)
     assert count == GOLDEN_DIRECT_RECORDS
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DIRECT_CSV_SHA256
+
+
+def test_package_version_matches_pyproject():
+    # a regex, not tomllib, which Python 3.10 lacks
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    version = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+    assert version is not None and version.group(1) == ris_ntn_sim.__version__

@@ -60,7 +60,7 @@ class TestRunSweep:
         # canonical order: arch label, then elements, then trials, then aggregates
         keys = [(r.arch, r.elements) for r in records]
         assert keys == sorted(keys)
-        per_cell = [r.trial for r in records[:8]]
+        per_cell = [r.trial for r in list(records)[:8]]
         assert per_cell == [0, 1, 2, 3, 4, 5, "mean", "stderr"]
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
@@ -127,15 +127,23 @@ class TestRunSweep:
                 prefix = ChannelSet(h=ch.h[:r.elements], g=ch.g[:r.elements], h_d=ch.h_d)
                 assert optimize(prefix, Architecture.from_label(r.arch)).objective == r.h_eff_mag
 
-    def test_records_index_like_a_list(self):
+    def test_records_stream_the_same_rows_every_time(self):
         records = run_sweep(SMALL)
-        as_list = list(records)
-        assert len(as_list) == len(records) == 4 * 8
-        assert records[:] == as_list
-        assert records[-1] == as_list[-1]
-        assert [records[i] for i in range(len(records))] == as_list
-        with pytest.raises(IndexError):
-            records[len(records)]
+        first, second = list(records), list(records)
+        assert len(first) == len(records) == 4 * 8
+        assert second == first
+        # two live iterators share one spool without disturbing each other
+        pairs = list(zip(records, records, strict=True))
+        assert [a for a, _ in pairs] == [b for _, b in pairs] == first
+
+    @pytest.mark.parametrize("chunk_trials", [None, 4], ids=["one_chunk", "several_chunks"])
+    def test_spool_holds_only_trial_values(self, monkeypatch, chunk_trials):
+        if chunk_trials is not None:
+            # SMALL's largest surface has 8 elements, so its 6 trials span 2 chunks
+            monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", chunk_trials * 8)
+        with run_sweep(SMALL) as records:
+            records._spool.seek(0, 2)
+            assert records._spool.tell() == 32 * 4 * SMALL.trials
 
     def test_failed_certificate_is_a_sweep_error(self, monkeypatch):
         # swapped reflectors keep every block unitary but no longer align h with conj(g)
@@ -352,7 +360,7 @@ class TestEmitCsv:
     def test_one_record_two_lines(self, tmp_path):
         records = run_sweep(SimConfig(trials=1, elements_sweep=(4,), architectures=("sc",)))
         path = tmp_path / "one.csv"
-        emit_csv(records[:1], path, SMALL)
+        emit_csv(list(records)[:1], path, SMALL)
         assert len(path.read_text().splitlines()) == 2
 
     def test_floats_round_trip_exactly(self, tmp_path):
@@ -387,7 +395,7 @@ class TestEmitCsv:
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
         def failing():
-            yield from run_sweep(SMALL)[:3]
+            yield from list(run_sweep(SMALL))[:3]
             raise OSError("disk full")
 
         with pytest.raises(OSError, match="disk full"):
@@ -446,7 +454,7 @@ class TestCli:
     def test_sweep_flag_overrides(self, tmp_path):
         out_csv = tmp_path / "out.csv"
         args = ["sweep", "--out", str(out_csv), "--trials", "2",
-                "--seed", "9", "--arch", "gc:4", "--workers", "2"]
+                "--seed", "9", "--arch", "gc:4"]
         assert main(args) == 0
         lines = out_csv.read_text().splitlines()
         body = [line.split(",") for line in lines[1:]]
@@ -500,13 +508,23 @@ class TestCli:
         # neither a partial CSV nor a sidecar nor a temporary file is left behind
         assert list(out_csv.parent.iterdir()) == []
 
-    def test_workers_flag_is_deprecated_and_ignored(self, tmp_path, caplog):
+    def test_workers_flag_is_gone(self, tmp_path, capsys):
         out = tmp_path / "out.csv"
-        args = ["sweep", "--out", str(out), "--trials", "2", "--arch", "sc"]
-        assert main(args) == 0
-        plain = out.read_bytes()
-        with caplog.at_level(logging.WARNING, logger="ris_ntn_sim.cli"):
-            assert main(args + ["--workers", "3"]) == 0
-        assert [r.message for r in caplog.records if "--workers" in r.message] == [
-            "--workers is deprecated and ignored: the sweep runs on one thread"]
-        assert out.read_bytes() == plain
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--out", str(out), "--trials", "2", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_power_whose_watts_overflow_is_config_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("tx_power_dbm = 3300\ntrials = 2\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("ris-ntn-sim: error: config: ConstraintError")
+        assert "'tx_power_dbm'" in err
+        assert list(tmp_path.iterdir()) == [cfg_file]
