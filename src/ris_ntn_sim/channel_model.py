@@ -15,17 +15,20 @@ spawn words are precomputed, the seed words are mixed into the pool once,
 and the six spawn keys are mixed in by broadcasting. draw_channels then
 draws a chunk of seeds with one local Philox generator, setting its state to
 each stream's key with a zero counter instead of building a new generator
-per stream. generate_channels is its one-seed case.
+per stream. generate_channels is its one-seed case. The first Rician draw of
+a process checks stream_keys against numpy's own SeedSequence and fails
+closed on any difference.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, SimulatorError
 from .ris_core import ChannelSet
 
 logger = logging.getLogger(__name__)
@@ -220,6 +223,23 @@ def stream_keys(seeds) -> np.ndarray:
     return state.astype(np.uint64, copy=False)
 
 
+@functools.cache
+def _check_stream_keys() -> None:
+    """Fail closed unless stream_keys gives numpy's SeedSequence keys; checked once per process.
+
+    The seeds cover one- and two-word entropy, with every (link, component) spawn key.
+    """
+    seeds = (0, 2**32 - 1, 2**32, 2**64 - 1)
+    for seed, keys in zip(seeds, stream_keys(seeds)):
+        for link in range(LINKS):
+            for component in range(COMPONENTS):
+                sequence = np.random.SeedSequence(seed, spawn_key=(link, component))
+                if keys[link, component].tolist() != sequence.generate_state(2, np.uint64).tolist():
+                    raise SimulatorError(
+                        f"Philox key of stream (link={link}, component={component}) "
+                        f"differs from numpy's SeedSequence for seed {seed}")
+
+
 def _restart(generator: np.random.Generator, key: np.ndarray) -> np.random.Generator:
     """generator, its Philox reset to the start of the stream under key."""
     generator.bit_generator.state = {
@@ -279,7 +299,8 @@ def draw_channels(
 
     Row i is generate_channels(geom, fading, elements, seeds[i], ...) bit for
     bit. Pure line-of-sight fading draws nothing and derives no keys.
-    Channel entries are not checked for finiteness.
+    Channel entries are not checked for finiteness. A Rician draw raises
+    SimulatorError if stream_keys differs from numpy's SeedSequence.
     """
     if elements < 1:
         raise InvalidInput(f"element count must be positive, got {elements}")
@@ -297,6 +318,7 @@ def draw_channels(
         def fades(link: int, count: int) -> np.ndarray:
             return np.ones((trials, count), dtype=np.complex128)
     else:
+        _check_stream_keys()
         keys = stream_keys(seeds)
         # its seed is immaterial: every stream sets its own key and counter
         generator = np.random.Generator(np.random.Philox(0))

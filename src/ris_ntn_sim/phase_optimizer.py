@@ -10,12 +10,12 @@ matrix of that design. certify_cells checks the designs of many (architecture,
 element prefix) cells of one channel from their factors, without any matrix:
 it lays the prefixes end to end, one segment per block, so every norm and
 inner product of all cells is one segment sum, in bounded passes of at most
-PASS_ENTRIES entries. certify is its one-cell case.
+PASS_ENTRIES entries, and returns one array entry per cell.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -187,19 +187,6 @@ def optimize(ch: ChannelSet, arch: Architecture) -> OptimizeResult:
     return OptimizeResult(phi, objective, arch, degenerate=not live.any())
 
 
-class Certificate(NamedTuple):
-    """What the design optimize(ch, arch) builds achieves, computed from its factors.
-
-    achieved is |g^T Phi h + h_d|. unitarity_bound bounds the max-norm residual
-    max |B^H B - I| over the blocks B of Phi, the residual validate checks
-    against UNIT_TOLERANCE; it is nan or inf when a factor of a live block is
-    not finite.
-    """
-
-    achieved: float
-    unitarity_bound: float
-
-
 def _norm_excess(squared_norm: np.ndarray, terms: np.ndarray | int) -> np.ndarray:
     """Bound on | ||x||^2 - 1 | from the rounded squared norm of a terms-entry complex vector."""
     return np.abs(squared_norm - 1.0) + (terms + 2) * _EPS * squared_norm
@@ -228,14 +215,18 @@ def _certify_pass(ch: ChannelSet, layout: _Layout) -> tuple[np.ndarray, np.ndarr
 
 
 def certify_cells(ch: ChannelSet,
-                  cells: Sequence[tuple[Architecture, int]]) -> Iterator[Certificate]:
-    """Certificate of optimize(ChannelSet(h=ch.h[:m], g=ch.g[:m], h_d=ch.h_d), arch) per cell.
+                  cells: Sequence[tuple[Architecture, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(achieved, bound) arrays, one entry per (arch, m) cell, in O(entries) and without Phi.
 
-    The cells' prefixes lie end to end, one segment per block, and every norm
-    and inner product is a segment sum (np.add.reduceat). Cells go in order
-    into passes of at most PASS_ENTRIES entries and at least one cell, each
-    run when its first certificate is requested, so memory does not grow
-    with the number of cells.
+    Entry c certifies the design optimize(ChannelSet(h=ch.h[:m], g=ch.g[:m],
+    h_d=ch.h_d), arch) builds, from its factors: achieved[c] is
+    |g^T Phi h + h_d|, and bound[c] bounds the max-norm residual
+    max |B^H B - I| over the blocks B of Phi, the residual validate checks
+    against UNIT_TOLERANCE; it is nan or inf when a factor of a live block is
+    not finite. The cells' prefixes lie end to end, one segment per block,
+    and every norm and inner product is a segment sum (np.add.reduceat).
+    Cells go in order into passes of at most PASS_ENTRIES entries and at
+    least one cell, so memory does not grow with the number of cells.
 
     R_x^H R_x - I = 4 (||w_x||^2 - 1) w_x w_x^H, so with delta_x bounding
     | ||w_x||^2 - 1 | its spectral norm is at most e_x = 4 delta_x (1 + delta_x),
@@ -248,19 +239,15 @@ def certify_cells(ch: ChannelSet,
     roundings of the total, so the error is about (n + 1) eps/2 relative,
     inside the (n + 2) eps margin, n being the segment's own length.
     """
+    out = np.empty((2, len(cells)))
     first = 0
     while first < len(cells):
         stop, entries = first + 1, cells[first][1]
         while stop < len(cells) and entries + cells[stop][1] <= PASS_ENTRIES:
             stop, entries = stop + 1, entries + cells[stop][1]
-        achieved, bound = _certify_pass(ch, _layout(ch, cells[first:stop]))
-        yield from map(Certificate, achieved.tolist(), bound.tolist())
+        out[:, first:stop] = _certify_pass(ch, _layout(ch, cells[first:stop]))
         first = stop
-
-
-def certify(ch: ChannelSet, arch: Architecture) -> Certificate:
-    """Certificate of the design optimize(ch, arch) builds, in O(M) and without Phi: one cell."""
-    return next(certify_cells(ch, [(arch, ch.elements)]))
+    return out[0], out[1]
 
 
 def optimize_sc(ch: ChannelSet) -> OptimizeResult:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .channel_model import COMPONENTS, LINKS, build_geometry, draw_channels, stream_keys
+from .channel_model import build_geometry, draw_channels
 from .config import SimConfig, format_config
 from .errors import DimensionMismatch, SimulatorError, SweepError
 from .link_metrics import RfConfig, link_columns
@@ -72,17 +72,6 @@ def _trial_seeds(run_seed: int, start: int, stop: int) -> np.ndarray:
 def derive_trial_seed(run_seed: int, trial: int) -> int:
     """Deterministic seed of one trial, shared by every cell of the sweep."""
     return int(_trial_seeds(run_seed, trial, trial + 1)[0])
-
-
-def _check_stream_keys(seed: int) -> None:
-    """Fail closed unless stream_keys gives numpy's SeedSequence keys for seed."""
-    keys = stream_keys([seed])[0]
-    for link in range(LINKS):
-        for component in range(COMPONENTS):
-            sequence = np.random.SeedSequence(seed, spawn_key=(link, component))
-            if keys[link, component].tolist() != sequence.generate_state(2, np.uint64).tolist():
-                raise SweepError(f"Philox key of stream (link={link}, component={component}) "
-                                 f"differs from numpy's SeedSequence for seed {seed}")
 
 
 class SweepRecord(NamedTuple):
@@ -198,6 +187,33 @@ class _Moments:
         return np.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
 
 
+def _check_cells(cells, values: np.ndarray, certificates, trials: range) -> None:
+    """Raise SweepError naming the first cell, in canonical order, that fails a check.
+
+    values are a chunk's (cells, n, 4) trial values; certificates, given for
+    the chunk of trial 0, are certify_cells' (achieved, bound) arrays.
+    """
+    faulty = ~np.isfinite(values).all(axis=(1, 2))
+    if certificates is not None:
+        (achieved, bound), objective = certificates, values[:, 0, 0]
+        # "not <=" instead of ">" so NaN fails closed, also where inf - inf makes one
+        with np.errstate(invalid="ignore"):
+            faulty |= ~((bound <= UNIT_TOLERANCE)
+                        & (np.abs(achieved - objective) <= CERTIFICATE_RTOL * objective))
+    if faulty.any():
+        c = int(faulty.argmax())
+        if not np.isfinite(values[c]).all():
+            reason = (f"non-finite link metrics in trials {trials.start}..{trials.stop - 1}; "
+                      f"check tx_power_dbm, noise_psd_dbm_hz and the antenna gains")
+        elif not bound[c] <= UNIT_TOLERANCE:
+            reason = (f"trial 0: matrix is not unitary to {UNIT_TOLERANCE:g} "
+                      f"(residual bound {float(bound[c])!r})")
+        else:
+            reason = (f"trial 0: matrix reaches {float(achieved[c])!r}, "
+                      f"closed form gives {objective[c]!r}")
+        raise SweepError(f"arch={cells[c][0]} elements={cells[c][2]}: {reason}")
+
+
 def run_sweep(cfg: SimConfig) -> SweepRecords:
     """Run the full sweep and return its records in canonical order.
 
@@ -206,73 +222,46 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     each cell's trials. Group-connected cells whose group count does not
     divide the element count are skipped with a warning.
 
-    Trials run in chunks: each chunk's channels are drawn in one call, at
-    the largest element count, and every cell is evaluated on them. Only the
-    chunk's trial values go to the records' spool, 32 bytes per trial and
-    cell; seeds are derived again when the records are read. When
-    the fading draws random numbers, trial 0's batched Philox keys are
-    checked against numpy's SeedSequence once per sweep; a mismatch raises
-    SweepError naming the stream. Trial 0's optimal design is certified for
-    every cell from its factors, without building an M x M matrix, by one
-    segment-wise evaluation over all cells (phase_optimizer.certify_cells, in
-    passes of at most PASS_ENTRIES laid-out entries): per cell, a bound on
-    the unitarity residual must be within UNIT_TOLERANCE, and |g^T Phi h +
-    h_d|, applied through the factors, must match the closed form. Cells are
-    checked in canonical order, each right after its non-finite check; a
-    non-finite value or a failed certificate raises SweepError naming the cell.
+    Each chunk of trials is one array step: one channel draw at the largest
+    element count, every cell's closed form on its element prefix stacked
+    into a (cells, n) array, and one link_columns call giving the (cells, n,
+    4) trial values that go to the records' spool. Trial 0's design is
+    certified for every cell from its factors, without any M x M matrix
+    (phase_optimizer.certify_cells): its unitarity bound must be within
+    UNIT_TOLERANCE, and |g^T Phi h + h_d| must match the closed form. All
+    cells of a chunk are checked at once; SweepError names the first faulty
+    cell in canonical order, its non-finite values before its certificate.
     """
     geom = build_geometry(cfg)
     fading = cfg.fading_spec
     rf = RfConfig(cfg.tx_power_dbm, cfg.bandwidth_hz, cfg.noise_psd_dbm_hz,
                   cfg.static_power_w)
     cells = _cells(cfg)
-    m_max = max((m for _, _, m in cells), default=1)
+    designs = [(arch, m) for _, arch, m in cells]
+    m_max = max((m for _, m in designs), default=1)
     chunk_trials = max(1, CHUNK_ELEMENTS // m_max)
     records = SweepRecords(cfg, cells, chunk_trials)
     if not cells:
         return records
 
     try:
-        if fading.model != "pure_los":
-            _check_stream_keys(derive_trial_seed(cfg.seed, 0))
         for start in range(0, cfg.trials, chunk_trials):
             trials = range(start, min(cfg.trials, start + chunk_trials))
-            seeds = _trial_seeds(cfg.seed, start, trials.stop)
             try:
                 h, g, h_d = draw_channels(
-                    geom, fading, m_max, seeds,
+                    geom, fading, m_max, _trial_seeds(cfg.seed, start, trials.stop),
                     tx_gain_dbi=cfg.tx_gain_dbi,
                     ris_element_gain_dbi=cfg.ris_element_gain_dbi,
                     rx_gain_dbi=cfg.rx_gain_dbi,
                     direct_blocked=cfg.direct_link == "blocked",
                 )
-                if start == 0:
-                    certificates = certify_cells(ChannelSet(h=h[0], g=g[0], h_d=h_d[0]),
-                                                 [(arch, m) for _, arch, m in cells])
+                certificates = (certify_cells(ChannelSet(h=h[0], g=g[0], h_d=h_d[0]), designs)
+                                if start == 0 else None)
+                values = link_columns(np.stack([closed_form_objective(g[:, :m], h[:, :m], h_d, arch)
+                                                for arch, m in designs]), rf)
             except (SimulatorError, ValueError, ArithmeticError) as exc:
                 raise SweepError(f"trials {trials.start}..{trials.stop - 1}: {exc}") from exc
-
-            values = np.empty((len(cells), len(trials), 4))
-            for c, (label, arch, m) in enumerate(cells):
-                try:
-                    values[c] = link_columns(closed_form_objective(g[:, :m], h[:, :m], h_d, arch), rf)
-                    if not np.isfinite(values[c]).all():
-                        raise SweepError(
-                            f"non-finite link metrics in trials {trials.start}..{trials.stop - 1}; "
-                            f"check tx_power_dbm, noise_psd_dbm_hz and the antenna gains"
-                        )
-                    if start == 0:
-                        achieved, bound = next(certificates)
-                        objective = values[c, 0, 0]
-                        # "not <=" instead of ">" so NaN fails closed
-                        if not bound <= UNIT_TOLERANCE:
-                            raise SweepError(f"trial 0: matrix is not unitary to "
-                                             f"{UNIT_TOLERANCE:g} (residual bound {bound!r})")
-                        if not abs(achieved - objective) <= CERTIFICATE_RTOL * objective:
-                            raise SweepError(f"trial 0: matrix reaches {achieved!r}, "
-                                             f"closed form gives {objective!r}")
-                except (SimulatorError, ValueError, ArithmeticError) as exc:
-                    raise SweepError(f"arch={label} elements={m}: {exc}") from exc
+            _check_cells(cells, values, certificates, trials)
             records._append(values)
     except BaseException:
         records.close()

@@ -17,7 +17,7 @@ from ris_ntn_sim import (
     run_sweep,
 )
 from ris_ntn_sim import phase_optimizer
-from ris_ntn_sim.phase_optimizer import certify, certify_cells, closed_form_objective
+from ris_ntn_sim.phase_optimizer import certify_cells, closed_form_objective
 
 # The ordering bounds are exact in real arithmetic; the two sides are rounded
 # through different sums, so they may cross by a few ulps.
@@ -131,7 +131,7 @@ def test_shared_draws_never_lose_gain_as_the_surface_grows(seed, elements, direc
 def test_factored_certificate_matches_the_dense_matrix(drawn):
     ch, groups = drawn
     for arch in (SC, FC, Architecture.group_connected(groups)):
-        achieved, bound = certify(ch, arch)
+        [achieved], [bound] = certify_cells(ch, [(arch, ch.elements)])
         phi = optimize(ch, arch).phi
         dense = abs(effective_channel(phi, ch))
         assert abs(achieved - dense) <= 1e-12 * dense
@@ -147,7 +147,7 @@ def test_cell_certificates_match_the_dense_matrices(drawn, data, pass_entries):
     ch, groups = drawn
     cells = data.draw(prefix_cells(ch.elements, groups))
     with mock.patch.object(phase_optimizer, "PASS_ENTRIES", pass_entries):
-        certificates = list(certify_cells(ch, cells))
+        certificates = list(zip(*certify_cells(ch, cells)))
     assert len(certificates) == len(cells)
     for (arch, m), (achieved, bound) in zip(cells, certificates):
         prefix = ChannelSet(h=ch.h[:m], g=ch.g[:m], h_d=ch.h_d)

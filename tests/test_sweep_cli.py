@@ -1,5 +1,6 @@
 """Sweep orchestration, CSV emission and the command-line interface."""
 
+import functools
 import itertools
 import logging
 import math
@@ -15,6 +16,7 @@ from ris_ntn_sim import (
     ChannelSet,
     FadingSpec,
     SimConfig,
+    SimulatorError,
     SweepError,
     build_geometry,
     derive_trial_seed,
@@ -23,7 +25,7 @@ from ris_ntn_sim import (
     optimize,
     run_sweep,
 )
-from ris_ntn_sim import phase_optimizer, sweep
+from ris_ntn_sim import channel_model, phase_optimizer, sweep
 from ris_ntn_sim.cli import main
 from ris_ntn_sim.sweep import _metadata_path
 
@@ -34,6 +36,12 @@ def csv_bytes(tmp_path, records, cfg, name="out.csv"):
     path = tmp_path / name
     emit_csv(records, path, cfg)
     return path.read_bytes()
+
+
+def fresh_stream_key_guard(monkeypatch):
+    """Give the once-per-process stream-key guard an empty cache, so its next call checks again."""
+    monkeypatch.setattr(channel_model, "_check_stream_keys",
+                        functools.cache(channel_model._check_stream_keys.__wrapped__))
 
 
 def count_passes(monkeypatch):
@@ -198,6 +206,37 @@ class TestRunSweep:
         with pytest.raises(SweepError, match=f"^arch=gc:2 elements=8: trial 0: {message}"):
             run_sweep(cfg)
 
+    @pytest.mark.parametrize("nan_cell, swapped_cell, message", [
+        (("fc", 8), ("gc:2", 8), "non-finite link metrics"),
+        (("gc:2", 8), ("fc", 8), "trial 0: matrix reaches"),
+        (("fc", 8), ("fc", 8), "non-finite link metrics"),
+    ], ids=["nan_first", "swap_first", "same_cell"])
+    def test_first_faulty_cell_is_named(self, monkeypatch, nan_cell, swapped_cell, message):
+        # cells fc 4, fc 8, gc:2 4, gc:2 8, sc 4, sc 8 share one chunk and one pass;
+        # one cell gets non-finite values, another a failing certificate
+        cfg = SimConfig(trials=3, elements_sweep=(4, 8), architectures=("sc", "fc", "gc:2"), seed=3)
+        labels = [(label, m) for label in ("fc", "gc:2", "sc") for m in (4, 8)]
+        objective, design = sweep.closed_form_objective, phase_optimizer._design
+
+        def nan_objective(g, h, h_d, arch):
+            out = objective(g, h, h_d, arch)
+            if (arch, g.shape[-1]) == (Architecture.from_label(nan_cell[0]), nan_cell[1]):
+                return out * np.nan
+            return out
+
+        def swapped(ch, layout):
+            d = design(ch, layout)
+            c = labels.index(swapped_cell)
+            cell = slice(layout.starts[layout.cells[c]], layout.starts[layout.cells[c + 1]])
+            w_u, w_v = d.w_u.copy(), d.w_v.copy()
+            w_u[cell], w_v[cell] = d.w_v[cell], d.w_u[cell]
+            return d._replace(w_u=w_u, w_v=w_v)
+
+        monkeypatch.setattr(sweep, "closed_form_objective", nan_objective)
+        monkeypatch.setattr(phase_optimizer, "_design", swapped)
+        with pytest.raises(SweepError, match=f"^arch=fc elements=8: {message}"):
+            run_sweep(cfg)
+
     @pytest.mark.parametrize("cfg", [SMALL, SimConfig(trials=50)], ids=["small", "default"])
     def test_one_certificate_pass_per_sweep(self, monkeypatch, cfg):
         passes = count_passes(monkeypatch)
@@ -311,16 +350,33 @@ class TestTrialSeeds:
 class TestStreamKeyGuard:
     CFG_TEXT = "trials = 3\nelements_sweep = 4, 8\nseed = 5\n"
 
-    @pytest.mark.parametrize("link, component", [(0, 1), (2, 0)])
-    def test_corrupt_key_fails_closed(self, tmp_path, capsys, monkeypatch, link, component):
-        real = sweep.stream_keys
+    @staticmethod
+    def corrupt_keys(monkeypatch, link, component):
+        real = channel_model.stream_keys
 
         def corrupted(seeds):
             keys = real(seeds)
             keys[:, link, component, 1] ^= np.uint64(1)
             return keys
 
-        monkeypatch.setattr(sweep, "stream_keys", corrupted)
+        monkeypatch.setattr(channel_model, "stream_keys", corrupted)
+        fresh_stream_key_guard(monkeypatch)
+
+    @staticmethod
+    def count_seed_sequences(monkeypatch):
+        """List that receives the spawn key of every SeedSequence built from now on."""
+        built, real = [], np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("spawn_key"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        return built
+
+    @pytest.mark.parametrize("link, component", [(0, 1), (2, 0)])
+    def test_corrupt_key_fails_closed(self, tmp_path, capsys, monkeypatch, link, component):
+        self.corrupt_keys(monkeypatch, link, component)
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(self.CFG_TEXT)
         out_csv = tmp_path / "out" / "out.csv"
@@ -331,24 +387,34 @@ class TestStreamKeyGuard:
         assert f"(link={link}, component={component})" in err
         assert list(out_csv.parent.iterdir()) == []
 
+    @pytest.mark.parametrize("link, component", [(1, 0), (2, 1)])
+    def test_corrupt_key_fails_every_rician_draw(self, monkeypatch, link, component):
+        self.corrupt_keys(monkeypatch, link, component)
+        geom = build_geometry(SimConfig())
+        with pytest.raises(SimulatorError, match=rf"\(link={link}, component={component}\)"):
+            generate_channels(geom, FadingSpec(), 4, 1)
+
     def test_seed_sequence_built_only_by_the_guard(self, monkeypatch):
-        built = []
-        real = np.random.SeedSequence
-
-        def counting(*args, **kwargs):
-            built.append(kwargs.get("spawn_key"))
-            return real(*args, **kwargs)
-
         # a few trials per chunk, so 300 trials span many chunks
         monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", 7 * 8)
-        monkeypatch.setattr(np.random, "SeedSequence", counting)
-        counts = []
-        for trials in (1, 300):
+        fresh_stream_key_guard(monkeypatch)
+        built = self.count_seed_sequences(monkeypatch)
+        per_sweep = []
+        for _ in range(2):
             built.clear()
-            run_sweep(SimConfig(trials=trials, elements_sweep=(4, 8), seed=5)).close()
-            counts.append(len(built))
-        assert counts == [6, 6]
-        assert sorted(built) == [(link, component) for link in range(3) for component in range(2)]
+            run_sweep(SimConfig(trials=300, elements_sweep=(4, 8), seed=5)).close()
+            per_sweep.append(sorted(built))
+        # only the first sweep of the process runs the guard: four seeds, six streams each
+        streams = [(link, component) for link in range(3) for component in range(2)]
+        assert per_sweep == [sorted(4 * streams), []]
+
+    def test_pure_los_draw_runs_no_guard(self, monkeypatch):
+        guard_calls = []
+        monkeypatch.setattr(channel_model, "_check_stream_keys", lambda: guard_calls.append(1))
+        built = self.count_seed_sequences(monkeypatch)
+        channel_model.draw_channels(build_geometry(SimConfig()), FadingSpec.pure_los(), 8,
+                                    np.arange(3, dtype=np.uint64))
+        assert guard_calls == [] and built == []
 
 
 class TestEmitCsv:
@@ -428,6 +494,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "config ok" in out
         assert "trials = 5" in out
+
+    def test_config_file_with_byte_order_mark(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_bytes(b"\xef\xbb\xbftrials = 5\nelements_sweep = 4\narchitectures = sc\n")
+        assert main(["validate", "--config", str(cfg_file)]) == 0
+        assert "trials = 5" in capsys.readouterr().out
+        out_csv = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out_csv)]) == 0
+        assert len(out_csv.read_text().splitlines()) == 1 + 5 + 2
 
     def test_validate_rejects_typo(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
