@@ -18,7 +18,7 @@ def _load_config(path: Path | None) -> SimConfig:
         return SimConfig()
     try:
         text = path.read_text(encoding="utf-8-sig")  # a leading BOM is not part of the first key
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config(text)
 

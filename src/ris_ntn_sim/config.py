@@ -172,6 +172,9 @@ class SimConfig:
 
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ConstraintError("trials", f"must be an integer in [1, {MAX_TRIALS}]")
+        # the sweep draws from seed mod 2^64, so a wider seed would alias one in range
+        if not 0 <= self.seed < 2**64:
+            raise ConstraintError("seed", "must be an integer in [0, 2^64)")
 
     @property
     def fading_spec(self) -> FadingSpec:

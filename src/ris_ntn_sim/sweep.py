@@ -114,19 +114,31 @@ class SweepRecords:
         return len(self._labels) * (self._trials + 2)
 
     def __iter__(self):
+        for c, trials, values, seeds in self._runs(self._chunk_trials):
+            label, m = self._labels[c]
+            for trial, seed, row in zip(trials, seeds.tolist(), values.tolist()):
+                yield SweepRecord(label, m, trial, *row, seed)
+
+    def _runs(self, max_rows: int):
+        """(cell, trials, values, seeds) runs of at most max_rows rows, in canonical order.
+
+        trials is a range of trial indices, or ("mean", "stderr") for the
+        cell's two aggregate rows, whose seed is the run seed.
+        """
         cells = len(self._labels)
-        mean, stderr = self._moments.mean.tolist(), self._moments.stderr().tolist()
-        for c, (label, m) in enumerate(self._labels):
+        aggregates = np.stack([self._moments.mean, self._moments.stderr()], axis=1)
+        run_seed = np.full(2, self._run_seed, dtype=np.uint64)
+        for c in range(cells):
             for start in range(0, self._trials, self._chunk_trials):
                 stop = min(self._trials, start + self._chunk_trials)
                 n = stop - start
-                self._spool.seek(32 * (start * cells + n * c))
-                values = np.frombuffer(self._spool.read(32 * n), dtype=np.float64).reshape(n, 4)
-                seeds = _trial_seeds(self._run_seed, start, stop).tolist()
-                for trial, seed, row in zip(range(start, stop), seeds, values.tolist()):
-                    yield SweepRecord(label, m, trial, *row, seed)
-            yield SweepRecord(label, m, "mean", *mean[c], self._run_seed)
-            yield SweepRecord(label, m, "stderr", *stderr[c], self._run_seed)
+                for first in range(start, stop, max_rows):
+                    last = min(stop, first + max_rows)
+                    self._spool.seek(32 * (start * cells + n * c + first - start))
+                    values = np.frombuffer(self._spool.read(32 * (last - first)), dtype=np.float64)
+                    yield (c, range(first, last), values.reshape(-1, 4),
+                           _trial_seeds(self._run_seed, first, last))
+            yield c, ("mean", "stderr"), aggregates[c], run_seed
 
     def close(self) -> None:
         self._release()
@@ -210,7 +222,7 @@ def _check_cells(cells, values: np.ndarray, certificates, trials: range) -> None
                       f"(residual bound {float(bound[c])!r})")
         else:
             reason = (f"trial 0: matrix reaches {float(achieved[c])!r}, "
-                      f"closed form gives {objective[c]!r}")
+                      f"closed form gives {float(objective[c])!r}")
         raise SweepError(f"arch={cells[c][0]} elements={cells[c][2]}: {reason}")
 
 
@@ -269,10 +281,6 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     return records
 
 
-# Floats carry 17 significant digits, which round-trips any finite double exactly.
-_ROW_FORMAT = "%s,%d,%s,%.17g,%.17g,%.17g,%.17g,%d\n"
-
-
 def _metadata_path(destination: Path) -> Path:
     if destination.suffix:
         return destination.with_suffix(".meta.txt")
@@ -287,7 +295,11 @@ def _temporary_path(path: Path) -> Path:
 def emit_csv(records: Iterable[SweepRecord], destination, cfg: SimConfig) -> int:
     """Write records as CSV plus a metadata sidecar next to it; return the record count.
 
-    Records stream into a temporary file beside the destination. The sidecar
+    Records stream into a temporary file beside the destination, formatted
+    up to _csv.BATCH_ROWS rows at a time (from the spool itself when records
+    are the SweepRecords of run_sweep), so memory does not grow with the
+    record count. Each line has the bytes that formatting its record with
+    ``%s,%d,%s,%.17g,%.17g,%.17g,%.17g,%d`` gives. The sidecar
     is moved into place first and the CSV last, so a failure at any point
     leaves no partial CSV and never a CSV without its sidecar. The sidecar
     records the resolved config, the software version and the noise-density
@@ -297,13 +309,21 @@ def emit_csv(records: Iterable[SweepRecord], destination, cfg: SimConfig) -> int
     destination = Path(destination)
     metadata = _metadata_path(destination)
     csv_tmp, meta_tmp = _temporary_path(destination), _temporary_path(metadata)
+    # imported here, so importing the package does not load the formatter:
+    # without cached bytecode, compiling it takes about 3 ms
+    from . import _csv
+
     count = 0
     try:
-        with open(csv_tmp, "w", encoding="utf-8") as out:
-            out.write(CSV_HEADER + "\n")
-            for r in records:
-                out.write(_ROW_FORMAT % r)
-                count += 1
+        with open(csv_tmp, "wb") as out:
+            out.write(CSV_HEADER.encode() + b"\n")
+            if isinstance(records, SweepRecords):
+                batches = _csv.run_batches(records._labels, records._runs(_csv.BATCH_ROWS))
+            else:
+                batches = _csv.record_batches(records)
+            for batch in batches:
+                out.write(_csv.format_batch(batch))
+                count += len(batch.seeds)
         meta = [
             f"generated_at = {datetime.now(timezone.utc).isoformat()}",
             f"software = ris-ntn-sim {__version__}",

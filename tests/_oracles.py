@@ -6,6 +6,8 @@ matrices and is refused for instances too large to search. loop_validate
 is the entry-by-entry, block-by-block form of ris_core.validate.
 per_trial_channels is the channel draw with one SeedSequence -> Philox ->
 Generator construction per stream, the reference for the batched draw.
+reference_csv is the CSV written one '%' format per row, the reference for
+emit_csv's batched formatter.
 """
 
 import math
@@ -13,6 +15,7 @@ import math
 import numpy as np
 
 from ris_ntn_sim import (
+    CSV_HEADER,
     SPEED_OF_LIGHT,
     ChannelSet,
     ConstraintViolated,
@@ -23,6 +26,9 @@ from ris_ntn_sim import (
     validate,
 )
 from ris_ntn_sim.ris_core import UNIT_TOLERANCE
+
+# Floats carry 17 significant digits, which round-trips any finite double exactly.
+ROW_FORMAT = "%s,%d,%s,%.17g,%.17g,%.17g,%.17g,%d\n"
 
 _MASK64 = (1 << 64) - 1
 _LINK_SAT_RIS, _LINK_RIS_UT, _LINK_DIRECT = 0, 1, 2
@@ -205,3 +211,8 @@ def per_trial_channels(
             _fades(fading, 1, seed, _LINK_DIRECT)[0]
         )
     return ChannelSet(h=h, g=g, h_d=h_d)
+
+
+def reference_csv(records) -> bytes:
+    """The bytes of the CSV emit_csv writes for records: the header, then one formatted line per row."""
+    return (CSV_HEADER + "\n" + "".join(ROW_FORMAT % tuple(r) for r in records)).encode()

@@ -101,6 +101,8 @@ class TestConstraints:
         "haps_altitude_m = 700000",
         "static_power_w = -5",
         "rician_k_db = inf",
+        "seed = -1",
+        "seed = 18446744073709551616",
     ])
     def test_rejected(self, text):
         with pytest.raises(ConstraintError):
@@ -160,6 +162,14 @@ class TestConstraints:
         assert cfg.tx_gain_dbi == 3080.0
         with pytest.raises(ConstraintError):
             SimConfig(tx_gain_dbi=3080.0, ris_element_gain_dbi=3090.0)
+
+    def test_seeds_are_the_uint64_range(self):
+        # the sweep draws from seed mod 2^64: -1 and 2^64 + 42 would alias 2^64 - 1 and 42
+        assert parse_config("seed = 0").seed == 0
+        assert parse_config("seed = 18446744073709551615").seed == 2**64 - 1
+        for seed in (-1, 2**64, 2**64 + 42):
+            with pytest.raises(ConstraintError, match="'seed'"):
+                SimConfig(seed=seed)
 
     def test_largest_element_count_accepted(self):
         assert parse_config("elements_sweep = 4096").elements_sweep == (4096,)

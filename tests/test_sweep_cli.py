@@ -4,6 +4,7 @@ import functools
 import itertools
 import logging
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -162,8 +163,13 @@ class TestRunSweep:
             return d._replace(w_u=d.w_v, w_v=d.w_u)
 
         monkeypatch.setattr(phase_optimizer, "_design", swapped)
-        with pytest.raises(SweepError, match="arch=fc elements=4: trial 0: matrix reaches"):
+        with pytest.raises(SweepError) as info:
             run_sweep(SMALL)
+        # both values print as plain floats, not as numpy scalar reprs
+        number = r"-?\d+(?:\.\d+)?(?:e[-+]\d+)?"
+        assert re.fullmatch(f"arch=fc elements=4: trial 0: matrix reaches {number}, "
+                            f"closed form gives {number}", str(info.value))
+        assert "np.float64" not in str(info.value)
 
     @pytest.mark.parametrize("corrupt", [
         lambda w: w * np.sqrt(1.0 + 1e-8),  # ||w||^2 = 1 + 1e-8
@@ -503,6 +509,17 @@ class TestCli:
         out_csv = tmp_path / "out.csv"
         assert main(["sweep", "--config", str(cfg_file), "--out", str(out_csv)]) == 0
         assert len(out_csv.read_text().splitlines()) == 1 + 5 + 2
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_config_file_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys, command):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_bytes(b"trials = 5 # caf\xe9\n")  # Latin-1
+        out = ["--out", str(tmp_path / "out.csv")] if command == "sweep" else []
+        assert main([command, "--config", str(cfg_file), *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ris-ntn-sim: error: config: ConfigError: cannot read config file")
+        assert "utf-8" in err
+        assert list(tmp_path.iterdir()) == [cfg_file]
 
     def test_validate_rejects_typo(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
