@@ -13,11 +13,11 @@ across releases (NEP 19), so stream_keys evaluates it for a whole array of
 seeds at once: the seed-independent hash constants, zero entropy words and
 spawn words are precomputed, the seed words are mixed into the pool once,
 and the six spawn keys are mixed in by broadcasting. draw_channels then
-draws a chunk of seeds with one local Philox generator, setting its state to
-each stream's key with a zero counter instead of building a new generator
-per stream. generate_channels is its one-seed case. The first Rician draw of
-a process checks stream_keys against numpy's own SeedSequence and fails
-closed on any difference.
+draws a chunk of seeds with one local Philox generator, setting its state
+from plain ints to each stream's key with a zero counter, not building a new
+generator per stream. generate_channels is its one-seed case. The first
+Rician draw of a process checks stream_keys against numpy's own SeedSequence
+and fails closed on any difference.
 """
 from __future__ import annotations
 
@@ -101,7 +101,7 @@ _SPAWN_COMPONENT = _hashmix(np.arange(COMPONENTS, dtype=np.uint32)[None, :, None
                             *_calls(20 + _POOL_WORD))
 _STATE_CALLS = _HASH_B[:4, None], _HASH_B[1:, None]
 
-_PHILOX_ZERO = np.zeros(4, dtype=np.uint64)
+_PHILOX_ZERO = (0, 0, 0, 0)
 
 
 def fspl_amplitude(distance_m: float, freq_hz: float) -> float:
@@ -240,8 +240,8 @@ def _check_stream_keys() -> None:
                         f"differs from numpy's SeedSequence for seed {seed}")
 
 
-def _restart(generator: np.random.Generator, key: np.ndarray) -> np.random.Generator:
-    """generator, its Philox reset to the start of the stream under key."""
+def _restart(generator: np.random.Generator, key) -> np.random.Generator:
+    """generator, its Philox reset to the start of the stream under key, a pair of uint64 ints."""
     generator.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": _PHILOX_ZERO, "key": key},
@@ -263,14 +263,14 @@ def _rician_fades(fading: FadingSpec, count: int, keys: np.ndarray,
         los = np.full((len(keys), count), los_amp, dtype=np.complex128)
     else:
         theta = np.empty((len(keys), count))
-        for key, row in zip(keys[:, _COMPONENT_LOS_PHASE], theta):
+        for key, row in zip(keys[:, _COMPONENT_LOS_PHASE].tolist(), theta):
             _restart(generator, key).random(out=row)
         # uniform(0, 2 pi) is 0 + 2 pi u with the u that random() draws
         theta *= 2.0 * math.pi
         los = los_amp * np.exp(1j * theta)
     # (count, 2) per seed in C order: element i always consumes draws 2i and 2i+1
     pair = np.empty((len(keys), count, 2))
-    for key, row in zip(keys[:, _COMPONENT_DIFFUSE], pair):
+    for key, row in zip(keys[:, _COMPONENT_DIFFUSE].tolist(), pair):
         _restart(generator, key).standard_normal(out=row)
     diffuse = (pair[..., 0] + 1j * pair[..., 1]) / math.sqrt(2.0)
     return los + diffuse_amp * diffuse

@@ -41,10 +41,36 @@ class OptimizeResult:
     degenerate: bool = False
 
 
-def _block_norms(x: np.ndarray, size: int) -> np.ndarray:
-    """Euclidean norms of consecutive size-element blocks along the last axis."""
-    power = x.real ** 2 + x.imag ** 2
-    return np.sqrt(power.reshape(power.shape[:-1] + (-1, size)).sum(axis=-1))
+def _power(x: np.ndarray) -> np.ndarray:
+    """Squared magnitude of every entry."""
+    return x.real ** 2 + x.imag ** 2
+
+
+def closed_form_cells(g, h, h_d, cells: Sequence[tuple[Architecture, int]]) -> np.ndarray:
+    """Row c is closed_form_objective(g[..., :m], h[..., :m], h_d, arch), cells[c] = (arch, m).
+
+    Bit for bit: |g_m h_m| (any sc cell) and |g_m|^2, |h_m|^2 (any other) are
+    taken once at M >= m, and each cell sums its [..., :m] prefix as that call does.
+    """
+    g = np.asarray(g, dtype=np.complex128)
+    h = np.asarray(h, dtype=np.complex128)
+    if g.shape != h.shape or g.ndim < 1:
+        raise DimensionMismatch(f"g and h must have equal shapes, got {g.shape} and {h.shape}")
+    kinds = {arch.kind for arch, _ in cells}
+    cascade = np.abs(g * h) if "sc" in kinds else None
+    power_g, power_h = (_power(g), _power(h)) if kinds - {"sc"} else (None, None)
+    direct = np.abs(h_d)
+    out = np.empty((len(cells),) + np.broadcast_shapes(np.shape(direct), g.shape[:-1]))
+    for c, (arch, m) in enumerate(cells):
+        if arch.kind == "sc":
+            gain = cascade[..., :m].sum(axis=-1)
+        else:
+            # raises DimensionMismatch unless groups | M
+            blocks = g.shape[:-1] + (-1, arch.block_size(m))
+            gain = (np.sqrt(power_g[..., :m].reshape(blocks).sum(axis=-1))
+                    * np.sqrt(power_h[..., :m].reshape(blocks).sum(axis=-1))).sum(axis=-1)
+        out[c] = direct + gain
+    return out
 
 
 def closed_form_objective(g, h, h_d, arch: Architecture) -> np.ndarray:
@@ -54,18 +80,9 @@ def closed_form_objective(g, h, h_d, arch: Architecture) -> np.ndarray:
     and fc is the one-group case |h_d| + ||g|| ||h||. h_d is a scalar or has
     the leading shape of g and h. Each row is reduced on its own along the
     last axis, so a row's result does not depend on the rows batched with it,
-    and optimize reports exactly this value.
+    and optimize reports exactly this value: the one-cell closed_form_cells.
     """
-    g = np.asarray(g, dtype=np.complex128)
-    h = np.asarray(h, dtype=np.complex128)
-    if g.shape != h.shape or g.ndim < 1:
-        raise DimensionMismatch(f"g and h must have equal shapes, got {g.shape} and {h.shape}")
-    if arch.kind == "sc":
-        gain = np.abs(g * h).sum(axis=-1)
-    else:
-        size = arch.block_size(g.shape[-1])  # raises DimensionMismatch unless groups | M
-        gain = (_block_norms(g, size) * _block_norms(h, size)).sum(axis=-1)
-    return np.abs(h_d) + gain
+    return closed_form_cells(g, h, h_d, [(arch, np.shape(g)[-1] if np.ndim(g) else 0)])[0]
 
 
 # Laid-out entries certified in one pass. A pass holds about 115 bytes per
@@ -101,7 +118,7 @@ def _layout(ch: ChannelSet, cells: Sequence[tuple[Architecture, int]]) -> _Layou
 
 def _segment_power(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Squared Euclidean norm of every segment of x."""
-    return np.add.reduceat(x.real ** 2 + x.imag ** 2, starts)
+    return np.add.reduceat(_power(x), starts)
 
 
 def _reflectors(x: np.ndarray, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:

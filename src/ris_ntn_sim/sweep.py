@@ -27,7 +27,7 @@ from .channel_model import build_geometry, draw_channels
 from .config import SimConfig, format_config
 from .errors import DimensionMismatch, SimulatorError, SweepError
 from .link_metrics import RfConfig, link_columns
-from .phase_optimizer import certify_cells, closed_form_objective
+from .phase_optimizer import certify_cells, closed_form_cells
 from .ris_core import UNIT_TOLERANCE, Architecture, ChannelSet
 
 logger = logging.getLogger(__name__)
@@ -235,8 +235,9 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     divide the element count are skipped with a warning.
 
     Each chunk of trials is one array step: one channel draw at the largest
-    element count, every cell's closed form on its element prefix stacked
-    into a (cells, n) array, and one link_columns call giving the (cells, n,
+    element count, every cell's closed form on its element prefix, from
+    elementwise terms taken once (phase_optimizer.closed_form_cells), as one
+    (cells, n) array, and one link_columns call giving the (cells, n,
     4) trial values that go to the records' spool. Trial 0's design is
     certified for every cell from its factors, without any M x M matrix
     (phase_optimizer.certify_cells): its unitarity bound must be within
@@ -269,8 +270,7 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
                 )
                 certificates = (certify_cells(ChannelSet(h=h[0], g=g[0], h_d=h_d[0]), designs)
                                 if start == 0 else None)
-                values = link_columns(np.stack([closed_form_objective(g[:, :m], h[:, :m], h_d, arch)
-                                                for arch, m in designs]), rf)
+                values = link_columns(closed_form_cells(g, h, h_d, designs), rf)
             except (SimulatorError, ValueError, ArithmeticError) as exc:
                 raise SweepError(f"trials {trials.start}..{trials.stop - 1}: {exc}") from exc
             _check_cells(cells, values, certificates, trials)

@@ -7,7 +7,9 @@ is the entry-by-entry, block-by-block form of ris_core.validate.
 per_trial_channels is the channel draw with one SeedSequence -> Philox ->
 Generator construction per stream, the reference for the batched draw.
 reference_csv is the CSV written one '%' format per row, the reference for
-emit_csv's batched formatter.
+emit_csv's batched formatter. prefix_closed_form is the closed form of one
+cell computed on its own prefix arrays, the reference for the shared
+per-chunk terms of phase_optimizer.closed_form_cells.
 """
 
 import math
@@ -211,6 +213,18 @@ def per_trial_channels(
             _fades(fading, 1, seed, _LINK_DIRECT)[0]
         )
     return ChannelSet(h=h, g=g, h_d=h_d)
+
+
+def prefix_closed_form(g: np.ndarray, h: np.ndarray, h_d, arch, m: int) -> np.ndarray:
+    """|h_d| + sum_u ||g_u|| ||h_u|| over the blocks of the first m elements, from copies of them."""
+    g, h = g[..., :m].copy(), h[..., :m].copy()
+    if arch.kind == "sc":
+        gain = np.abs(g * h).sum(axis=-1)
+    else:
+        blocks = g.shape[:-1] + (-1, arch.block_size(m))
+        norms = [np.sqrt((x.real ** 2 + x.imag ** 2).reshape(blocks).sum(axis=-1)) for x in (g, h)]
+        gain = (norms[0] * norms[1]).sum(axis=-1)
+    return np.abs(h_d) + gain
 
 
 def reference_csv(records) -> bytes:

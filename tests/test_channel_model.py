@@ -19,7 +19,7 @@ from ris_ntn_sim import (
     generate_channels,
     path_loss_db,
 )
-from ris_ntn_sim.channel_model import COMPONENTS, LINKS, draw_channels, stream_keys
+from ris_ntn_sim.channel_model import COMPONENTS, LINKS, _restart, draw_channels, stream_keys
 from ris_ntn_sim.sweep import _trial_seeds
 
 from _oracles import per_trial_channels
@@ -200,6 +200,27 @@ class TestStreamKeys:
                     expected = np.random.SeedSequence(seed, spawn_key=(link, component))
                     assert np.array_equal(keys[i, link, component],
                                           expected.generate_state(2, np.uint64))
+
+
+class TestRestart:
+    @pytest.mark.parametrize("key", [(0, 0), (2**64 - 1, 2**64 - 1),
+                                     stream_keys([42])[0, 1, 1].tolist()],
+                             ids=["zero", "max", "stream"])
+    @pytest.mark.parametrize("mid_buffer", [False, True])
+    def test_restart_equals_a_fresh_generator(self, key, mid_buffer):
+        generator = np.random.Generator(np.random.Philox(7))
+        if mid_buffer:
+            generator.integers(0, 2**32, dtype=np.uint32)  # keeps the other 32-bit half
+            generator.bit_generator.random_raw()
+            state = generator.bit_generator.state
+            assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+        fresh = np.random.Generator(np.random.Philox(key=key))
+        assert _restart(generator, key) is generator
+        assert generator.random(5).tobytes() == fresh.random(5).tobytes()
+        assert generator.standard_normal(5).tobytes() == fresh.standard_normal(5).tobytes()
+        # the uint32 draws would take a 32-bit half left over from before the reset
+        draws = [rng.integers(0, 2**32, size=3, dtype=np.uint32) for rng in (generator, fresh)]
+        assert draws[0].tolist() == draws[1].tolist()
 
 
 class TestDrawChannels:

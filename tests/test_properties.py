@@ -17,7 +17,9 @@ from ris_ntn_sim import (
     run_sweep,
 )
 from ris_ntn_sim import phase_optimizer
-from ris_ntn_sim.phase_optimizer import certify_cells, closed_form_objective
+from ris_ntn_sim.phase_optimizer import certify_cells, closed_form_cells, closed_form_objective
+
+from _oracles import prefix_closed_form
 
 # The ordering bounds are exact in real arithmetic; the two sides are rounded
 # through different sums, so they may cross by a few ulps.
@@ -90,6 +92,38 @@ def test_batched_objective_equals_optimize_bit_for_bit(data, groups):
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_shared_closed_forms_equal_each_prefix_call_bit_for_bit(data, trials, elements, seed):
+    # up to 300 elements, so the prefix sums reach numpy's pairwise blocks of 128
+    rng = np.random.default_rng(seed)
+    g, h = rng.normal(size=(2, trials, elements)) + 1j * rng.normal(size=(2, trials, elements))
+    g[rng.random(g.shape) < 0.1] = 0.0
+    h_d = data.draw(st.just(0.0) | st.builds(complex, _COMPONENT, _COMPONENT)
+                    | arrays(np.float64, (2, trials), elements=_COMPONENT).map(
+                        lambda d: d[0] + 1j * d[1]))
+    cells = data.draw(prefix_cells(elements, 1))
+    shared = closed_form_cells(g, h, h_d, cells)
+    assert shared.shape == (len(cells), trials)
+    for row, (arch, m) in zip(shared, cells):
+        alone = closed_form_objective(g[:, :m], h[:, :m], h_d, arch)
+        assert np.array_equal(row.view(np.uint64), alone.view(np.uint64))
+        reference = prefix_closed_form(g, h, h_d, arch, m)
+        assert np.array_equal(row.view(np.uint64), reference.view(np.uint64))
+
+
+def test_closed_form_broadcasts_h_d_over_the_channel_rows():
+    # one channel row against three direct links gives three objectives
+    rng = np.random.default_rng(5)
+    g, h = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+    h_d = np.array([0.0, 0.5 - 2j, 3.0])
+    for arch in (SC, FC, Architecture.group_connected(4)):
+        objective = closed_form_objective(g, h, h_d, arch)
+        gain = closed_form_objective(g, h, 0.0, arch)
+        assert objective.shape == (3,)
+        assert np.array_equal(objective.view(np.uint64), (np.abs(h_d) + gain).view(np.uint64))
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.data(), st.integers(1, 6))
 def test_sc_below_gc_below_fc(data, groups):
     g, h, h_d = data.draw(channel_batches(divisible_by=groups))
@@ -156,3 +190,18 @@ def test_cell_certificates_match_the_dense_matrices(drawn, data, pass_entries):
         assert abs(achieved - dense) <= 1e-12 * dense
         assert bound <= UNIT_TOLERANCE
         assert bound >= np.abs(phi.matrix.conj().T @ phi.matrix - np.eye(m)).max()
+
+
+@settings(max_examples=50, deadline=None)
+@given(channels_with_zero_blocks().filter(lambda drawn: drawn[0].elements > 1))
+def test_sc_pass_alone_equals_a_pass_shared_with_fc(drawn):
+    # An sc cell's values do not depend on the cells sharing its pass. One
+    # element is left out: numpy's in-place complex product on a single entry
+    # is not fused like the vector loop's, which moves any one-segment pass by an ulp.
+    ch, _ = drawn
+    cells = [(SC, ch.elements), (FC, ch.elements)]
+    shared = certify_cells(ch, cells)
+    with mock.patch.object(phase_optimizer, "PASS_ENTRIES", ch.elements):
+        alone = certify_cells(ch, cells)  # the sc cell in a pass of its own
+    for a, b in zip(shared, alone):
+        assert a[:1].view(np.uint64) == b[:1].view(np.uint64)

@@ -1,5 +1,6 @@
 """Sweep orchestration, CSV emission and the command-line interface."""
 
+import argparse
 import functools
 import itertools
 import logging
@@ -26,7 +27,7 @@ from ris_ntn_sim import (
     optimize,
     run_sweep,
 )
-from ris_ntn_sim import channel_model, phase_optimizer, sweep
+from ris_ntn_sim import channel_model, cli, phase_optimizer, sweep
 from ris_ntn_sim.cli import main
 from ris_ntn_sim.sweep import _metadata_path
 
@@ -222,12 +223,11 @@ class TestRunSweep:
         # one cell gets non-finite values, another a failing certificate
         cfg = SimConfig(trials=3, elements_sweep=(4, 8), architectures=("sc", "fc", "gc:2"), seed=3)
         labels = [(label, m) for label in ("fc", "gc:2", "sc") for m in (4, 8)]
-        objective, design = sweep.closed_form_objective, phase_optimizer._design
+        objectives, design = sweep.closed_form_cells, phase_optimizer._design
 
-        def nan_objective(g, h, h_d, arch):
-            out = objective(g, h, h_d, arch)
-            if (arch, g.shape[-1]) == (Architecture.from_label(nan_cell[0]), nan_cell[1]):
-                return out * np.nan
+        def nan_objectives(g, h, h_d, cells):
+            out = objectives(g, h, h_d, cells)
+            out[cells.index((Architecture.from_label(nan_cell[0]), nan_cell[1]))] *= np.nan
             return out
 
         def swapped(ch, layout):
@@ -238,10 +238,32 @@ class TestRunSweep:
             w_u[cell], w_v[cell] = d.w_v[cell], d.w_u[cell]
             return d._replace(w_u=w_u, w_v=w_v)
 
-        monkeypatch.setattr(sweep, "closed_form_objective", nan_objective)
+        monkeypatch.setattr(sweep, "closed_form_cells", nan_objectives)
         monkeypatch.setattr(phase_optimizer, "_design", swapped)
         with pytest.raises(SweepError, match=f"^arch=fc elements=8: {message}"):
             run_sweep(cfg)
+
+    @pytest.mark.parametrize("fading_model, direct_link, resets_per_trial", [
+        ("rician", "blocked", 4),  # two links, each a line-of-sight phase and a diffuse stream
+        ("rician", "clear", 6),  # and the direct link's two streams
+        ("pure_los", "clear", 0),
+    ])
+    def test_philox_resets_once_per_stream_and_trial(self, monkeypatch, fading_model,
+                                                     direct_link, resets_per_trial):
+        resets, restart = [], channel_model._restart
+
+        def counting(generator, key):
+            resets.append(key)
+            return restart(generator, key)
+
+        monkeypatch.setattr(channel_model, "_restart", counting)
+        monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", 7 * 8)  # 30 trials in 5 chunks
+        phase_mode = "iid_uniform" if fading_model == "rician" else "common_los"
+        cfg = SimConfig(trials=30, elements_sweep=(4, 8), architectures=("sc", "fc", "gc:2"),
+                        fading_model=fading_model, fading_phase_mode=phase_mode,
+                        direct_link=direct_link, seed=5)
+        run_sweep(cfg).close()
+        assert len(resets) == resets_per_trial * cfg.trials
 
     @pytest.mark.parametrize("cfg", [SMALL, SimConfig(trials=50)], ids=["small", "default"])
     def test_one_certificate_pass_per_sweep(self, monkeypatch, cfg):
@@ -599,6 +621,40 @@ class TestCli:
         assert "arch=fc elements=4" in err and "non-finite" in err
         # neither a partial CSV nor a sidecar nor a temporary file is left behind
         assert list(out_csv.parent.iterdir()) == []
+
+    def test_one_parser_serves_every_call_of_a_process(self, tmp_path, monkeypatch):
+        inits, init = [], argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            inits.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("trials = 2\nelements_sweep = 4, 8\n")
+        first, third = tmp_path / "first.csv", tmp_path / "third.csv"
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        try:
+            assert main(["sweep", "--config", str(cfg_file), "--out", str(first),
+                         "--trials", "1", "--arch", "sc"]) == 0
+            with pytest.raises(SystemExit) as exit_info:
+                main(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "second.csv"),
+                      "--workers", "2"])
+            assert exit_info.value.code == 2
+            assert main(["sweep", "--config", str(cfg_file), "--out", str(third)]) == 0
+        finally:
+            cli.build_parser.cache_clear()
+        # one parser and its three subcommands, for the whole sequence
+        assert len(inits) == 4
+        assert not (tmp_path / "second.csv").exists()
+
+        def cells_and_trials(path):
+            rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+            return {(r[0], r[1]) for r in rows}, {r[2] for r in rows}
+
+        assert cells_and_trials(first) == ({("sc", "4"), ("sc", "8")}, {"0", "mean", "stderr"})
+        assert cells_and_trials(third) == ({(a, m) for a in ("fc", "sc") for m in ("4", "8")},
+                                           {"0", "1", "mean", "stderr"})
 
     def test_workers_flag_is_gone(self, tmp_path, capsys):
         out = tmp_path / "out.csv"
