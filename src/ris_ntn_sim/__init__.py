@@ -1,6 +1,6 @@
 """Simulator and phase-shift optimizer for a relay-surface-assisted satellite downlink."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .channel_model import (
     KA_BAND_HZ,
@@ -21,26 +21,20 @@ from .errors import (
     SweepError,
 )
 from .link_metrics import (
-    LinkReport,
     RfConfig,
     dbm_to_watts,
     energy_efficiency,
     link_columns,
-    link_report,
     noise_power_dbm,
     noise_power_watts,
     rate_bps,
     snr_db,
     snr_linear,
-    watts_to_dbm,
 )
 from .phase_optimizer import (
     OptimizeResult,
     closed_form_objective,
     optimize,
-    optimize_fc,
-    optimize_gc,
-    optimize_sc,
 )
 from .ris_core import (
     UNIT_TOLERANCE,
@@ -48,7 +42,6 @@ from .ris_core import (
     ChannelSet,
     PhaseShiftMatrix,
     effective_channel,
-    project_to_unitary,
     validate,
 )
 from .sweep import CSV_HEADER, SweepRecord, SweepRecords, derive_trial_seed, emit_csv, run_sweep
@@ -56,14 +49,12 @@ from .sweep import CSV_HEADER, SweepRecord, SweepRecords, derive_trial_seed, emi
 __all__ = [
     "__version__",
     "Architecture", "PhaseShiftMatrix", "ChannelSet", "UNIT_TOLERANCE",
-    "validate", "effective_channel", "project_to_unitary",
+    "validate", "effective_channel",
     "SPEED_OF_LIGHT", "KA_BAND_HZ", "LinkGeometry", "FadingSpec",
     "fspl_amplitude", "path_loss_db", "build_geometry", "generate_channels",
-    "OptimizeResult", "optimize", "optimize_sc", "optimize_fc", "optimize_gc",
-    "closed_form_objective",
-    "RfConfig", "LinkReport", "dbm_to_watts", "watts_to_dbm",
-    "noise_power_dbm", "noise_power_watts", "snr_linear", "snr_db",
-    "rate_bps", "energy_efficiency", "link_columns", "link_report",
+    "OptimizeResult", "optimize", "closed_form_objective",
+    "RfConfig", "dbm_to_watts", "noise_power_dbm", "noise_power_watts",
+    "snr_linear", "snr_db", "rate_bps", "energy_efficiency", "link_columns",
     "SimConfig", "parse_config", "format_config", "ConfigError",
     "SweepRecord", "SweepRecords", "run_sweep", "emit_csv", "derive_trial_seed", "CSV_HEADER",
     "SimulatorError", "DimensionMismatch", "ConstraintViolated", "InvalidInput", "SweepError",

@@ -25,8 +25,7 @@ hundred numpy calls, exceeds that of formatting each value.
 from __future__ import annotations
 
 import functools
-import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -281,34 +280,6 @@ def run_batches(labels: list[tuple[str, int]], runs) -> Iterator[Batch]:
 
 def _concatenate(heads, trials, values, seeds) -> Batch:
     return Batch(heads, *(np.concatenate(parts) for parts in (trials, values, seeds)))
-
-
-def record_batches(records: Iterable) -> Iterator[Batch]:
-    """Batches of at most BATCH_ROWS rows from any (arch, elements, trial, 4 values, seed) records.
-
-    Each distinct head, (arch, elements) or (arch, elements, trial) where
-    the trial is not a nonnegative int, is formatted once. Seeds must lie in
-    [0, 2^64).
-    """
-    heads: dict[tuple, bytes] = {}
-    records = iter(records)
-    while rows := list(itertools.islice(records, BATCH_ROWS)):
-        runs, trials = [], []
-        for arch, elements, trial, *_ in rows:
-            numeric = type(trial) is int and trial >= 0
-            key = (arch, elements) if numeric else (arch, elements, trial)
-            head = heads.get(key)
-            if head is None:
-                text = "%s,%d," % (arch, elements) + ("" if numeric else "%s," % (trial,))
-                head = heads[key] = text.encode()
-            if runs and runs[-1][0] is head:
-                runs[-1][1] += 1
-            else:
-                runs.append([head, 1])
-            trials.append(trial if numeric else -1)
-        yield Batch([tuple(run) for run in runs], np.array(trials, dtype=np.int64),
-                    np.array([row[3:7] for row in rows], dtype=np.float64).reshape(-1, 4),
-                    np.array([row[7] for row in rows], dtype=np.uint64))
 
 
 def format_batch(batch: Batch) -> bytes:

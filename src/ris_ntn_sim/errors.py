@@ -26,8 +26,8 @@ class ConstraintViolated(SimulatorError, ValueError):
 class InvalidInput(SimulatorError, ValueError):
     """An input lies outside its domain.
 
-    A non-positive distance, carrier, power or element count, altitudes that
-    do not put the satellite above the relay above ground, or a singular matrix.
+    A non-positive distance, carrier, power or element count, or altitudes
+    that do not put the satellite above the relay above ground.
     """
 
 

@@ -16,12 +16,6 @@ def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(p_w: float) -> float:
-    if p_w <= 0:
-        raise InvalidInput(f"power must be positive, got {p_w} W")
-    return 10.0 * math.log10(p_w) + 30.0
-
-
 @dataclass(frozen=True)
 class RfConfig:
     """Transmit power, receiver bandwidth and noise power spectral density.
@@ -44,16 +38,6 @@ class RfConfig:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth_hz}")
         if self.static_power_w < 0:
             raise ValueError(f"static power must be nonnegative, got {self.static_power_w}")
-
-
-@dataclass(frozen=True)
-class LinkReport:
-    """Metrics of one link realization."""
-
-    h_eff_mag: float
-    snr_db: float
-    rate_bps: float
-    ee_bits_per_joule: float
 
 
 def noise_power_dbm(rf: RfConfig) -> float:
@@ -91,8 +75,8 @@ def energy_efficiency(rate, tx_power_dbm: float, static_power_w: float = 0.0):
 def link_columns(h_eff, rf: RfConfig) -> np.ndarray:
     """(h_eff_mag, snr_db, rate_bps, ee_bits_per_joule) along a new last axis.
 
-    h_eff is a channel gain or an array of them; the columns are those of a
-    LinkReport and of the sweep CSV.
+    h_eff is a channel gain or an array of them; the columns are the value
+    columns of the sweep CSV.
     """
     rate = rate_bps(h_eff, rf)
     return np.stack([
@@ -102,6 +86,3 @@ def link_columns(h_eff, rf: RfConfig) -> np.ndarray:
         energy_efficiency(rate, rf.tx_power_dbm, rf.static_power_w),
     ], axis=-1)
 
-
-def link_report(h_eff: complex, rf: RfConfig) -> LinkReport:
-    return LinkReport(*link_columns(h_eff, rf).tolist())

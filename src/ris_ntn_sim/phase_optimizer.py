@@ -218,7 +218,9 @@ def _certify_pass(ch: ChannelSet, layout: _Layout) -> tuple[np.ndarray, np.ndarr
     # not live has g_u = 0 or h_u = 0, so it adds exactly 0 here, as its
     # identity block does.
     y = h - 2.0 * w_v * np.repeat(np.add.reduceat(w_v.conj() * h, starts), lengths)
-    y[starts] *= corner
+    # not "*=": numpy's in-place product on a one-entry operand rounds unlike
+    # the vector loop, so a one-segment pass would differ by an ulp
+    y[starts] = y[starts] * corner
     gain = (np.add.reduceat(g * y, starts)
             - 2.0 * np.add.reduceat(g * w_u, starts) * np.add.reduceat(w_u.conj() * y, starts))
     achieved = np.abs(np.add.reduceat(gain, layout.cells) + ch.h_d)
@@ -266,17 +268,3 @@ def certify_cells(ch: ChannelSet,
         first = stop
     return out[0], out[1]
 
-
-def optimize_sc(ch: ChannelSet) -> OptimizeResult:
-    """Best diagonal design: phase-align every cascade term with the direct path."""
-    return optimize(ch, Architecture.single_connected())
-
-
-def optimize_fc(ch: ChannelSet) -> OptimizeResult:
-    """Best unitary design: one rotation of h onto conj(g), objective |h_d| + ||g|| ||h||."""
-    return optimize(ch, Architecture.fully_connected())
-
-
-def optimize_gc(ch: ChannelSet, groups: int) -> OptimizeResult:
-    """Best block-diagonal design: the rotation applied per group of M/groups elements."""
-    return optimize(ch, Architecture.group_connected(groups))

@@ -8,22 +8,20 @@ matrices are realizable:
   fully connected  ("fc") : any unitary matrix
   group connected  ("gc") : block diagonal, U unitary blocks of size M/U
 
-``validate`` checks membership in the feasible set, ``effective_channel``
-applies a matrix to one channel realization, and ``project_to_unitary``
-repairs numerically drifted fully-connected matrices.
+``validate`` checks membership in the feasible set, and ``effective_channel``
+applies a matrix to one channel realization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstraintViolated, DimensionMismatch, InvalidInput
+from .errors import ConstraintViolated, DimensionMismatch
 
 # Feasibility tolerance in max-norm. Double-precision construction lands
-# around 1e-15; the headroom absorbs projection round-trips.
+# around 1e-15; the headroom absorbs accumulated rounding.
 UNIT_TOLERANCE = 1e-10
 
 
@@ -44,31 +42,17 @@ class Architecture:
             raise ValueError(f"architecture {self.kind!r} takes no group count")
 
     @classmethod
-    def single_connected(cls) -> "Architecture":
-        return cls("sc")
-
-    @classmethod
-    def fully_connected(cls) -> "Architecture":
-        return cls("fc")
-
-    @classmethod
-    def group_connected(cls, groups: int) -> "Architecture":
-        return cls("gc", groups)
-
-    @classmethod
     def from_label(cls, label: str) -> "Architecture":
-        """Parse a textual label: "sc", "fc" or "gc:U"."""
+        """Parse a textual label: "sc", "fc" or "gc:U", spelled as label gives it back."""
         text = label.strip()
-        if text == "sc":
-            return cls.single_connected()
-        if text == "fc":
-            return cls.fully_connected()
+        if text in ("sc", "fc"):
+            return cls(text)
         if text.startswith("gc:"):
-            try:
-                groups = int(text[3:])
-            except ValueError:
-                raise ValueError(f"bad group count in architecture label {label!r}") from None
-            return cls.group_connected(groups)
+            count = text[3:]
+            # no sign, space, underscore or leading zero: one spelling per architecture
+            if not (count.isascii() and count.isdigit() and count == str(int(count))):
+                raise ValueError(f"bad group count in architecture label {label!r}")
+            return cls("gc", int(count))
         raise ValueError(f"unknown architecture label {label!r} (expected sc, fc or gc:U)")
 
     @property
@@ -115,36 +99,6 @@ class PhaseShiftMatrix:
             )
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def diagonal(cls, phases: Sequence[complex]) -> "PhaseShiftMatrix":
-        """Single-connected matrix from the vector of per-element coefficients."""
-        vec = np.asarray(phases, dtype=np.complex128)
-        if vec.ndim != 1 or vec.size < 1:
-            raise DimensionMismatch("diagonal entries must be a non-empty 1-D vector")
-        return cls(np.diag(vec), Architecture.single_connected(), vec.size)
-
-    @classmethod
-    def full(cls, matrix: np.ndarray) -> "PhaseShiftMatrix":
-        """Fully-connected matrix."""
-        mat = np.asarray(matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatch(f"matrix must be square, got shape {mat.shape}")
-        return cls(mat, Architecture.fully_connected(), mat.shape[0])
-
-    @classmethod
-    def block_diagonal(cls, blocks: Sequence[np.ndarray]) -> "PhaseShiftMatrix":
-        """Group-connected matrix from equally sized square blocks."""
-        try:
-            arrs = np.asarray(blocks, dtype=np.complex128)
-        except ValueError:  # ragged: blocks of different shapes
-            arrs = None
-        if arrs is None or arrs.ndim != 3 or arrs.shape[1] != arrs.shape[2] or arrs.size == 0:
-            raise DimensionMismatch("need one or more square blocks, all equally sized")
-        groups, size = arrs.shape[:2]
-        mat = np.zeros((groups * size, groups * size), dtype=np.complex128)
-        diagonal_blocks(mat, size)[...] = arrs
-        return cls(mat, Architecture.group_connected(groups), groups * size)
 
 
 @dataclass(frozen=True)
@@ -245,17 +199,3 @@ def effective_channel(phi: PhaseShiftMatrix, ch: ChannelSet) -> complex:
         )
     return complex(ch.g @ phi.matrix @ ch.h + ch.h_d)
 
-
-def project_to_unitary(matrix: np.ndarray) -> np.ndarray:
-    """Closest unitary matrix in Frobenius norm (unitary factor of the polar form)."""
-    mat = np.asarray(matrix, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatch(f"matrix must be square, got shape {mat.shape}")
-    if not np.isfinite(mat.real).all() or not np.isfinite(mat.imag).all():
-        raise ValueError("matrix entries must be finite")
-    u, s, vh = np.linalg.svd(mat)
-    if s[0] == 0.0 or s[-1] <= s[0] * mat.shape[0] * np.finfo(np.float64).eps:
-        raise InvalidInput(
-            f"matrix is singular to working precision (smallest singular value {s[-1]:.3e})"
-        )
-    return u @ vh

@@ -15,7 +15,6 @@ import math
 import os
 import tempfile
 import weakref
-from collections.abc import Iterable
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -292,19 +291,18 @@ def _temporary_path(path: Path) -> Path:
     return path.with_name(f".{path.name}.{os.getpid()}.tmp")
 
 
-def emit_csv(records: Iterable[SweepRecord], destination, cfg: SimConfig) -> int:
-    """Write records as CSV plus a metadata sidecar next to it; return the record count.
+def emit_csv(records: SweepRecords, destination, cfg: SimConfig) -> int:
+    """Write a sweep's records as CSV plus a metadata sidecar next to it; return the record count.
 
-    Records stream into a temporary file beside the destination, formatted
-    up to _csv.BATCH_ROWS rows at a time (from the spool itself when records
-    are the SweepRecords of run_sweep), so memory does not grow with the
-    record count. Each line has the bytes that formatting its record with
-    ``%s,%d,%s,%.17g,%.17g,%.17g,%.17g,%d`` gives. The sidecar
-    is moved into place first and the CSV last, so a failure at any point
-    leaves no partial CSV and never a CSV without its sidecar. The sidecar
-    records the resolved config, the software version and the noise-density
-    interpretation; only its first line (the timestamp) varies between
-    identical runs.
+    Records stream from their spool into a temporary file beside the
+    destination, formatted up to _csv.BATCH_ROWS rows at a time, so memory
+    does not grow with the record count. Each line has the bytes that
+    formatting its record with ``%s,%d,%s,%.17g,%.17g,%.17g,%.17g,%d`` gives.
+    The sidecar is moved into place first and the CSV last, so a failure at
+    any point leaves no partial CSV and never a CSV without its sidecar. The
+    sidecar records the resolved config, the software version and the
+    noise-density interpretation; only its first line (the timestamp) varies
+    between identical runs.
     """
     destination = Path(destination)
     metadata = _metadata_path(destination)
@@ -317,11 +315,7 @@ def emit_csv(records: Iterable[SweepRecord], destination, cfg: SimConfig) -> int
     try:
         with open(csv_tmp, "wb") as out:
             out.write(CSV_HEADER.encode() + b"\n")
-            if isinstance(records, SweepRecords):
-                batches = _csv.run_batches(records._labels, records._runs(_csv.BATCH_ROWS))
-            else:
-                batches = _csv.record_batches(records)
-            for batch in batches:
+            for batch in _csv.run_batches(records._labels, records._runs(_csv.BATCH_ROWS)):
                 out.write(_csv.format_batch(batch))
                 count += len(batch.seeds)
         meta = [

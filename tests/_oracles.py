@@ -19,6 +19,7 @@ import numpy as np
 from ris_ntn_sim import (
     CSV_HEADER,
     SPEED_OF_LIGHT,
+    Architecture,
     ChannelSet,
     ConstraintViolated,
     InvalidInput,
@@ -98,7 +99,7 @@ def brute_force_sc(ch: ChannelSet, grid: int) -> OptimizeResult:
         if candidate > best_val:
             best_val, best_key = candidate, key
 
-    phi = PhaseShiftMatrix.diagonal(phasors[list(best_key)])
+    phi = PhaseShiftMatrix(np.diag(phasors[list(best_key)]), Architecture("sc"), m)
     validate(phi)
     return OptimizeResult(phi, best_val, phi.arch)
 
@@ -146,7 +147,7 @@ def brute_force_fc2(ch: ChannelSet, grid: int) -> OptimizeResult:
         ],
         dtype=np.complex128,
     )
-    phi = PhaseShiftMatrix.full(mat)
+    phi = PhaseShiftMatrix(mat, Architecture("fc"), 2)
     validate(phi)
     return OptimizeResult(phi, best_val, phi.arch)
 

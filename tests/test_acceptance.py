@@ -20,9 +20,6 @@ from ris_ntn_sim import (
     generate_channels,
     noise_power_dbm,
     optimize,
-    optimize_fc,
-    optimize_gc,
-    optimize_sc,
     path_loss_db,
     run_sweep,
     validate,
@@ -35,6 +32,8 @@ from _oracles import brute_force_fc2, brute_force_sc
 
 RESIDUAL_TOL = 1e-10
 CHAIN_SLACK = 1e-9
+
+SC, FC = Architecture("sc"), Architecture("fc")
 
 
 @pytest.fixture(scope="module")
@@ -83,10 +82,10 @@ def test_criterion_2_architecture_ordering_chain():
     start = time.perf_counter()
     for seed in range(1000):
         ch = unit_channel(32, 20_000 + seed)
-        sc = optimize_sc(ch).objective
-        fc = optimize_fc(ch).objective
+        sc = optimize(ch, SC).objective
+        fc = optimize(ch, FC).objective
         for groups in (2, 4, 8, 16):
-            gc = optimize_gc(ch, groups).objective
+            gc = optimize(ch, Architecture("gc", groups)).objective
             assert sc <= gc + CHAIN_SLACK
             assert gc <= fc + CHAIN_SLACK
     elapsed = time.perf_counter() - start
@@ -104,12 +103,12 @@ def test_criterion_3_brute_force_oracles():
         for m in (1, 2, 3):
             ch = unit_channel(m, 30_000 + seed)
             oracle = brute_force_sc(ch, sc_grid)
-            closed = optimize_sc(ch)
+            closed = optimize(ch, SC)
             assert closed.objective >= oracle.objective - 1e-12
             assert closed.objective - oracle.objective <= envelope * closed.objective
         ch2 = unit_channel(2, 40_000 + seed)
         oracle2 = brute_force_fc2(ch2, 32)
-        closed2 = optimize_fc(ch2)
+        closed2 = optimize(ch2, FC)
         assert closed2.objective >= oracle2.objective - 1e-9
         ratio = oracle2.objective / closed2.objective
         worst_fc_ratio = min(worst_fc_ratio, ratio)
@@ -125,11 +124,11 @@ def test_criterion_4_closed_form_certificates():
     for seed in range(1000):
         m = 1 + seed % 64
         ch = unit_channel(m, 50_000 + seed)
-        sc = optimize_sc(ch)
+        sc = optimize(ch, SC)
         sc_certificate = abs(ch.h_d) + float(np.abs(ch.g * ch.h).sum())
         assert sc.objective == pytest.approx(sc_certificate, rel=1e-9)
         assert abs(effective_channel(sc.phi, ch)) == pytest.approx(sc.objective, rel=1e-9)
-        fc = optimize_fc(ch)
+        fc = optimize(ch, FC)
         fc_certificate = abs(ch.h_d) + float(np.linalg.norm(ch.g) * np.linalg.norm(ch.h))
         assert fc.objective == pytest.approx(fc_certificate, rel=1e-9)
         assert abs(effective_channel(fc.phi, ch)) == pytest.approx(fc.objective, rel=1e-9)
@@ -193,7 +192,7 @@ def test_criterion_8_no_gap_without_fading():
     worst = 0.0
     for seed in range(10):
         ch = generate_channels(geom, FadingSpec.pure_los(), 16, 60_000 + seed)
-        gap = abs(optimize_fc(ch).objective - optimize_sc(ch).objective)
+        gap = abs(optimize(ch, FC).objective - optimize(ch, SC).objective)
         worst = max(worst, gap)
         assert gap <= 1e-9
     # same statement at unit scale: equal magnitudes with arbitrary phases
@@ -202,7 +201,7 @@ def test_criterion_8_no_gap_without_fading():
     ch = ChannelSet(h=np.exp(1j * rng.uniform(0, 2 * np.pi, 16)),
                     g=np.exp(1j * rng.uniform(0, 2 * np.pi, 16)),
                     h_d=complex(rng.standard_normal(), rng.standard_normal()))
-    gap = abs(optimize_fc(ch).objective - optimize_sc(ch).objective)
+    gap = abs(optimize(ch, FC).objective - optimize(ch, SC).objective)
     assert gap <= 1e-9
     print(f"criterion 8 PASS: fc-sc objective gap <= {max(worst, gap):.2e} "
           f"without magnitude fading")

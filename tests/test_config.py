@@ -94,6 +94,11 @@ class TestConstraints:
         "architectures = sc, sc",
         "architectures = xx",
         "architectures = gc:0",
+        "architectures = gc:04",
+        "architectures = gc: 4",
+        "architectures = gc:+4",
+        "architectures = gc:4_0",
+        "architectures = gc:4, gc:04",
         "fading_model = rayleigh",
         "fading_phase_mode = sideways",
         "direct_link = maybe",

@@ -74,7 +74,6 @@ def test_integers_spell_as_printf(array_path):
     assert [bytes(f[f != 0]) for f in fields] == [b"%d" % v for v in edges]
 
 
-# Each one is emitted from its SweepRecords and from a list of its records.
 EMIT_CASES = {
     # 1,100-trial chunks: runs longer than a batch are split, short ones joined
     "multi_chunk": (SimConfig(trials=2600, elements_sweep=(4, 8), architectures=("sc", "gc:2"),
@@ -96,9 +95,8 @@ def test_emit_matches_the_reference_writer(tmp_path, monkeypatch, case):
         monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", chunk_trials * max(cfg.elements_sweep))
     with run_sweep(cfg) as records:
         expected = reference_csv(records)
-        for name, source in (("spool.csv", records), ("list.csv", list(records))):
-            assert emit_csv(source, tmp_path / name, cfg) == len(records)
-            assert (tmp_path / name).read_bytes() == expected
+        assert emit_csv(records, tmp_path / "spool.csv", cfg) == len(records)
+    assert (tmp_path / "spool.csv").read_bytes() == expected
 
 
 def test_emit_memory_does_not_grow_with_trials(tmp_path, monkeypatch):

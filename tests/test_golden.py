@@ -17,7 +17,7 @@ GOLDEN_CONFIG = SimConfig(trials=50, architectures=("sc", "fc", "gc:4"), seed=42
 GOLDEN_CSV_SHA256 = "01f3e304a3dc96825e5da243ed1ce9b6943de20a52176ae6c71297a73cf02199"
 
 GOLDEN_META_TAIL = """\
-software = ris-ntn-sim 0.3.0
+software = ris-ntn-sim 0.4.0
 records = 1248
 noise_psd_note = noise_psd_dbm_hz is a power spectral density in dBm/Hz; total noise power is noise_psd_dbm_hz + 10*log10(bandwidth_hz)
 

@@ -27,7 +27,7 @@ from ris_ntn_sim import (
     optimize,
     run_sweep,
 )
-from ris_ntn_sim import channel_model, cli, phase_optimizer, sweep
+from ris_ntn_sim import _csv, channel_model, cli, phase_optimizer, sweep
 from ris_ntn_sim.cli import main
 from ris_ntn_sim.sweep import _metadata_path
 
@@ -115,7 +115,7 @@ class TestRunSweep:
         geom = build_geometry(SMALL)
         ch = generate_channels(geom, SMALL.fading_spec, 8, record.seed,
                                direct_blocked=True)
-        result = optimize(ch, Architecture.fully_connected())
+        result = optimize(ch, Architecture("fc"))
         assert result.objective == record.h_eff_mag
 
     def test_single_trial_has_zero_stderr(self):
@@ -447,15 +447,17 @@ class TestStreamKeyGuard:
 
 class TestEmitCsv:
     def test_header_exact(self, tmp_path):
+        cfg = SimConfig(trials=2, elements_sweep=(4,), architectures=("gc:3",))
         path = tmp_path / "empty.csv"
-        emit_csv([], path, SMALL)
+        emit_csv(run_sweep(cfg), path, cfg)
         assert path.read_text() == CSV_HEADER + "\n"
 
-    def test_one_record_two_lines(self, tmp_path):
-        records = run_sweep(SimConfig(trials=1, elements_sweep=(4,), architectures=("sc",)))
+    def test_one_line_per_record(self, tmp_path):
+        cfg = SimConfig(trials=1, elements_sweep=(4,), architectures=("sc",))
+        records = run_sweep(cfg)
         path = tmp_path / "one.csv"
-        emit_csv(list(records)[:1], path, SMALL)
-        assert len(path.read_text().splitlines()) == 2
+        emit_csv(records, path, cfg)
+        assert len(path.read_text().splitlines()) == 1 + len(records) == 1 + 3
 
     def test_floats_round_trip_exactly(self, tmp_path):
         records = run_sweep(SMALL)
@@ -483,17 +485,24 @@ class TestEmitCsv:
         assert "dBm/Hz" in text
         assert "trials = 6" in text
 
-    def test_failed_stream_leaves_previous_output_untouched(self, tmp_path):
+    def test_failed_stream_leaves_previous_output_untouched(self, tmp_path, monkeypatch):
         path = tmp_path / "run.csv"
         emit_csv(run_sweep(SMALL), path, SMALL)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # 1,102 rows: the second batch fails after the first was written
+        cfg = SimConfig(trials=1100, elements_sweep=(4,), architectures=("sc",))
+        calls, format_batch = [], _csv.format_batch
 
-        def failing():
-            yield from list(run_sweep(SMALL))[:3]
-            raise OSError("disk full")
+        def failing(batch):
+            calls.append(len(batch.seeds))
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return format_batch(batch)
 
+        monkeypatch.setattr(_csv, "format_batch", failing)
         with pytest.raises(OSError, match="disk full"):
-            emit_csv(failing(), path, SMALL)
+            emit_csv(run_sweep(cfg), path, cfg)
+        assert calls == [_csv.BATCH_ROWS, 1102 - _csv.BATCH_ROWS]
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_returns_record_count(self, tmp_path):
@@ -576,9 +585,14 @@ class TestCli:
         assert len(body) == 8 * 2 + 16  # default sweep has 8 element counts
         assert "seed = 9" in _metadata_path(out_csv).read_text()
 
-    def test_sweep_bad_arch_flag_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("arch, label", [("bogus", "bogus"), ("gc:4, gc: 4", "gc: 4")])
+    def test_sweep_bad_arch_flag_is_config_error(self, tmp_path, capsys, arch, label):
         out_csv = tmp_path / "out.csv"
-        assert main(["sweep", "--out", str(out_csv), "--arch", "bogus"]) == 2
+        assert main(["sweep", "--out", str(out_csv), "--arch", arch]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ris-ntn-sim: error: config: ConstraintError")
+        assert repr(label) in err
+        assert not out_csv.exists()
 
     def test_overflowing_gain_is_config_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
