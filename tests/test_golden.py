@@ -52,6 +52,15 @@ GOLDEN_DIRECT_CONFIG = SimConfig(trials=40, architectures=("sc", "gc:2"),
 GOLDEN_DIRECT_CSV_SHA256 = "8fa8c949c0ea57a24f418e3608fd586b08e5395679bfa84198c88e8c17431a1f"
 GOLDEN_DIRECT_RECORDS = 252
 
+# Pins pure line of sight, which neither config above draws: every trial of
+# a cell carries the same values, over two chunks of trials and a skipped gc cell.
+GOLDEN_LOS_CONFIG = SimConfig(trials=1500, architectures=("sc", "fc", "gc:4"),
+                              elements_sweep=(6, 8, 64), fading_model="pure_los",
+                              direct_link="clear", seed=11)
+
+GOLDEN_LOS_CSV_SHA256 = "7e3b2afb231ee5142da3d6aa7100361dbfe3551e0ab3862d7e2a4d4a8f5353e4"
+GOLDEN_LOS_RECORDS = 12016
+
 
 def test_golden_csv_and_metadata(tmp_path):
     path = tmp_path / "golden.csv"
@@ -67,6 +76,13 @@ def test_golden_direct_link_csv(tmp_path):
     count = emit_csv(run_sweep(GOLDEN_DIRECT_CONFIG), path, GOLDEN_DIRECT_CONFIG)
     assert count == GOLDEN_DIRECT_RECORDS
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DIRECT_CSV_SHA256
+
+
+def test_golden_pure_los_csv(tmp_path):
+    path = tmp_path / "golden_los.csv"
+    count = emit_csv(run_sweep(GOLDEN_LOS_CONFIG), path, GOLDEN_LOS_CONFIG)
+    assert count == GOLDEN_LOS_RECORDS
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_LOS_CSV_SHA256
 
 
 def test_package_version_matches_pyproject():
