@@ -17,9 +17,13 @@ tie goes through Python's correctly rounded '%.17g' instead (Gay, "Correctly
 rounded binary-decimal and decimal-binary conversions", 1990), and so do
 zeros, non-finite values and values outside the power-of-ten table.
 
-A batch of fewer than SMALL_BATCH rows formats each of its values on its
-own, with '%.17g' or '%d': there the fixed cost of the array path, about a
-hundred numpy calls, exceeds that of formatting each value.
+A run of equal consecutive floats, in the column-major order of a batch's
+values, is spelled once and its text repeated over the run; equal means the
+same bits, so 0.0 and -0.0, and NaNs with different payloads, stay apart.
+Fewer than 4 * SMALL_BATCH spelled floats, and the integers of a batch of
+fewer than SMALL_BATCH rows, are formatted each on its own, with '%.17g' or
+'%d': there the fixed cost of the array path, about a hundred numpy calls,
+exceeds that of formatting each value.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ import numpy as np
 # Rows formatted at a time: memory follows this, not the record count.
 BATCH_ROWS = 1024
 
-# Batches with fewer rows format each value on its own, with '%.17g' or '%d'.
+# Batches with fewer rows format each integer on its own with '%d', and fewer
+# than 4 * SMALL_BATCH spelled floats go each to '%.17g'.
 SMALL_BATCH = 48
 
 # A 17th digit this close to a rounding tie goes to '%.17g'; the product's
@@ -236,6 +241,20 @@ def _float_fields(x: np.ndarray, array_path: bool) -> np.ndarray:
     return out
 
 
+def _float_runs(x: np.ndarray) -> np.ndarray:
+    """_float_fields of x, each run of consecutive values with equal bits spelled once.
+
+    The array path is taken for at least 4 * SMALL_BATCH spelled values.
+    """
+    bits = x.view(np.uint64)
+    new = bits[1:] != bits[:-1]
+    if new.all():  # nothing repeats: the repeat below would be the identity
+        return _float_fields(x, len(x) >= 4 * SMALL_BATCH)
+    starts = np.flatnonzero(np.concatenate(([True], new)))
+    fields = _float_fields(x[starts], len(starts) >= 4 * SMALL_BATCH)
+    return np.repeat(fields, np.diff(starts, append=len(x)), axis=1)
+
+
 def _int_fields(v: np.ndarray, array_path: bool) -> np.ndarray:
     """(20, len(v)) uint8: column i is the decimal digits of the uint64 v[i], NUL-padded.
 
@@ -286,11 +305,12 @@ def format_batch(batch: Batch) -> bytes:
     """The CSV bytes of a batch's rows, newline-terminated, in row order.
 
     The rows are built column-major, one character position of every row
-    at a time, so each numpy call runs over the whole batch.
+    at a time, so each numpy call runs over the whole batch. Each run of
+    equal consecutive floats is spelled once (_float_runs).
     """
     n = len(batch.seeds)
     # the floats first: their temporaries are the largest, and columns does not exist yet
-    fields = _float_fields(batch.values.T.ravel(), n >= SMALL_BATCH)
+    fields = _float_runs(batch.values.T.ravel())
     width = max(len(head) for head, _ in batch.heads)
     floats = 4 * (FLOAT_WIDTH + 1)
     columns = np.zeros((width + _INT_WIDTH + 1 + floats + _INT_WIDTH + 1, n), np.uint8)

@@ -10,6 +10,7 @@ byte-identical CSV.
 
 from __future__ import annotations
 
+import errno
 import logging
 import math
 import os
@@ -237,7 +238,9 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     element count, every cell's closed form on its element prefix, from
     elementwise terms taken once (phase_optimizer.closed_form_cells), as one
     (cells, n) array, and one link_columns call giving the (cells, n,
-    4) trial values that go to the records' spool. Trial 0's design is
+    4) trial values that go to the records' spool. A pure line-of-sight draw
+    ignores its seed, so such a chunk draws and evaluates a single row and
+    repeats its values over the n trials. Trial 0's design is
     certified for every cell from its factors, without any M x M matrix
     (phase_optimizer.certify_cells): its unitarity bound must be within
     UNIT_TOLERANCE, and |g^T Phi h + h_d| must match the closed form. All
@@ -255,13 +258,16 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     records = SweepRecords(cfg, cells, chunk_trials)
     if not cells:
         return records
+    # a pure line-of-sight draw ignores its seed, so one row stands for every trial
+    one_row = fading.model == "pure_los"
 
     try:
         for start in range(0, cfg.trials, chunk_trials):
             trials = range(start, min(cfg.trials, start + chunk_trials))
             try:
+                seeds = _trial_seeds(cfg.seed, start, trials.stop)
                 h, g, h_d = draw_channels(
-                    geom, fading, m_max, _trial_seeds(cfg.seed, start, trials.stop),
+                    geom, fading, m_max, seeds[:1] if one_row else seeds,
                     tx_gain_dbi=cfg.tx_gain_dbi,
                     ris_element_gain_dbi=cfg.ris_element_gain_dbi,
                     rx_gain_dbi=cfg.rx_gain_dbi,
@@ -272,6 +278,9 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
                 values = link_columns(closed_form_cells(g, h, h_d, designs), rf)
             except (SimulatorError, ValueError, ArithmeticError) as exc:
                 raise SweepError(f"trials {trials.start}..{trials.stop - 1}: {exc}") from exc
+            if one_row:
+                # a real array, not a broadcast view: the moments reduce the layout they always have
+                values = np.repeat(values, len(trials), axis=1)
             _check_cells(cells, values, certificates, trials)
             records._append(values)
     except BaseException:
@@ -299,12 +308,17 @@ def emit_csv(records: SweepRecords, destination, cfg: SimConfig) -> int:
     does not grow with the record count. Each line has the bytes that
     formatting its record with ``%s,%d,%s,%.17g,%.17g,%.17g,%.17g,%d`` gives.
     The sidecar is moved into place first and the CSV last, so a failure at
-    any point leaves no partial CSV and never a CSV without its sidecar. The
+    any point leaves no partial CSV and never a CSV without its sidecar; a
+    destination that is a directory is refused (IsADirectoryError) before
+    anything is written, so it leaves no sidecar either. The
     sidecar records the resolved config, the software version and the
     noise-density interpretation; only its first line (the timestamp) varies
     between identical runs.
     """
     destination = Path(destination)
+    # the CSV's move comes last: into a directory it would fail after the sidecar's
+    if destination.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(destination))
     metadata = _metadata_path(destination)
     csv_tmp, meta_tmp = _temporary_path(destination), _temporary_path(metadata)
     # imported here, so importing the package does not load the formatter:

@@ -9,7 +9,9 @@ Generator construction per stream, the reference for the batched draw.
 reference_csv is the CSV written one '%' format per row, the reference for
 emit_csv's batched formatter. prefix_closed_form is the closed form of one
 cell computed on its own prefix arrays, the reference for the shared
-per-chunk terms of phase_optimizer.closed_form_cells.
+per-chunk terms of phase_optimizer.closed_form_cells. trial_by_trial_csv is a
+sweep's CSV with every trial drawn and evaluated on its own, the reference for
+run_sweep's single evaluated row of a pure line-of-sight chunk.
 """
 
 import math
@@ -25,9 +27,16 @@ from ris_ntn_sim import (
     InvalidInput,
     OptimizeResult,
     PhaseShiftMatrix,
+    RfConfig,
+    build_geometry,
+    derive_trial_seed,
     fspl_amplitude,
+    link_columns,
     validate,
 )
+from ris_ntn_sim import sweep
+from ris_ntn_sim.channel_model import draw_channels
+from ris_ntn_sim.phase_optimizer import closed_form_cells
 from ris_ntn_sim.ris_core import UNIT_TOLERANCE
 
 # Floats carry 17 significant digits, which round-trips any finite double exactly.
@@ -231,3 +240,35 @@ def prefix_closed_form(g: np.ndarray, h: np.ndarray, h_d, arch, m: int) -> np.nd
 def reference_csv(records) -> bytes:
     """The bytes of the CSV emit_csv writes for records: the header, then one formatted line per row."""
     return (CSV_HEADER + "\n" + "".join(ROW_FORMAT % tuple(r) for r in records)).encode()
+
+
+def trial_by_trial_csv(cfg, chunk_trials: int) -> bytes:
+    """The CSV of cfg's sweep with each trial's channel drawn from its own seed and evaluated alone.
+
+    The aggregates merge the trial values chunk_trials trials at a time
+    through the sweep's own moments, as run_sweep merges its chunks.
+    """
+    geom = build_geometry(cfg)
+    rf = RfConfig(cfg.tx_power_dbm, cfg.bandwidth_hz, cfg.noise_psd_dbm_hz, cfg.static_power_w)
+    cells = sweep._cells(cfg)
+    designs = [(arch, m) for _, arch, m in cells]
+    m_max = max(m for _, m in designs)
+    seeds = [derive_trial_seed(cfg.seed, t) for t in range(cfg.trials)]
+    rows = []
+    for seed in seeds:
+        h, g, h_d = draw_channels(geom, cfg.fading_spec, m_max, np.array([seed], np.uint64),
+                                  tx_gain_dbi=cfg.tx_gain_dbi,
+                                  ris_element_gain_dbi=cfg.ris_element_gain_dbi,
+                                  rx_gain_dbi=cfg.rx_gain_dbi,
+                                  direct_blocked=cfg.direct_link == "blocked")
+        rows.append(link_columns(closed_form_cells(g, h, h_d, designs), rf)[:, 0])
+    values = np.stack(rows, axis=1)  # (cells, trials, 4)
+    moments = sweep._Moments(len(cells))
+    for start in range(0, cfg.trials, chunk_trials):
+        moments.add(np.ascontiguousarray(values[:, start:start + chunk_trials]))
+    records = []
+    for c, (label, _, m) in enumerate(cells):
+        records += [(label, m, t, *values[c, t].tolist(), seed) for t, seed in enumerate(seeds)]
+        records.append((label, m, "mean", *moments.mean[c].tolist(), cfg.seed))
+        records.append((label, m, "stderr", *moments.stderr()[c].tolist(), cfg.seed))
+    return reference_csv(records)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ris_ntn_sim import SimConfig, emit_csv, run_sweep
+from ris_ntn_sim import CSV_HEADER, SimConfig, emit_csv, run_sweep
 from ris_ntn_sim import _csv, sweep
 
 from _oracles import reference_csv
@@ -74,6 +74,49 @@ def test_integers_spell_as_printf(array_path):
     assert [bytes(f[f != 0]) for f in fields] == [b"%d" % v for v in edges]
 
 
+def bits(value: float) -> int:
+    return int(np.float64(value).view(np.uint64))
+
+
+# Doubles that equal one another, or print alike, without sharing their bits;
+# ties and near ties at the 17th digit; zeros, subnormals and non-finite values.
+RUN_VALUES = [bits(v) for v in (0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                                2.2250738585072009e-308, 1000000000000000.25,
+                                np.nextafter(1000000000000000.25, 0.0), 0.1, -651.50920443348946)]
+RUN_VALUES += [0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), array_path=st.booleans())
+def test_runs_of_equal_values_spell_as_printf(data, array_path):
+    pool = data.draw(st.lists(st.sampled_from(RUN_VALUES) | st.integers(0, 2**64 - 1),
+                              min_size=2, max_size=8, unique=True))
+    # runs of one value each, neighbours distinct: as many spelled values as runs
+    spelled = 4 * _csv.SMALL_BATCH
+    runs = data.draw(st.integers(spelled, 2 * spelled) if array_path else st.integers(1, spelled - 4))
+    picks = data.draw(st.lists(st.integers(1, len(pool) - 1), min_size=runs, max_size=runs))
+    lengths = data.draw(st.lists(st.integers(1, 9), min_size=runs, max_size=runs))
+    index = np.cumsum(picks) % len(pool)
+    x = np.repeat(np.array(pool, np.uint64)[index], lengths)
+    # up to three values from the start complete the last row; format_batch reads
+    # the values column by column, so the runs stay in that order
+    x = np.resize(x, 4 * -(-len(x) // 4)).view(np.float64)
+    values = np.ascontiguousarray(x.reshape(4, -1).T)
+    rows = len(values)
+    seeds = np.arange(rows, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    batch = _csv.Batch([(b"sc,8,", rows - 1), (b"sc,8,mean,", 1)],
+                       np.append(np.arange(rows - 1), -1), values, seeds)
+    records = [("sc", 8, t, *v, seed) for t, v, seed in
+               zip([*range(rows - 1), "mean"], values.tolist(), seeds.tolist())]
+
+    paths, float_fields = [], _csv._float_fields
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_csv, "_float_fields",
+                      lambda v, path: paths.append(path) or float_fields(v, path))
+        assert _csv.format_batch(batch) == reference_csv(records)[len(CSV_HEADER) + 1:]
+    assert paths == [array_path]
+
+
 EMIT_CASES = {
     # 1,100-trial chunks: runs longer than a batch are split, short ones joined
     "multi_chunk": (SimConfig(trials=2600, elements_sweep=(4, 8), architectures=("sc", "gc:2"),
@@ -99,14 +142,16 @@ def test_emit_matches_the_reference_writer(tmp_path, monkeypatch, case):
     assert (tmp_path / "spool.csv").read_bytes() == expected
 
 
-def test_emit_memory_does_not_grow_with_trials(tmp_path, monkeypatch):
+# pure line of sight repeats one value per cell and column; Rician values are all distinct
+@pytest.mark.parametrize("fading_model", ["pure_los", "rician"])
+def test_emit_memory_does_not_grow_with_trials(tmp_path, monkeypatch, fading_model):
     # 1,000 trials per chunk: 300,000 trials span 300 chunks
     monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", 1000 * 4)
     _csv._tables()  # built once per process, outside the measurement
 
     def peak(trials):
         cfg = SimConfig(trials=trials, elements_sweep=(4,), architectures=("sc",),
-                        fading_model="pure_los", fading_phase_mode="common_los")
+                        fading_model=fading_model, fading_phase_mode="common_los")
         with run_sweep(cfg) as records:
             tracemalloc.start()
             try:

@@ -31,6 +31,8 @@ from ris_ntn_sim import _csv, channel_model, cli, phase_optimizer, sweep
 from ris_ntn_sim.cli import main
 from ris_ntn_sim.sweep import _metadata_path
 
+from _oracles import trial_by_trial_csv
+
 SMALL = SimConfig(trials=6, elements_sweep=(4, 8), architectures=("sc", "fc"), seed=3)
 
 
@@ -345,6 +347,34 @@ class TestChunking:
         assert four_chunks <= 1.5 * one_chunk
 
 
+class TestPureLineOfSight:
+    """A pure line-of-sight chunk draws and evaluates one row and repeats it over its trials."""
+
+    def test_one_seed_drawn_per_chunk(self, monkeypatch):
+        drawn, draw = [], sweep.draw_channels
+
+        def counting(geom, fading, elements, seeds, **kwargs):
+            drawn.append(len(seeds))
+            return draw(geom, fading, elements, seeds, **kwargs)
+
+        monkeypatch.setattr(sweep, "draw_channels", counting)
+        monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", 7 * 8)  # 30 trials in 5 chunks
+        cfg = SimConfig(trials=30, elements_sweep=(4, 8), architectures=("sc", "fc", "gc:2"),
+                        fading_model="pure_los", direct_link="clear")
+        with run_sweep(cfg) as records:
+            assert len(records) == 6 * 32
+        assert drawn == [1] * 5
+
+    @pytest.mark.parametrize("direct_link", ["blocked", "clear"])
+    @pytest.mark.parametrize("fading_model", ["pure_los", "rician"])
+    def test_bytes_equal_trials_evaluated_one_at_a_time(self, tmp_path, monkeypatch,
+                                                        fading_model, direct_link):
+        monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", 7 * 64)  # 40 trials in 6 chunks
+        cfg = SimConfig(trials=40, elements_sweep=(6, 8, 64), architectures=("sc", "fc", "gc:4"),
+                        fading_model=fading_model, direct_link=direct_link, seed=13)
+        assert csv_bytes(tmp_path, run_sweep(cfg), cfg) == trial_by_trial_csv(cfg, 7)
+
+
 class TestTrialSeeds:
     def test_injective_over_trials(self):
         trials = list(range(1000)) + [2**20, 2**31 - 2, 2**31 - 1]
@@ -623,6 +653,21 @@ class TestCli:
                      "--arch", "sc"])
         assert code == 3
         assert capsys.readouterr().err.startswith("ris-ntn-sim: error: runtime:")
+
+    def test_output_that_is_a_directory_leaves_no_sidecar(self, tmp_path, capsys):
+        out_csv = tmp_path / "out.csv"
+        out_csv.mkdir()
+        # an older sidecar beside it must keep its bytes
+        (tmp_path / "old.csv").mkdir()
+        (tmp_path / "old.meta.txt").write_text("older run\n")
+        for name in ("out.csv", "old.csv"):
+            code = main(["sweep", "--out", str(tmp_path / name), "--trials", "1", "--arch", "sc"])
+            assert code == 3
+            assert capsys.readouterr().err.startswith(
+                "ris-ntn-sim: error: runtime: IsADirectoryError")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv", "old.meta.txt", "out.csv"]
+        assert (tmp_path / "old.meta.txt").read_text() == "older run\n"
+        assert list(out_csv.iterdir()) == []
 
     def test_non_finite_metrics_fail_the_sweep(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
