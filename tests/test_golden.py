@@ -8,8 +8,10 @@ import hashlib
 import re
 from pathlib import Path
 
+import pytest
+
 import ris_ntn_sim
-from ris_ntn_sim import SimConfig, emit_csv, run_sweep
+from ris_ntn_sim import SimConfig, _csv, emit_csv, run_sweep
 from ris_ntn_sim.sweep import _metadata_path
 
 GOLDEN_CONFIG = SimConfig(trials=50, architectures=("sc", "fc", "gc:4"), seed=42)
@@ -61,6 +63,14 @@ GOLDEN_LOS_CONFIG = SimConfig(trials=1500, architectures=("sc", "fc", "gc:4"),
 GOLDEN_LOS_CSV_SHA256 = "7e3b2afb231ee5142da3d6aa7100361dbfe3551e0ab3862d7e2a4d4a8f5353e4"
 GOLDEN_LOS_RECORDS = 12016
 
+# Pins Rician cells over three chunks of trials, written at several batch
+# sizes: at 2101 rows a batch ends between a cell's mean and stderr rows.
+GOLDEN_CHUNKS_CONFIG = SimConfig(trials=2100, architectures=("sc", "fc", "gc:4"),
+                                 elements_sweep=(4, 64), seed=5)
+
+GOLDEN_CHUNKS_CSV_SHA256 = "41563af00169c1c0c3d5088d5b71df30762bb0921d9ee882423977bb7dd6fef4"
+GOLDEN_CHUNKS_RECORDS = 12612
+
 
 def test_golden_csv_and_metadata(tmp_path):
     path = tmp_path / "golden.csv"
@@ -83,6 +93,16 @@ def test_golden_pure_los_csv(tmp_path):
     count = emit_csv(run_sweep(GOLDEN_LOS_CONFIG), path, GOLDEN_LOS_CONFIG)
     assert count == GOLDEN_LOS_RECORDS
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_LOS_CSV_SHA256
+
+
+@pytest.mark.parametrize("batch_rows", [7, 47, 2101, 2102, 2103, None])
+def test_golden_chunked_csv_at_every_batch_size(tmp_path, monkeypatch, batch_rows):
+    if batch_rows is not None:
+        monkeypatch.setattr(_csv, "BATCH_ROWS", batch_rows)
+    path = tmp_path / "golden_chunks.csv"
+    count = emit_csv(run_sweep(GOLDEN_CHUNKS_CONFIG), path, GOLDEN_CHUNKS_CONFIG)
+    assert count == GOLDEN_CHUNKS_RECORDS
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CHUNKS_CSV_SHA256
 
 
 def test_package_version_matches_pyproject():
