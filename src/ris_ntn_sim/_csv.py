@@ -1,10 +1,10 @@
 """CSV rows from column arrays, a batch at a time, with every float spelled as '%.17g'.
 
-A row is a head, the text before its numeric fields (``arch,elements,``, or
-``arch,elements,mean,`` where the trial column is text), then an optional
-trial index, four float64 values and a uint64 seed. Each field is written
-into fixed character positions of a NUL-padded uint8 matrix; dropping the
-NULs gives the batch's bytes.
+A row is its cell's head, the text ``arch,elements,``, then the trial field
+(a trial index, or ``mean`` or ``stderr`` for a cell's aggregate rows), four
+float64 values and a uint64 seed. Each field is written into fixed character
+positions of a NUL-padded uint8 matrix; dropping the NULs gives the batch's
+bytes.
 
 The floats are exact. The 17 correctly rounded significant digits of x are
 the integer nearest x * 10^(16 - E), computed as the double-double product of
@@ -29,13 +29,15 @@ exceeds that of formatting each value.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
 
-# Rows formatted at a time: memory follows this, not the record count.
-BATCH_ROWS = 1024
+# Rows formatted at a time: memory follows this, not the record count. Not a
+# power of two: at a power-of-two stride, transposing the batch's (~131, rows)
+# uint8 matrix hits cache-set aliasing (on an Intel Xeon with numpy 2.4, 198 us
+# at 1024 rows against 70 us at 1000).
+BATCH_ROWS = 1000
 
 # Batches with fewer rows format each integer on its own with '%d', and fewer
 # than 4 * SMALL_BATCH spelled floats go each to '%.17g'.
@@ -70,18 +72,9 @@ _INT_TEMPLATE = b"%%-%dd" % _INT_WIDTH
 _POWERS = 10 ** np.arange(_INT_WIDTH, dtype=np.uint64)
 # Digit positions 0 .. 19, as a column against per-value rows.
 _RANKS = np.arange(_INT_WIDTH, dtype=np.uint8)[:, None]
-
-
-class Batch(NamedTuple):
-    """Column arrays of consecutive rows; heads are (text, row count) runs in row order.
-
-    A head holds no NUL byte.
-    """
-
-    heads: list[tuple[bytes, int]]
-    trials: np.ndarray  # int64; -1 where the head already holds the trial column
-    values: np.ndarray  # (rows, 4) float64
-    seeds: np.ndarray  # uint64
+# The trial field of a cell's aggregate rows, columns -2 and -1 for their trial -2 and -1.
+_AGGREGATE_FIELDS = np.frombuffer(b"mean".ljust(_INT_WIDTH, b"\0")
+                                  + b"stderr".ljust(_INT_WIDTH, b"\0"), np.uint8).reshape(2, -1).T
 
 
 class _Tables(NamedTuple):
@@ -269,61 +262,33 @@ def _int_fields(v: np.ndarray, array_path: bool) -> np.ndarray:
     return digits
 
 
-def run_batches(labels: list[tuple[str, int]], runs) -> Iterator[Batch]:
-    """SweepRecords runs joined into batches of at most BATCH_ROWS rows.
+def format_batch(heads: list[bytes], cells: np.ndarray, trials: np.ndarray,
+                 values: np.ndarray, seeds: np.ndarray) -> bytes:
+    """The CSV bytes of consecutive rows, newline-terminated, in row order.
 
-    labels holds each cell's (arch, elements). A run is (cell, trials,
-    values, seeds) of at most BATCH_ROWS rows, trials a range of trial
-    indices or the names that fill the trial column of the cell's aggregate
-    rows. Short runs are joined because each format_batch call costs about a
-    hundred numpy calls.
+    heads holds each cell's ``arch,elements,`` text, with no NUL byte; row i
+    belongs to cell cells[i] and has trial index trials[i], or -2 and -1 for
+    the cell's 'mean' and 'stderr' rows, (rows, 4) float64 values and a
+    uint64 seed. The rows are built column-major, one character position of
+    every row at a time, so each numpy call runs over the whole batch. Each
+    run of equal consecutive floats is spelled once (_float_runs).
     """
-    cell_heads = [f"{label},{m},".encode() for label, m in labels]
-    heads, trials, values, seeds, rows = [], [], [], [], 0
-    for c, run_trials, run_values, run_seeds in runs:
-        if rows + len(run_seeds) > BATCH_ROWS:
-            yield _concatenate(heads, trials, values, seeds)
-            heads, trials, values, seeds, rows = [], [], [], [], 0
-        if isinstance(run_trials, range):
-            heads.append((cell_heads[c], len(run_trials)))
-            trials.append(np.arange(run_trials.start, run_trials.stop))
-        else:
-            heads.extend((cell_heads[c] + f"{name},".encode(), 1) for name in run_trials)
-            trials.append([-1] * len(run_trials))
-        values.append(run_values)
-        seeds.append(run_seeds)
-        rows += len(run_seeds)
-    if rows:
-        yield _concatenate(heads, trials, values, seeds)
-
-
-def _concatenate(heads, trials, values, seeds) -> Batch:
-    return Batch(heads, *(np.concatenate(parts) for parts in (trials, values, seeds)))
-
-
-def format_batch(batch: Batch) -> bytes:
-    """The CSV bytes of a batch's rows, newline-terminated, in row order.
-
-    The rows are built column-major, one character position of every row
-    at a time, so each numpy call runs over the whole batch. Each run of
-    equal consecutive floats is spelled once (_float_runs).
-    """
-    n = len(batch.seeds)
+    n = len(seeds)
     # the floats first: their temporaries are the largest, and columns does not exist yet
-    fields = _float_runs(batch.values.T.ravel())
-    width = max(len(head) for head, _ in batch.heads)
+    fields = _float_runs(values.T.ravel())
+    width = max(map(len, heads))
     floats = 4 * (FLOAT_WIDTH + 1)
     columns = np.zeros((width + _INT_WIDTH + 1 + floats + _INT_WIDTH + 1, n), np.uint8)
-    heads, counts = zip(*batch.heads)
-    heads = np.frombuffer(b"".join(head.ljust(width, b"\0") for head in heads), np.uint8)
-    columns[:width] = np.repeat(heads.reshape(-1, width).T, counts, axis=1)
+    table = np.frombuffer(b"".join(head.ljust(width, b"\0") for head in heads), np.uint8)
+    np.take(table.reshape(-1, width).T, cells, axis=1, out=columns[:width])
 
-    ints = _int_fields(np.concatenate([batch.trials.astype(np.uint64), batch.seeds]),
-                       n >= SMALL_BATCH)
-    numeric = batch.trials >= 0
+    ints = _int_fields(np.concatenate([trials.astype(np.uint64), seeds]), n >= SMALL_BATCH)
     col = width
-    columns[col:col + _INT_WIDTH] = ints[:, :n] * numeric
-    columns[col + _INT_WIDTH] = numeric * ord(",")
+    columns[col:col + _INT_WIDTH] = ints[:, :n]
+    # trials -2 and -1 were spelled as wrapped uint64s; the aggregate names replace them
+    aggregates = np.flatnonzero(trials < 0)
+    columns[col:col + _INT_WIDTH, aggregates] = _AGGREGATE_FIELDS[:, trials[aggregates]]
+    columns[col + _INT_WIDTH] = ord(",")
     col += _INT_WIDTH + 1
     columns[col:col + floats].reshape(4, FLOAT_WIDTH + 1, n)[...] = (
         fields.reshape(FLOAT_WIDTH + 1, 4, n).transpose(1, 0, 2))

@@ -105,12 +105,19 @@ _PHILOX_ZERO = (0, 0, 0, 0)
 
 
 def fspl_amplitude(distance_m: float, freq_hz: float) -> float:
-    """Free-space amplitude gain lambda / (4 pi d) of one hop."""
-    if distance_m <= 0:
-        raise InvalidInput(f"distance must be positive, got {distance_m}")
-    if freq_hz <= 0:
-        raise InvalidInput(f"frequency must be positive, got {freq_hz}")
-    return SPEED_OF_LIGHT / (4.0 * math.pi * distance_m * freq_hz)
+    """Free-space amplitude gain lambda / (4 pi d) of one hop.
+
+    Raises InvalidInput unless the inputs and the gain are finite and positive.
+    """
+    for name, value in (("distance", distance_m), ("frequency", freq_hz)):
+        if not 0 < value < math.inf:
+            raise InvalidInput(f"{name} must be finite and positive, got {value}")
+    product = 4.0 * math.pi * distance_m * freq_hz  # may underflow to zero or overflow
+    amplitude = SPEED_OF_LIGHT / product if product > 0 else math.inf
+    if not 0 < amplitude < math.inf:
+        raise InvalidInput(f"gain at {distance_m} m and {freq_hz} Hz is {amplitude}, "
+                           "not finite and positive")
+    return amplitude
 
 
 def path_loss_db(distance_m: float, freq_hz: float) -> float:

@@ -11,6 +11,7 @@ byte-identical CSV.
 from __future__ import annotations
 
 import errno
+import io
 import logging
 import math
 import os
@@ -43,7 +44,7 @@ CHUNK_ELEMENTS = 1 << 16
 # matrix and the closed-form objective it certifies.
 CERTIFICATE_RTOL = 1e-9
 
-# Per-trial values stay in memory up to this many bytes, then go to a temporary file.
+# A spool of at most this many bytes is held in memory, a larger one in a temporary file.
 _SPOOL_MEMORY_BYTES = 1 << 24
 
 _MASK64 = (1 << 64) - 1
@@ -58,20 +59,20 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _trial_seeds(run_seed: int, start: int, stop: int) -> np.ndarray:
-    """The seeds of trials [start, stop), as one uint64 array.
+def _trial_seeds(run_seed: int, trials: np.ndarray) -> np.ndarray:
+    """The seeds of an int64 array of trial indices, as one uint64 array.
 
     Each trial index is XORed with splitmix64(run seed), so for a fixed run
     seed no two trials in [0, 2^31) share a channel stream.
     """
-    if not 0 <= start <= stop <= _TRIAL_LIMIT:
-        raise ValueError(f"trial range must lie in [0, 2^31), got [{start}, {stop})")
-    return np.arange(start, stop, dtype=np.uint64) ^ np.uint64(_splitmix64(run_seed & _MASK64))
+    if trials.size and not (trials.min() >= 0 and trials.max() < _TRIAL_LIMIT):
+        raise ValueError(f"trial indices must lie in [0, 2^31), got {trials.min()}..{trials.max()}")
+    return trials.astype(np.uint64) ^ np.uint64(_splitmix64(run_seed & _MASK64))
 
 
 def derive_trial_seed(run_seed: int, trial: int) -> int:
     """Deterministic seed of one trial, shared by every cell of the sweep."""
-    return int(_trial_seeds(run_seed, trial, trial + 1)[0])
+    return int(_trial_seeds(run_seed, np.array([trial]))[0])
 
 
 class SweepRecord(NamedTuple):
@@ -90,14 +91,14 @@ class SweepRecord(NamedTuple):
 class SweepRecords:
     """The records of one sweep in canonical order, streamed from a spool.
 
-    The spool holds only what cannot be recomputed: per chunk of n trials,
-    one (cells, n, 4) float64 block of trial values, so the run of cell c
-    for the chunk that starts at trial start sits at byte
-    32 * (start * cells + n * c). Trial seeds are derived again on read, and
-    the per-cell moments behind the 'mean' and 'stderr' rows are merged, over
-    all cells at once, as each chunk is appended. The records can be
-    iterated front to back any number of times; close() releases the spool,
-    and they cannot be read after it.
+    The spool holds exactly the CSV's value rows, in CSV order. With T
+    trials, row i belongs to cell i // (T + 2) at position i % (T + 2):
+    trial r, then 'mean', then 'stderr'. Its four float64 values sit at bytes
+    [32 i, 32 i + 32). The final size is known at construction, so the spool
+    is in memory up to _SPOOL_MEMORY_BYTES and a temporary file beyond. Trial
+    seeds are derived again on read. The records can be iterated front to
+    back any number of times; close() releases the spool, and they cannot be
+    read after it.
     """
 
     def __init__(self, cfg: SimConfig, cells: list[tuple[str, Architecture, int]],
@@ -106,39 +107,36 @@ class SweepRecords:
         self._trials = cfg.trials
         self._chunk_trials = chunk_trials
         self._labels = [(label, m) for label, _, m in cells]
-        self._moments = _Moments(len(cells))
-        self._spool = tempfile.SpooledTemporaryFile(max_size=_SPOOL_MEMORY_BYTES)
+        self._spool = (io.BytesIO() if 32 * len(self) <= _SPOOL_MEMORY_BYTES
+                       else tempfile.TemporaryFile())
         self._release = weakref.finalize(self, self._spool.close)
 
     def __len__(self) -> int:
         return len(self._labels) * (self._trials + 2)
 
     def __iter__(self):
-        for c, trials, values, seeds in self._runs(self._chunk_trials):
-            label, m = self._labels[c]
-            for trial, seed, row in zip(trials, seeds.tolist(), values.tolist()):
+        for cells, trials, values, seeds in self._rows(self._chunk_trials):
+            for c, trial, row, seed in zip(cells.tolist(), trials.tolist(), values.tolist(),
+                                           seeds.tolist()):
+                label, m = self._labels[c]
+                trial = trial if trial >= 0 else ("mean", "stderr")[trial]
                 yield SweepRecord(label, m, trial, *row, seed)
 
-    def _runs(self, max_rows: int):
-        """(cell, trials, values, seeds) runs of at most max_rows rows, in canonical order.
+    def _rows(self, max_rows: int):
+        """(cell, trial, values, seeds) columns of at most max_rows consecutive rows, in CSV order.
 
-        trials is a range of trial indices, or ("mean", "stderr") for the
-        cell's two aggregate rows, whose seed is the run seed.
+        A cell's 'mean' and 'stderr' rows have trial -2 and -1, and the run seed.
         """
-        cells = len(self._labels)
-        aggregates = np.stack([self._moments.mean, self._moments.stderr()], axis=1)
-        run_seed = np.full(2, self._run_seed, dtype=np.uint64)
-        for c in range(cells):
-            for start in range(0, self._trials, self._chunk_trials):
-                stop = min(self._trials, start + self._chunk_trials)
-                n = stop - start
-                for first in range(start, stop, max_rows):
-                    last = min(stop, first + max_rows)
-                    self._spool.seek(32 * (start * cells + n * c + first - start))
-                    values = np.frombuffer(self._spool.read(32 * (last - first)), dtype=np.float64)
-                    yield (c, range(first, last), values.reshape(-1, 4),
-                           _trial_seeds(self._run_seed, first, last))
-            yield c, ("mean", "stderr"), aggregates[c], run_seed
+        period = self._trials + 2
+        for start in range(0, len(self), max_rows):
+            cells, trials = np.divmod(np.arange(start, min(len(self), start + max_rows)), period)
+            self._spool.seek(32 * start)
+            values = np.frombuffer(self._spool.read(32 * len(cells)), dtype=np.float64)
+            seeds = np.full(len(cells), self._run_seed, dtype=np.uint64)
+            trial_rows = trials < self._trials
+            seeds[trial_rows] = _trial_seeds(self._run_seed, trials[trial_rows])
+            trials[~trial_rows] -= period
+            yield cells, trials, values.reshape(-1, 4), seeds
 
     def close(self) -> None:
         self._release()
@@ -149,10 +147,11 @@ class SweepRecords:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _append(self, values: np.ndarray) -> None:
-        """Spool the next chunk's (cells, n, 4) float64 trial values and merge their moments."""
-        self._spool.write(values.tobytes())
-        self._moments.add(values)
+    def _write(self, values: np.ndarray, position: int) -> None:
+        """Spool C-contiguous (cells, n, 4) float64 values as rows position onward of every cell."""
+        for c, block in enumerate(values):
+            self._spool.seek(32 * (c * (self._trials + 2) + position))
+            self._spool.write(block)
 
 
 def _cells(cfg: SimConfig) -> list[tuple[str, Architecture, int]]:
@@ -240,7 +239,9 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     (cells, n) array, and one link_columns call giving the (cells, n,
     4) trial values that go to the records' spool. A pure line-of-sight draw
     ignores its seed, so such a chunk draws and evaluates a single row and
-    repeats its values over the n trials. Trial 0's design is
+    repeats its values over the n trials. After the last chunk, every
+    cell's 'mean' and 'stderr' rows go to the spool from moments merged chunk
+    by chunk (_Moments). Trial 0's design is
     certified for every cell from its factors, without any M x M matrix
     (phase_optimizer.certify_cells): its unitarity bound must be within
     UNIT_TOLERANCE, and |g^T Phi h + h_d| must match the closed form. All
@@ -258,6 +259,7 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     records = SweepRecords(cfg, cells, chunk_trials)
     if not cells:
         return records
+    moments = _Moments(len(cells))
     # a pure line-of-sight draw ignores its seed, so one row stands for every trial
     one_row = fading.model == "pure_los"
 
@@ -265,7 +267,7 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
         for start in range(0, cfg.trials, chunk_trials):
             trials = range(start, min(cfg.trials, start + chunk_trials))
             try:
-                seeds = _trial_seeds(cfg.seed, start, trials.stop)
+                seeds = _trial_seeds(cfg.seed, np.arange(start, trials.stop))
                 h, g, h_d = draw_channels(
                     geom, fading, m_max, seeds[:1] if one_row else seeds,
                     tx_gain_dbi=cfg.tx_gain_dbi,
@@ -282,7 +284,9 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
                 # a real array, not a broadcast view: the moments reduce the layout they always have
                 values = np.repeat(values, len(trials), axis=1)
             _check_cells(cells, values, certificates, trials)
-            records._append(values)
+            moments.add(values)
+            records._write(values, start)
+        records._write(np.stack([moments.mean, moments.stderr()], axis=1), cfg.trials)
     except BaseException:
         records.close()
         raise
@@ -304,7 +308,7 @@ def emit_csv(records: SweepRecords, destination, cfg: SimConfig) -> int:
     """Write a sweep's records as CSV plus a metadata sidecar next to it; return the record count.
 
     Records stream from their spool into a temporary file beside the
-    destination, formatted up to _csv.BATCH_ROWS rows at a time, so memory
+    destination, read and formatted _csv.BATCH_ROWS rows at a time, so memory
     does not grow with the record count. Each line has the bytes that
     formatting its record with ``%s,%d,%s,%.17g,%.17g,%.17g,%.17g,%d`` gives.
     The sidecar is moved into place first and the CSV last, so a failure at
@@ -329,9 +333,10 @@ def emit_csv(records: SweepRecords, destination, cfg: SimConfig) -> int:
     try:
         with open(csv_tmp, "wb") as out:
             out.write(CSV_HEADER.encode() + b"\n")
-            for batch in _csv.run_batches(records._labels, records._runs(_csv.BATCH_ROWS)):
-                out.write(_csv.format_batch(batch))
-                count += len(batch.seeds)
+            heads = [f"{label},{m},".encode() for label, m in records._labels]
+            for cells, trials, values, seeds in records._rows(_csv.BATCH_ROWS):
+                out.write(_csv.format_batch(heads, cells, trials, values, seeds))
+                count += len(seeds)
         meta = [
             f"generated_at = {datetime.now(timezone.utc).isoformat()}",
             f"software = ris-ntn-sim {__version__}",

@@ -235,7 +235,7 @@ class TestDrawChannels:
                                                         elements, chunk):
         geom = build_geometry(SimConfig())
         fading = FadingSpec(model=model, phase_mode=phase_mode)
-        seeds = _trial_seeds(17, 2**31 - chunk, 2**31)
+        seeds = _trial_seeds(17, np.arange(2**31 - chunk, 2**31))
         h, g, h_d = draw_channels(geom, fading, elements, seeds,
                                   direct_blocked=direct_blocked, **self.GAINS)
         assert h.shape == g.shape == (chunk, elements) and h_d.shape == (chunk,)

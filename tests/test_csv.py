@@ -104,8 +104,8 @@ def test_runs_of_equal_values_spell_as_printf(data, array_path):
     values = np.ascontiguousarray(x.reshape(4, -1).T)
     rows = len(values)
     seeds = np.arange(rows, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    batch = _csv.Batch([(b"sc,8,", rows - 1), (b"sc,8,mean,", 1)],
-                       np.append(np.arange(rows - 1), -1), values, seeds)
+    columns = ([b"sc,8,"], np.zeros(rows, np.int64), np.append(np.arange(rows - 1), -2),
+               values, seeds)
     records = [("sc", 8, t, *v, seed) for t, v, seed in
                zip([*range(rows - 1), "mean"], values.tolist(), seeds.tolist())]
 
@@ -113,12 +113,12 @@ def test_runs_of_equal_values_spell_as_printf(data, array_path):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_csv, "_float_fields",
                       lambda v, path: paths.append(path) or float_fields(v, path))
-        assert _csv.format_batch(batch) == reference_csv(records)[len(CSV_HEADER) + 1:]
+        assert _csv.format_batch(*columns) == reference_csv(records)[len(CSV_HEADER) + 1:]
     assert paths == [array_path]
 
 
 EMIT_CASES = {
-    # 1,100-trial chunks: runs longer than a batch are split, short ones joined
+    # 1,100-trial chunks: batches end inside chunks and span cells
     "multi_chunk": (SimConfig(trials=2600, elements_sweep=(4, 8), architectures=("sc", "gc:2"),
                               seed=5), 1100),
     "golden_direct": (GOLDEN_DIRECT_CONFIG, None),

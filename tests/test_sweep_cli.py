@@ -154,8 +154,11 @@ class TestRunSweep:
             # SMALL's largest surface has 8 elements, so its 6 trials span 2 chunks
             monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", chunk_trials * 8)
         with run_sweep(SMALL) as records:
-            records._spool.seek(0, 2)
-            assert records._spool.tell() == 32 * 4 * SMALL.trials
+            records._spool.seek(0)
+            spooled = np.frombuffer(records._spool.read(), np.float64)
+            # each cell's trial rows and its two aggregate rows, in CSV order, and nothing else
+            assert len(spooled) == 4 * len(records) == 4 * 4 * (SMALL.trials + 2)
+            assert spooled.tolist() == [value for record in records for value in record[3:7]]
 
     def test_failed_certificate_is_a_sweep_error(self, monkeypatch):
         # swapped reflectors keep every block unitary but no longer align h with conj(g)
@@ -346,6 +349,29 @@ class TestChunking:
         one_chunk, four_chunks = peak(chunk), peak(4 * chunk)
         assert four_chunks <= 1.5 * one_chunk
 
+    def test_spool_file_memory_does_not_grow_with_trials(self, tmp_path, monkeypatch):
+        # each chunk writes every cell's rows at its own offset; held in memory,
+        # a write far into the spool would grow the buffer up to that offset
+        monkeypatch.setattr(sweep, "_SPOOL_MEMORY_BYTES", 64 * 2**10)
+        monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", 1000 * 8)
+        config = functools.partial(SimConfig, elements_sweep=(4, 8), architectures=("sc", "fc"),
+                                   fading_model="pure_los", fading_phase_mode="common_los")
+        # the formatter's tables and the first sweep's one-off allocations stay outside
+        emit_csv(run_sweep(config(trials=10)), tmp_path / "warm.csv", config(trials=10))
+
+        def peak(trials):
+            cfg = config(trials=trials)
+            tracemalloc.start()
+            try:
+                with run_sweep(cfg) as records:
+                    emit_csv(records, tmp_path / f"{trials}.csv", cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak(10_000), peak(100_000)  # 10 and 100 chunks of 4 cells
+        assert many < 1.2 * few
+
 
 class TestPureLineOfSight:
     """A pure line-of-sight chunk draws and evaluates one row and repeats it over its trials."""
@@ -394,15 +420,17 @@ class TestTrialSeeds:
     @pytest.mark.parametrize("run_seed", [0, 42, -1, 2**64 - 1, 2**70 + 3])
     @pytest.mark.parametrize("start, stop", [(0, 7), (7, 14), (2**31 - 5, 2**31)])
     def test_chunk_seeds_equal_per_trial_seeds(self, run_seed, start, stop):
-        seeds = sweep._trial_seeds(run_seed, start, stop)
+        seeds = sweep._trial_seeds(run_seed, np.arange(start, stop))
         assert seeds.dtype == np.uint64
         assert seeds.tolist() == [derive_trial_seed(run_seed, t) for t in range(start, stop)]
 
     def test_chunks_tile_the_trial_range(self):
-        tiled = np.concatenate([sweep._trial_seeds(9, 0, 7), sweep._trial_seeds(9, 7, 14)])
-        assert tiled.tolist() == sweep._trial_seeds(9, 0, 14).tolist()
-        with pytest.raises(ValueError):
-            sweep._trial_seeds(1, 0, 2**31 + 1)
+        tiled = np.concatenate([sweep._trial_seeds(9, np.arange(0, 7)),
+                                sweep._trial_seeds(9, np.arange(7, 14))])
+        assert tiled.tolist() == sweep._trial_seeds(9, np.arange(0, 14)).tolist()
+        for outside in ([2**31 - 1, 2**31], [-1, 0]):
+            with pytest.raises(ValueError):
+                sweep._trial_seeds(1, np.array(outside))
 
 
 class TestStreamKeyGuard:
@@ -523,11 +551,11 @@ class TestEmitCsv:
         cfg = SimConfig(trials=1100, elements_sweep=(4,), architectures=("sc",))
         calls, format_batch = [], _csv.format_batch
 
-        def failing(batch):
-            calls.append(len(batch.seeds))
+        def failing(heads, cells, trials, values, seeds):
+            calls.append(len(seeds))
             if len(calls) == 2:
                 raise OSError("disk full")
-            return format_batch(batch)
+            return format_batch(heads, cells, trials, values, seeds)
 
         monkeypatch.setattr(_csv, "format_batch", failing)
         with pytest.raises(OSError, match="disk full"):
@@ -553,6 +581,19 @@ class TestCli:
         out = capsys.readouterr().out
         value = float(out.split("=")[1].strip())
         assert abs(value - 173.586) <= 0.001
+
+    @pytest.mark.parametrize("distance, freq", [
+        ("inf", "19e9"),  # not finite
+        ("1e300", "1e300"),  # 4 pi d f overflows, so the gain is zero
+        ("1e-320", "1e-10"),  # 4 pi d f underflows to zero
+        ("nan", "19e9"),
+    ])
+    def test_budget_rejects_non_finite_or_extreme_inputs(self, capsys, distance, freq):
+        assert main(["budget", "--distance-m", distance, "--freq-hz", freq]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ris-ntn-sim: error: runtime: InvalidInput: ")
 
     def test_validate_ok(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
