@@ -10,8 +10,8 @@ import math
 import operator
 from dataclasses import dataclass, fields
 
-from .channel_model import FADING_MODELS, PHASE_MODES, FadingSpec
-from .errors import SimulatorError
+from .channel_model import FADING_MODELS, PHASE_MODES, FadingSpec, fspl_amplitude
+from .errors import InvalidInput, SimulatorError
 from .link_metrics import RfConfig, dbm_to_watts, noise_power_watts
 from .ris_core import Architecture
 
@@ -21,7 +21,7 @@ from .ris_core import Architecture
 # 0.8 GB is held while validate runs, so larger surfaces are refused rather
 # than leaving cells that cannot be inspected.
 MAX_ELEMENTS = 4096
-# MAX_TRIALS keeps every trial index inside sweep.derive_trial_seed's domain.
+# The largest trial count; sweep._trial_seeds accepts the trial indices [0, MAX_TRIALS].
 MAX_TRIALS = 2**31 - 1
 
 
@@ -142,6 +142,14 @@ class SimConfig:
             raise ConstraintError(
                 "leo_altitude_m", "satellite must sit above the relay platform, which must sit above ground"
             )
+        # the free-space gains of the nadir stack's hops (channel_model.build_geometry)
+        for key, distance_m in (("leo_altitude_m", self.leo_altitude_m),
+                                ("leo_altitude_m", self.leo_altitude_m - self.haps_altitude_m),
+                                ("haps_altitude_m", self.haps_altitude_m)):
+            try:
+                fspl_amplitude(distance_m, self.carrier_hz)
+            except InvalidInput as exc:
+                raise ConstraintError(key, str(exc)) from None
         if self.static_power_w < 0:
             raise ConstraintError("static_power_w", "must be nonnegative")
 

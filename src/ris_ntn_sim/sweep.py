@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .channel_model import build_geometry, draw_channels
-from .config import SimConfig, format_config
+from .config import MAX_TRIALS, SimConfig, format_config
 from .errors import DimensionMismatch, SimulatorError, SweepError
 from .link_metrics import RfConfig, link_columns
 from .phase_optimizer import certify_cells, closed_form_cells
@@ -48,7 +48,6 @@ CERTIFICATE_RTOL = 1e-9
 _SPOOL_MEMORY_BYTES = 1 << 24
 
 _MASK64 = (1 << 64) - 1
-_TRIAL_LIMIT = 2**31
 
 
 def _splitmix64(x: int) -> int:
@@ -65,7 +64,7 @@ def _trial_seeds(run_seed: int, trials: np.ndarray) -> np.ndarray:
     Each trial index is XORed with splitmix64(run seed), so for a fixed run
     seed no two trials in [0, 2^31) share a channel stream.
     """
-    if trials.size and not (trials.min() >= 0 and trials.max() < _TRIAL_LIMIT):
+    if trials.size and not (trials.min() >= 0 and trials.max() <= MAX_TRIALS):
         raise ValueError(f"trial indices must lie in [0, 2^31), got {trials.min()}..{trials.max()}")
     return trials.astype(np.uint64) ^ np.uint64(_splitmix64(run_seed & _MASK64))
 

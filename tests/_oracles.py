@@ -4,8 +4,8 @@ The brute-force grid searches check the closed-form optimizers
 independently of them: each one searches a uniform grid of feasible
 matrices and is refused for instances too large to search. loop_validate
 is the entry-by-entry, block-by-block form of ris_core.validate.
-per_trial_channels is the channel draw with one SeedSequence -> Philox ->
-Generator construction per stream, the reference for the batched draw.
+per_trial_channels is the channel draw with a new Philox generator per trial
+and one Python complex product per entry, the reference for the batched draw.
 reference_csv is the CSV written one '%' format per row, the reference for
 emit_csv's batched formatter. prefix_closed_form is the closed form of one
 cell computed on its own prefix arrays, the reference for the shared
@@ -43,8 +43,6 @@ from ris_ntn_sim.ris_core import UNIT_TOLERANCE
 ROW_FORMAT = "%s,%d,%s,%.17g,%.17g,%.17g,%.17g,%d\n"
 
 _MASK64 = (1 << 64) - 1
-_LINK_SAT_RIS, _LINK_RIS_UT, _LINK_DIRECT = 0, 1, 2
-_COMPONENT_LOS_PHASE, _COMPONENT_DIFFUSE = 0, 1
 
 
 def loop_validate(phi: PhaseShiftMatrix) -> None:
@@ -161,26 +159,25 @@ def brute_force_fc2(ch: ChannelSet, grid: int) -> OptimizeResult:
     return OptimizeResult(phi, best_val, phi.arch)
 
 
-def _stream(seed: int, link: int, component: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=(link, component))
-    return np.random.Generator(np.random.Philox(seq))
-
-
-def _fades(fading, count: int, seed: int, link: int) -> np.ndarray:
+def _fades(fading, rows: int, seed: int) -> np.ndarray:
+    """(rows,) fades of one trial: row 0 the direct link, rows 1 + 2i and 2 + 2i element i's hops."""
     if fading.model == "pure_los":
-        return np.ones(count, dtype=np.complex128)
+        return np.ones(rows, dtype=np.complex128)
+    key = np.array([int(seed) & _MASK64, 0], dtype=np.uint64)
+    n = np.random.Generator(np.random.Philox(key=key)).standard_normal((rows, 4))
     k_lin = 10.0 ** (fading.k_factor_db / 10.0)
     los_amp = math.sqrt(k_lin / (k_lin + 1.0))
-    diffuse_amp = math.sqrt(1.0 / (k_lin + 1.0))
+    diffuse_amp = math.sqrt(0.5 / (k_lin + 1.0))
     if fading.phase_mode == "common_los":
-        los = np.full(count, los_amp, dtype=np.complex128)
+        los_re, los_im = np.full(rows, los_amp), np.zeros(rows)
     else:
-        theta = _stream(seed, link, _COMPONENT_LOS_PHASE).uniform(0.0, 2.0 * math.pi, count)
-        los = los_amp * np.exp(1j * theta)
-    # (count, 2) in C order: element i always consumes draws 2i and 2i+1
-    pair = _stream(seed, link, _COMPONENT_DIFFUSE).standard_normal((count, 2))
-    diffuse = (pair[:, 0] + 1j * pair[:, 1]) / math.sqrt(2.0)
-    return los + diffuse_amp * diffuse
+        # los_amp * z1 / |z1| with z1 = n0 + j n1
+        scale = los_amp / np.sqrt(n[:, 0] * n[:, 0] + n[:, 1] * n[:, 1])
+        los_re, los_im = n[:, 0] * scale, n[:, 1] * scale
+    fades = np.empty(rows, dtype=np.complex128)
+    fades.real = los_re + diffuse_amp * n[:, 2]
+    fades.imag = los_im + diffuse_amp * n[:, 3]
+    return fades
 
 
 def per_trial_channels(
@@ -214,14 +211,12 @@ def per_trial_channels(
         phase = -2.0 * math.pi * distance_m * f / SPEED_OF_LIGHT
         return fspl_amplitude(distance_m, f) * complex(math.cos(phase), math.sin(phase))
 
-    h = gain_tx * gain_ris * hop(geom.d_leo_ris_m) * _fades(fading, elements, seed, _LINK_SAT_RIS)
-    g = gain_ris * gain_rx * hop(geom.d_ris_ut_m) * _fades(fading, elements, seed, _LINK_RIS_UT)
-    if direct_blocked:
-        h_d = 0j
-    else:
-        h_d = gain_tx * gain_rx * hop(geom.d_direct_m) * complex(
-            _fades(fading, 1, seed, _LINK_DIRECT)[0]
-        )
+    fades = _fades(fading, 1 + 2 * elements, seed).tolist()
+    a_h = gain_tx * gain_ris * hop(geom.d_leo_ris_m)
+    a_g = gain_ris * gain_rx * hop(geom.d_ris_ut_m)
+    h = np.array([a_h * fade for fade in fades[1::2]])
+    g = np.array([a_g * fade for fade in fades[2::2]])
+    h_d = 0j if direct_blocked else gain_tx * gain_rx * hop(geom.d_direct_m) * fades[0]
     return ChannelSet(h=h, g=g, h_d=h_d)
 
 

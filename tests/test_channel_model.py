@@ -6,8 +6,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from ris_ntn_sim import (
     SPEED_OF_LIGHT,
@@ -19,7 +17,7 @@ from ris_ntn_sim import (
     generate_channels,
     path_loss_db,
 )
-from ris_ntn_sim.channel_model import COMPONENTS, LINKS, _restart, draw_channels, stream_keys
+from ris_ntn_sim.channel_model import _restart, draw_channels
 from ris_ntn_sim.sweep import _trial_seeds
 
 from _oracles import per_trial_channels
@@ -182,29 +180,9 @@ class TestGenerateChannels:
             generate_channels(self.geom, FadingSpec(), 0, 1)
 
 
-class TestStreamKeys:
-    # One- and two-word seeds: below 2^32 numpy's entropy is one uint32 word.
-    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
-    @example([0])
-    @example([2**32 - 1])
-    @example([2**32])
-    @example([2**64 - 1])
-    @example([0, 2**32 - 1, 2**32, 2**64 - 1])
-    def test_keys_equal_seed_sequence_keys(self, seeds):
-        keys = stream_keys(seeds)
-        assert keys.shape == (len(seeds), LINKS, COMPONENTS, 2)
-        assert keys.dtype == np.uint64
-        for i, seed in enumerate(seeds):
-            for link in range(LINKS):
-                for component in range(COMPONENTS):
-                    expected = np.random.SeedSequence(seed, spawn_key=(link, component))
-                    assert np.array_equal(keys[i, link, component],
-                                          expected.generate_state(2, np.uint64))
-
-
 class TestRestart:
     @pytest.mark.parametrize("key", [(0, 0), (2**64 - 1, 2**64 - 1),
-                                     stream_keys([42])[0, 1, 1].tolist()],
+                                     (2**63 + 12345, 0)],
                              ids=["zero", "max", "stream"])
     @pytest.mark.parametrize("mid_buffer", [False, True])
     def test_restart_equals_a_fresh_generator(self, key, mid_buffer):
@@ -214,7 +192,8 @@ class TestRestart:
             generator.bit_generator.random_raw()
             state = generator.bit_generator.state
             assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
-        fresh = np.random.Generator(np.random.Philox(key=key))
+        # a key as a list of ints above 2^63 and 0 would pass through float64
+        fresh = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
         assert _restart(generator, key) is generator
         assert generator.random(5).tobytes() == fresh.random(5).tobytes()
         assert generator.standard_normal(5).tobytes() == fresh.standard_normal(5).tobytes()

@@ -16,10 +16,10 @@ from ris_ntn_sim.sweep import _metadata_path
 
 GOLDEN_CONFIG = SimConfig(trials=50, architectures=("sc", "fc", "gc:4"), seed=42)
 
-GOLDEN_CSV_SHA256 = "01f3e304a3dc96825e5da243ed1ce9b6943de20a52176ae6c71297a73cf02199"
+GOLDEN_CSV_SHA256 = "259a9edaf7c5a18b8c988a08fd906e0b432a3dd6204d9bbf22190df9ca28fdcf"
 
 GOLDEN_META_TAIL = """\
-software = ris-ntn-sim 0.4.0
+software = ris-ntn-sim 0.5.0
 records = 1248
 noise_psd_note = noise_psd_dbm_hz is a power spectral density in dBm/Hz; total noise power is noise_psd_dbm_hz + 10*log10(bandwidth_hz)
 
@@ -45,13 +45,13 @@ static_power_w = 0.0
 """
 
 
-# Pins what the first config leaves out: the direct-link streams, common_los
+# Pins what the first config leaves out: the direct link's fades, common_los
 # fading, a single-element surface and skipped gc cells.
 GOLDEN_DIRECT_CONFIG = SimConfig(trials=40, architectures=("sc", "gc:2"),
                                  elements_sweep=(1, 6, 8, 33), fading_phase_mode="common_los",
                                  direct_link="clear", seed=7)
 
-GOLDEN_DIRECT_CSV_SHA256 = "8fa8c949c0ea57a24f418e3608fd586b08e5395679bfa84198c88e8c17431a1f"
+GOLDEN_DIRECT_CSV_SHA256 = "827e3fd00f32d2f1c7bdbce2e4963dc2ed5d8e7980a2a7aa8f81651246225cef"
 GOLDEN_DIRECT_RECORDS = 252
 
 # Pins pure line of sight, which neither config above draws: every trial of
@@ -68,7 +68,7 @@ GOLDEN_LOS_RECORDS = 12016
 GOLDEN_CHUNKS_CONFIG = SimConfig(trials=2100, architectures=("sc", "fc", "gc:4"),
                                  elements_sweep=(4, 64), seed=5)
 
-GOLDEN_CHUNKS_CSV_SHA256 = "41563af00169c1c0c3d5088d5b71df30762bb0921d9ee882423977bb7dd6fef4"
+GOLDEN_CHUNKS_CSV_SHA256 = "f4d556c1472091b566cd777cf1c8388508f084ef1ba513e99dd7cdc074a951ca"
 GOLDEN_CHUNKS_RECORDS = 12612
 
 

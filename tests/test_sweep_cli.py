@@ -42,10 +42,22 @@ def csv_bytes(tmp_path, records, cfg, name="out.csv"):
     return path.read_bytes()
 
 
-def fresh_stream_key_guard(monkeypatch):
-    """Give the once-per-process stream-key guard an empty cache, so its next call checks again."""
-    monkeypatch.setattr(channel_model, "_check_stream_keys",
-                        functools.cache(channel_model._check_stream_keys.__wrapped__))
+def fresh_known_normals_guard(monkeypatch):
+    """Give the once-per-process known-answer guard an empty cache, so its next call checks again."""
+    monkeypatch.setattr(channel_model, "_check_known_normals",
+                        functools.cache(channel_model._check_known_normals.__wrapped__))
+
+
+def count_resets(monkeypatch):
+    """List that receives the key of every Philox reset from now on."""
+    resets, restart = [], channel_model._restart
+
+    def counting(generator, key):
+        resets.append(list(key))
+        return restart(generator, key)
+
+    monkeypatch.setattr(channel_model, "_restart", counting)
+    return resets
 
 
 def count_passes(monkeypatch):
@@ -249,19 +261,14 @@ class TestRunSweep:
             run_sweep(cfg)
 
     @pytest.mark.parametrize("fading_model, direct_link, resets_per_trial", [
-        ("rician", "blocked", 4),  # two links, each a line-of-sight phase and a diffuse stream
-        ("rician", "clear", 6),  # and the direct link's two streams
+        ("rician", "blocked", 1),  # one stream per trial, the direct link's row included
+        ("rician", "clear", 1),
         ("pure_los", "clear", 0),
     ])
     def test_philox_resets_once_per_stream_and_trial(self, monkeypatch, fading_model,
                                                      direct_link, resets_per_trial):
-        resets, restart = [], channel_model._restart
-
-        def counting(generator, key):
-            resets.append(key)
-            return restart(generator, key)
-
-        monkeypatch.setattr(channel_model, "_restart", counting)
+        channel_model._check_known_normals()  # the once-per-process guard's resets are not per trial
+        resets = count_resets(monkeypatch)
         monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", 7 * 8)  # 30 trials in 5 chunks
         phase_mode = "iid_uniform" if fading_model == "rician" else "common_los"
         cfg = SimConfig(trials=30, elements_sweep=(4, 8), architectures=("sc", "fc", "gc:2"),
@@ -433,74 +440,56 @@ class TestTrialSeeds:
                 sweep._trial_seeds(1, np.array(outside))
 
 
-class TestStreamKeyGuard:
+class TestKnownNormalsGuard:
     CFG_TEXT = "trials = 3\nelements_sweep = 4, 8\nseed = 5\n"
 
     @staticmethod
-    def corrupt_keys(monkeypatch, link, component):
-        real = channel_model.stream_keys
+    def corrupt_known_answer(monkeypatch):
+        known = dict(channel_model._KNOWN_NORMALS)
+        key = max(known)
+        known[key] = (*known[key][:3], float(np.nextafter(known[key][3], 0.0)))  # one ulp off
+        monkeypatch.setattr(channel_model, "_KNOWN_NORMALS", known)
+        fresh_known_normals_guard(monkeypatch)
 
-        def corrupted(seeds):
-            keys = real(seeds)
-            keys[:, link, component, 1] ^= np.uint64(1)
-            return keys
-
-        monkeypatch.setattr(channel_model, "stream_keys", corrupted)
-        fresh_stream_key_guard(monkeypatch)
-
-    @staticmethod
-    def count_seed_sequences(monkeypatch):
-        """List that receives the spawn key of every SeedSequence built from now on."""
-        built, real = [], np.random.SeedSequence
-
-        def counting(*args, **kwargs):
-            built.append(kwargs.get("spawn_key"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "SeedSequence", counting)
-        return built
-
-    @pytest.mark.parametrize("link, component", [(0, 1), (2, 0)])
-    def test_corrupt_key_fails_closed(self, tmp_path, capsys, monkeypatch, link, component):
-        self.corrupt_keys(monkeypatch, link, component)
+    def test_corrupt_known_answer_fails_closed(self, tmp_path, capsys, monkeypatch):
+        self.corrupt_known_answer(monkeypatch)
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(self.CFG_TEXT)
         out_csv = tmp_path / "out" / "out.csv"
         out_csv.parent.mkdir()
         assert main(["sweep", "--config", str(cfg_file), "--out", str(out_csv)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("ris-ntn-sim: error: runtime: SweepError")
-        assert f"(link={link}, component={component})" in err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("ris-ntn-sim: error: runtime: SweepError")
+        assert f"key {(2**64 - 1, 0)} differ from their known values" in lines[0]
         assert list(out_csv.parent.iterdir()) == []
 
-    @pytest.mark.parametrize("link, component", [(1, 0), (2, 1)])
-    def test_corrupt_key_fails_every_rician_draw(self, monkeypatch, link, component):
-        self.corrupt_keys(monkeypatch, link, component)
+    def test_corrupt_known_answer_fails_every_rician_draw(self, monkeypatch):
+        self.corrupt_known_answer(monkeypatch)
         geom = build_geometry(SimConfig())
-        with pytest.raises(SimulatorError, match=rf"\(link={link}, component={component}\)"):
+        with pytest.raises(SimulatorError, match="differ from their known values"):
             generate_channels(geom, FadingSpec(), 4, 1)
 
-    def test_seed_sequence_built_only_by_the_guard(self, monkeypatch):
+    def test_guard_runs_once_per_process(self, monkeypatch):
         # a few trials per chunk, so 300 trials span many chunks
         monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", 7 * 8)
-        fresh_stream_key_guard(monkeypatch)
-        built = self.count_seed_sequences(monkeypatch)
+        fresh_known_normals_guard(monkeypatch)
+        resets = count_resets(monkeypatch)
+        guard_keys = [list(key) for key in channel_model._KNOWN_NORMALS]
         per_sweep = []
         for _ in range(2):
-            built.clear()
+            resets.clear()
             run_sweep(SimConfig(trials=300, elements_sweep=(4, 8), seed=5)).close()
-            per_sweep.append(sorted(built))
-        # only the first sweep of the process runs the guard: four seeds, six streams each
-        streams = [(link, component) for link in range(3) for component in range(2)]
-        assert per_sweep == [sorted(4 * streams), []]
+            per_sweep.append([key for key in resets if key in guard_keys])
+        assert per_sweep == [guard_keys, []]
 
     def test_pure_los_draw_runs_no_guard(self, monkeypatch):
         guard_calls = []
-        monkeypatch.setattr(channel_model, "_check_stream_keys", lambda: guard_calls.append(1))
-        built = self.count_seed_sequences(monkeypatch)
+        monkeypatch.setattr(channel_model, "_check_known_normals", lambda: guard_calls.append(1))
+        resets = count_resets(monkeypatch)
         channel_model.draw_channels(build_geometry(SimConfig()), FadingSpec.pure_los(), 8,
                                     np.arange(3, dtype=np.uint64))
-        assert guard_calls == [] and built == []
+        assert guard_calls == [] and resets == []
 
 
 class TestEmitCsv:
@@ -686,6 +675,23 @@ class TestCli:
         assert err.startswith("ris-ntn-sim: error: config: ConstraintError")
         assert "'tx_gain_dbi'" in err and "ris_element_gain_dbi" in err
         assert "Warning" not in err
+        assert list(tmp_path.iterdir()) == [cfg_file]
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    @pytest.mark.parametrize("line, key, gain", [
+        ("leo_altitude_m = 1e300", "leo_altitude_m", "0.0"),  # 4 pi d f overflows
+        ("haps_altitude_m = 1e-320", "haps_altitude_m", "inf"),  # 4 pi d f is subnormal
+    ])
+    def test_hop_gain_that_is_not_finite_and_positive_is_config_error(
+            self, tmp_path, capsys, command, line, key, gain):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{line}\ntrials = 2\n")
+        out = ["--out", str(tmp_path / "o.csv")] if command == "sweep" else []
+        assert main([command, "--config", str(cfg_file), *out]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"ris-ntn-sim: error: config: ConstraintError: key {key!r}: gain at")
+        assert f"Hz is {gain}, not finite and positive" in lines[0]
         assert list(tmp_path.iterdir()) == [cfg_file]
 
     def test_sweep_unwritable_output_is_runtime_error(self, tmp_path, capsys):
