@@ -167,7 +167,7 @@ def _fades(fading, rows: int, seed: int) -> np.ndarray:
     n = np.random.Generator(np.random.Philox(key=key)).standard_normal((rows, 4))
     k_lin = 10.0 ** (fading.k_factor_db / 10.0)
     los_amp = math.sqrt(k_lin / (k_lin + 1.0))
-    diffuse_amp = math.sqrt(0.5 / (k_lin + 1.0))
+    diffuse_amp = math.sqrt(0.5 / (k_lin + 1.0))  # sqrt(1/(k+1)) and z2's 1/sqrt(2), as the draw rounds them
     if fading.phase_mode == "common_los":
         los_re, los_im = np.full(rows, los_amp), np.zeros(rows)
     else:
