@@ -1,6 +1,6 @@
 """Simulator and phase-shift optimizer for a relay-surface-assisted satellite downlink."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .channel_model import (
     KA_BAND_HZ,

@@ -4,11 +4,14 @@ Each hop combines a deterministic free-space amplitude and carrier phase with
 an optional Rician fade per element. A seed's fades come from one Philox
 stream keyed (seed, 0); any key gives an independent stream (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11). Its standard normals
-are laid out element-major, so growing the element count extends the stream
-instead of reshuffling earlier draws. draw_channels draws a chunk of seeds
-with one Philox generator, reset to each seed's key; generate_channels is its
-one-seed case. The first Rician draw of a process checks the first normals of
-two keys against known values and fails closed on any difference.
+are laid out element-major, two per fade, so growing the element count
+extends the stream instead of reshuffling earlier draws. draw_fades draws a
+chunk of seeds with one Philox generator, reset to each seed's key; the sweep
+works on their powers and the real hop magnitudes (hop_magnitudes), and
+generate_channels, the one complex draw, multiplies one seed's fades by the
+complex hop amplitudes (channel_set). The first Rician draw of a process
+checks the first normals of two keys against known values and fails closed
+on any difference.
 """
 from __future__ import annotations
 
@@ -108,34 +111,30 @@ def build_geometry(cfg) -> LinkGeometry:
 
 
 FADING_MODELS = ("pure_los", "rician")
-PHASE_MODES = ("common_los", "iid_uniform")
 
 
 @dataclass(frozen=True)
 class FadingSpec:
     """Per-element small-scale fading model, normalized to unit mean power.
 
-    A Rician fade with linear factor k is sqrt(k/(k+1)) * exp(j theta) plus
-    sqrt(1/(k+1)) times a standard complex Gaussian, so E|fade|^2 = 1 for any
-    k. theta is zero in common_los mode and i.i.d. uniform per element in
-    iid_uniform mode.
+    A Rician fade with linear factor k is sqrt(k/(k+1)) plus sqrt(1/(k+1))
+    times a standard complex Gaussian, so E|fade|^2 = 1 for any k. With one
+    antenna at each end no output depends on the phase of the line-of-sight
+    term, and the envelope's law does not either (Rice), so it is zero.
     """
 
     model: str = "rician"
     k_factor_db: float = 10.0
-    phase_mode: str = "iid_uniform"
 
     def __post_init__(self):
         if self.model not in FADING_MODELS:
             raise ValueError(f"unknown fading model {self.model!r} (expected {FADING_MODELS})")
-        if self.phase_mode not in PHASE_MODES:
-            raise ValueError(f"unknown phase mode {self.phase_mode!r} (expected {PHASE_MODES})")
         if not math.isfinite(self.k_factor_db):
             raise ValueError("k_factor_db must be finite")
 
     @classmethod
     def pure_los(cls) -> "FadingSpec":
-        return cls(model="pure_los", phase_mode="common_los")
+        return cls(model="pure_los")
 
 
 @functools.cache
@@ -160,90 +159,55 @@ def _restart(generator: np.random.Generator, key) -> np.random.Generator:
     return generator
 
 
-def _fades(fading: FadingSpec, rows: int, seeds) -> np.ndarray:
-    """(seeds, rows, 4) floats, each row's fade in [..., :2] as its real and imaginary parts.
+def draw_fades(fading: FadingSpec, elements: int, seeds) -> np.ndarray:
+    """(seeds, 1 + 2 * elements, 2) floats: each row's fade as its real and imaginary parts.
 
     Row 0 is the direct link; rows 1 + 2i and 2 + 2i are element i's
-    satellite-to-surface and surface-to-terminal hops. Rician row r takes
-    normals 4r .. 4r+3 of the stream under key (seed, 0); with z1 = n0 + j n1
-    and z2 = (n2 + j n3) / sqrt(2), its fade is sqrt(k/(k+1)) z1/|z1| +
-    sqrt(1/(k+1)) z2. common_los mode drops z1/|z1| but still consumes n0
-    and n1, so both modes have the same layout.
-    """
-    if fading.model == "pure_los":
-        return np.tile((1.0, 0.0, 0.0, 0.0), (len(seeds), rows, 1))  # every fade is 1
-    _check_known_normals()
-    # its seed is immaterial: every trial sets its own key and counter
-    generator = np.random.Generator(np.random.Philox(0))
-    k_lin = 10.0 ** (fading.k_factor_db / 10.0)
-    los_amp = math.sqrt(k_lin / (k_lin + 1.0))
-    diffuse_amp = math.sqrt(0.5 / (k_lin + 1.0))  # per real component, sqrt(2) folded in
-    normals = np.empty((len(seeds), rows, 4))
-    for seed, block in zip(np.asarray(seeds, dtype=np.uint64).tolist(), normals):
-        _restart(generator, [seed, 0]).standard_normal(out=block)
-    # one (seeds, rows) view per column: numpy loops over a column at once, not over pairs
-    re, im, n2, n3 = (normals[..., i] for i in range(4))
-    if fading.phase_mode == "common_los":
-        re.fill(los_amp)
-        im.fill(0.0)
-    else:
-        scale = re * re
-        scale += im * im
-        scale = los_amp / np.sqrt(scale, out=scale)
-        re *= scale
-        im *= scale
-    re += diffuse_amp * n2
-    im += diffuse_amp * n3
-    return normals
-
-
-def draw_channels(
-    geom: LinkGeometry,
-    fading: FadingSpec,
-    elements: int,
-    seeds,
-    *,
-    tx_gain_dbi: float = 0.0,
-    ris_element_gain_dbi: float = 0.0,
-    rx_gain_dbi: float = 0.0,
-    direct_blocked: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """h and g, (seeds, elements), and h_d, (seeds,), of one realization per uint64 seed.
-
-    Row i is generate_channels(geom, fading, elements, seeds[i], ...) bit for
-    bit. A Rician draw reads 4 + 8 * elements normals per seed (_fades), the
-    direct link's even when it is blocked; pure line-of-sight fading draws
-    nothing. Channel entries are not checked for finiteness.
+    satellite-to-surface and surface-to-terminal hops. Rician row r of a
+    uint64 seed takes normals 2r and 2r + 1 of the stream under key (seed, 0),
+    the direct link's even when it is blocked; its fade is
+    (sqrt(k/(k+1)) + sigma n0) + j sigma n1 with sigma = sqrt(1/(2(k+1))).
+    A pure line-of-sight fade is 1 and draws nothing.
     """
     if elements < 1:
         raise InvalidInput(f"element count must be positive, got {elements}")
     rows = 1 + 2 * elements
+    if fading.model == "pure_los":
+        return np.tile((1.0, 0.0), (len(seeds), rows, 1))
+    _check_known_normals()
+    # its seed is immaterial: every trial sets its own key and counter
+    generator = np.random.Generator(np.random.Philox(0))
+    k_lin = 10.0 ** (fading.k_factor_db / 10.0)
+    fades = np.empty((len(seeds), rows, 2))
+    for seed, block in zip(np.asarray(seeds, dtype=np.uint64).tolist(), fades):
+        _restart(generator, [seed, 0]).standard_normal(out=block)
+    fades *= math.sqrt(0.5 / (k_lin + 1.0))
+    fades[..., 0] += math.sqrt(k_lin / (k_lin + 1.0))
+    return fades
+
+
+def hop_magnitudes(geom: LinkGeometry, *, tx_gain_dbi: float = 0.0,
+                   ris_element_gain_dbi: float = 0.0, rx_gain_dbi: float = 0.0,
+                   direct_blocked: bool = False) -> tuple[float, float, float]:
+    """(a_d, a_h, a_g): free-space gain times end antenna gains of each hop, a_d = 0 if blocked.
+
+    The hops are direct, satellite-to-surface and surface-to-terminal.
+    """
+    tx, ris, rx = (10.0 ** (dbi / 20.0) for dbi in (tx_gain_dbi, ris_element_gain_dbi, rx_gain_dbi))
     f = geom.carrier_hz
-    gain_tx = 10.0 ** (tx_gain_dbi / 20.0)
-    gain_ris = 10.0 ** (ris_element_gain_dbi / 20.0)
-    gain_rx = 10.0 ** (rx_gain_dbi / 20.0)
+    a_d = 0.0 if direct_blocked else tx * rx * fspl_amplitude(geom.d_direct_m, f)
+    return (a_d, tx * ris * fspl_amplitude(geom.d_leo_ris_m, f),
+            ris * rx * fspl_amplitude(geom.d_ris_ut_m, f))
 
-    def hop(distance_m: float) -> complex:
-        phase = -2.0 * math.pi * distance_m * f / SPEED_OF_LIGHT
-        return fspl_amplitude(distance_m, f) * complex(math.cos(phase), math.sin(phase))
 
-    amplitude = np.empty(rows, dtype=np.complex128)
-    amplitude[0] = 0.0 if direct_blocked else gain_tx * gain_rx * hop(geom.d_direct_m)
-    amplitude[1::2] = gain_tx * gain_ris * hop(geom.d_leo_ris_m)
-    amplitude[2::2] = gain_ris * gain_rx * hop(geom.d_ris_ut_m)
-    fades = _fades(fading, rows, seeds)
-    # each fade times its row's amplitude, rounded as Python's complex product
-    # (numpy's may fuse a multiply-add), with the spent [..., 2:] as scratch
-    re, im, ai_re, ai_im = (fades[..., i] for i in range(4))
-    np.multiply(re, amplitude.imag, out=ai_re)
-    np.multiply(im, amplitude.imag, out=ai_im)
-    re *= amplitude.real
-    re -= ai_im
-    im *= amplitude.real
-    im += ai_re
-    channels = fades.view(np.complex128)[..., 0]
-    h_d = np.zeros(len(seeds), dtype=np.complex128) if direct_blocked else channels[:, 0].copy()
-    return channels[:, 1::2].copy(), channels[:, 2::2].copy(), h_d
+def channel_set(geom: LinkGeometry, fades: np.ndarray,
+                magnitudes: tuple[float, float, float]) -> ChannelSet:
+    """The channel of one trial's (1 + 2M, 2) fades, each times its hop's magnitude and phase."""
+    distances = (geom.d_direct_m, geom.d_leo_ris_m, geom.d_ris_ut_m)
+    phases = [-2.0 * math.pi * d * geom.carrier_hz / SPEED_OF_LIGHT for d in distances]
+    a_d, a_h, a_g = (a * complex(math.cos(p), math.sin(p)) for a, p in zip(magnitudes, phases))
+    f = fades.view(np.complex128)[:, 0]
+    return ChannelSet(h=a_h * f[1::2], g=a_g * f[2::2], h_d=a_d * f[0])
 
 
 def generate_channels(
@@ -259,16 +223,12 @@ def generate_channels(
 ) -> ChannelSet:
     """One seeded channel realization for a surface with the given element count.
 
-    Per hop the amplitude is the free-space gain times the endpoint antenna
-    gains, the phase is the carrier phase over the slant distance, and each
-    element gets one fade draw, from the stream of seed mod 2^64. The result
-    is a pure function of the arguments: identical inputs give bit-identical
-    output, and draws for element i never move when the element count grows.
-    With direct_blocked the direct path gain is exactly zero.
+    The package's one complex draw: draw_fades' fades of seed mod 2^64 times
+    the complex hop amplitudes (channel_set). The result is a pure function
+    of the arguments, and draws for element i never move when the element
+    count grows. With direct_blocked the direct path gain is exactly zero.
     """
-    h, g, h_d = draw_channels(
-        geom, fading, elements, [int(seed) & _MASK64],
-        tx_gain_dbi=tx_gain_dbi, ris_element_gain_dbi=ris_element_gain_dbi,
-        rx_gain_dbi=rx_gain_dbi, direct_blocked=direct_blocked,
-    )
-    return ChannelSet(h=h[0], g=g[0], h_d=h_d[0])
+    magnitudes = hop_magnitudes(geom, tx_gain_dbi=tx_gain_dbi,
+                                ris_element_gain_dbi=ris_element_gain_dbi,
+                                rx_gain_dbi=rx_gain_dbi, direct_blocked=direct_blocked)
+    return channel_set(geom, draw_fades(fading, elements, [int(seed) & _MASK64])[0], magnitudes)

@@ -10,9 +10,11 @@ import math
 import operator
 from dataclasses import dataclass, fields
 
-from .channel_model import FADING_MODELS, PHASE_MODES, FadingSpec, fspl_amplitude
+import numpy as np
+
+from .channel_model import FADING_MODELS, FadingSpec, LinkGeometry, fspl_amplitude, hop_magnitudes
 from .errors import InvalidInput, SimulatorError
-from .link_metrics import RfConfig, dbm_to_watts, noise_power_watts
+from .link_metrics import RfConfig, dbm_to_watts, link_columns, noise_power_watts
 from .ris_core import Architecture
 
 # The sweep itself needs O(M) memory per trial, but any swept cell can be
@@ -23,6 +25,14 @@ from .ris_core import Architecture
 MAX_ELEMENTS = 4096
 # The largest trial count; sweep._trial_seeds accepts the trial indices [0, MAX_TRIALS].
 MAX_TRIALS = 2**31 - 1
+
+# Fades move a row's |h_eff| off its unfaded value by less than this factor
+# either way: at any Rician factor, |f| > 1e3 or |f| < 1e-10 has probability below 1e-20.
+FADE_HEADROOM = 1e20
+# Every key that sets a row's link metrics.
+LINK_BUDGET_KEYS = ("tx_power_dbm, bandwidth_hz, noise_psd_dbm_hz, static_power_w, carrier_hz, "
+                    "leo_altitude_m, haps_altitude_m, tx_gain_dbi, ris_element_gain_dbi, "
+                    "rx_gain_dbi, direct_link and elements_sweep")
 
 
 def _as_int(key: str, value) -> int:
@@ -67,7 +77,7 @@ class MalformedLine(ConfigError):
 
 _DECIBEL_KEYS = (("tx_gain_dbi", 20.0), ("ris_element_gain_dbi", 20.0),
                  ("rx_gain_dbi", 20.0), ("rician_k_db", 10.0))
-# The antenna gains draw_channels multiplies for each hop: sat -> RIS, RIS -> UT and direct.
+# The antenna gains hop_magnitudes multiplies for each hop: sat -> RIS, RIS -> UT and direct.
 _HOP_GAIN_KEYS = (("tx_gain_dbi", "ris_element_gain_dbi"), ("ris_element_gain_dbi", "rx_gain_dbi"),
                   ("tx_gain_dbi", "rx_gain_dbi"))
 
@@ -173,8 +183,9 @@ class SimConfig:
 
         if self.fading_model not in FADING_MODELS:
             raise ConstraintError("fading_model", f"must be one of {FADING_MODELS}")
-        if self.fading_phase_mode not in PHASE_MODES:
-            raise ConstraintError("fading_phase_mode", f"must be one of {PHASE_MODES}")
+        # deprecated: it selects nothing since 0.6.0, as no output depends on the LOS phase
+        if self.fading_phase_mode not in ("common_los", "iid_uniform"):
+            raise ConstraintError("fading_phase_mode", "must be 'common_los' or 'iid_uniform'")
         if self.direct_link not in ("blocked", "clear"):
             raise ConstraintError("direct_link", "must be 'blocked' or 'clear'")
 
@@ -186,11 +197,32 @@ class SimConfig:
 
     @property
     def fading_spec(self) -> FadingSpec:
-        return FadingSpec(
-            model=self.fading_model,
-            k_factor_db=self.rician_k_db,
-            phase_mode=self.fading_phase_mode,
-        )
+        return FadingSpec(model=self.fading_model, k_factor_db=self.rician_k_db)
+
+    def link_budget(self, geom: LinkGeometry) -> tuple[float, float, float]:
+        """The hop magnitudes (a_d, a_h, a_g) on geom = build_geometry(self), a_d = 0 if blocked.
+
+        Raises ConfigError unless every row can be finite: the unfaded |h_eff|
+        = M a_g a_h + a_d at the smallest and largest swept M, divided and
+        multiplied by FADE_HEADROOM, must give finite link metrics (its SNR
+        P_tx |h_eff|^2 / N positive), and those grow with |h_eff|.
+        """
+        magnitudes = hop_magnitudes(geom, tx_gain_dbi=self.tx_gain_dbi,
+                                    ris_element_gain_dbi=self.ris_element_gain_dbi,
+                                    rx_gain_dbi=self.rx_gain_dbi,
+                                    direct_blocked=self.direct_link == "blocked")
+        a_d, a_h, a_g = magnitudes
+        swept = (min(self.elements_sweep), max(self.elements_sweep))
+        rf = RfConfig(self.tx_power_dbm, self.bandwidth_hz, self.noise_psd_dbm_hz,
+                      self.static_power_w)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            unfaded = np.array(swept) * a_g * a_h + a_d
+            values = link_columns(unfaded * [1.0 / FADE_HEADROOM, FADE_HEADROOM], rf)
+        if not np.isfinite(values).all():
+            raise ConfigError(f"unfaded |h_eff| is {unfaded.tolist()} at {list(swept)} elements, "
+                              f"and fades may scale it by {FADE_HEADROOM:g} either way: link "
+                              f"metrics would not be finite; check {LINK_BUDGET_KEYS}")
+        return magnitudes
 
 
 def _parse_int(key: str, value: str) -> int:

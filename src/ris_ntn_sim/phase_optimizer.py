@@ -46,30 +46,29 @@ def _power(x: np.ndarray) -> np.ndarray:
     return x.real ** 2 + x.imag ** 2
 
 
-def closed_form_cells(g, h, h_d, cells: Sequence[tuple[Architecture, int]]) -> np.ndarray:
-    """Row c is closed_form_objective(g[..., :m], h[..., :m], h_d, arch), cells[c] = (arch, m).
+def closed_form_cells(power_g, power_h, cells: Sequence[tuple[Architecture, int]]) -> np.ndarray:
+    """Row c is the optimal cascade gain of cells[c] = (arch, m) on the [..., :m] prefix.
 
-    Bit for bit: |g_m h_m| (any sc cell) and |g_m|^2, |h_m|^2 (any other) are
-    taken once at M >= m, and each cell sums its [..., :m] prefix as that call does.
+    power_g and power_h hold |g_m|^2 and |h_m|^2 along their last axis. sc
+    gives sum_m |g_m| |h_m|, gc:U gives sum_u ||g_u|| ||h_u|| and fc
+    ||g|| ||h||. Bit for bit: the sc terms are taken once at M >= m, and each
+    cell sums its [..., :m] prefix as a one-cell call on that prefix does.
     """
-    g = np.asarray(g, dtype=np.complex128)
-    h = np.asarray(h, dtype=np.complex128)
-    if g.shape != h.shape or g.ndim < 1:
-        raise DimensionMismatch(f"g and h must have equal shapes, got {g.shape} and {h.shape}")
-    kinds = {arch.kind for arch, _ in cells}
-    cascade = np.abs(g * h) if "sc" in kinds else None
-    power_g, power_h = (_power(g), _power(h)) if kinds - {"sc"} else (None, None)
-    direct = np.abs(h_d)
-    out = np.empty((len(cells),) + np.broadcast_shapes(np.shape(direct), g.shape[:-1]))
+    power_g = np.asarray(power_g, dtype=np.float64)
+    power_h = np.asarray(power_h, dtype=np.float64)
+    if power_g.shape != power_h.shape or power_g.ndim < 1:
+        raise DimensionMismatch(
+            f"g and h must have equal shapes, got {power_g.shape} and {power_h.shape}")
+    cascade = np.sqrt(power_g * power_h) if any(a.kind == "sc" for a, _ in cells) else None
+    out = np.empty((len(cells),) + power_g.shape[:-1])
     for c, (arch, m) in enumerate(cells):
         if arch.kind == "sc":
-            gain = cascade[..., :m].sum(axis=-1)
+            out[c] = cascade[..., :m].sum(axis=-1)
         else:
             # raises DimensionMismatch unless groups | M
-            blocks = g.shape[:-1] + (-1, arch.block_size(m))
-            gain = (np.sqrt(power_g[..., :m].reshape(blocks).sum(axis=-1))
-                    * np.sqrt(power_h[..., :m].reshape(blocks).sum(axis=-1))).sum(axis=-1)
-        out[c] = direct + gain
+            blocks = power_g.shape[:-1] + (-1, arch.block_size(m))
+            out[c] = (np.sqrt(power_g[..., :m].reshape(blocks).sum(axis=-1))
+                      * np.sqrt(power_h[..., :m].reshape(blocks).sum(axis=-1))).sum(axis=-1)
     return out
 
 
@@ -80,9 +79,13 @@ def closed_form_objective(g, h, h_d, arch: Architecture) -> np.ndarray:
     and fc is the one-group case |h_d| + ||g|| ||h||. h_d is a scalar or has
     the leading shape of g and h. Each row is reduced on its own along the
     last axis, so a row's result does not depend on the rows batched with it,
-    and optimize reports exactly this value: the one-cell closed_form_cells.
+    and optimize reports exactly this value: |h_d| plus the one-cell
+    closed_form_cells of the squared magnitudes.
     """
-    return closed_form_cells(g, h, h_d, [(arch, np.shape(g)[-1] if np.ndim(g) else 0)])[0]
+    g = np.asarray(g, dtype=np.complex128)
+    h = np.asarray(h, dtype=np.complex128)
+    gain = closed_form_cells(_power(g), _power(h), [(arch, g.shape[-1] if g.ndim else 0)])[0]
+    return np.abs(h_d) + gain
 
 
 # Laid-out entries certified in one pass. A pass holds about 115 bytes per

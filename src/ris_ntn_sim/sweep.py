@@ -1,10 +1,10 @@
 """Trial-major Monte-Carlo sweep over element counts and architectures, with CSV output.
 
-Each trial draws one channel realization, at the largest element count, from
-a seed derived from (run seed, trial) alone; a chunk of trials is drawn in
-one call. Every (architecture, element count) cell evaluates its closed form
-on an element prefix of that same draw, so all cells share their random
-numbers. The sweep is a pure function of the config: identical configs give
+Each trial draws one fade per hop, at the largest element count, from a seed
+derived from (run seed, trial) alone; a chunk of trials is drawn in one call.
+Every (architecture, element count) cell evaluates its closed form on an
+element prefix of that same draw, so all cells share their random numbers.
+The sweep is a pure function of the config: identical configs give
 byte-identical CSV.
 """
 
@@ -24,12 +24,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .channel_model import build_geometry, draw_channels
-from .config import MAX_TRIALS, SimConfig, format_config
+from .channel_model import build_geometry, channel_set, draw_fades
+from .config import LINK_BUDGET_KEYS, MAX_TRIALS, SimConfig, format_config
 from .errors import DimensionMismatch, SimulatorError, SweepError
 from .link_metrics import RfConfig, link_columns
 from .phase_optimizer import certify_cells, closed_form_cells
-from .ris_core import UNIT_TOLERANCE, Architecture, ChannelSet
+from .ris_core import UNIT_TOLERANCE, Architecture
 
 logger = logging.getLogger(__name__)
 
@@ -214,7 +214,7 @@ def _check_cells(cells, values: np.ndarray, certificates, trials: range) -> None
         c = int(faulty.argmax())
         if not np.isfinite(values[c]).all():
             reason = (f"non-finite link metrics in trials {trials.start}..{trials.stop - 1}; "
-                      f"check tx_power_dbm, noise_psd_dbm_hz and the antenna gains")
+                      f"check {LINK_BUDGET_KEYS}")
         elif not bound[c] <= UNIT_TOLERANCE:
             reason = (f"trial 0: matrix is not unitary to {UNIT_TOLERANCE:g} "
                       f"(residual bound {float(bound[c])!r})")
@@ -232,22 +232,25 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     each cell's trials. Group-connected cells whose group count does not
     divide the element count are skipped with a warning.
 
-    Each chunk of trials is one array step: one channel draw at the largest
-    element count, every cell's closed form on its element prefix, from
-    elementwise terms taken once (phase_optimizer.closed_form_cells), as one
-    (cells, n) array, and one link_columns call giving the (cells, n,
-    4) trial values that go to the records' spool. A pure line-of-sight draw
-    ignores its seed, so such a chunk draws and evaluates a single row and
-    repeats its values over the n trials. After the last chunk, every
-    cell's 'mean' and 'stderr' rows go to the spool from moments merged chunk
-    by chunk (_Moments). Trial 0's design is
-    certified for every cell from its factors, without any M x M matrix
-    (phase_optimizer.certify_cells): its unitarity bound must be within
-    UNIT_TOLERANCE, and |g^T Phi h + h_d| must match the closed form. All
-    cells of a chunk are checked at once; SweepError names the first faulty
-    cell in canonical order, its non-finite values before its certificate.
+    Each chunk of trials is one array step in real arithmetic: one fade draw
+    at the largest element count, every cell's cascade gain on its element
+    prefix of the fade powers (phase_optimizer.closed_form_cells), scaled
+    once by the hop magnitudes of cfg.link_budget to |h_eff| = a_d |f_d| +
+    a_g a_h gain, as one (cells, n) array, and one link_columns call giving
+    the (cells, n, 4) trial values that go to the records' spool. A pure
+    line-of-sight draw ignores its seed, so such a chunk draws and evaluates
+    a single row and repeats its values over the n trials. After the last
+    chunk, every cell's 'mean' and 'stderr' rows go to the spool from moments
+    merged chunk by chunk (_Moments). Trial 0's design is certified for
+    every cell on the complex channel of its fades (channel_set), from its
+    factors, without any M x M matrix (phase_optimizer.certify_cells): its
+    unitarity bound must be within UNIT_TOLERANCE, and |g^T Phi h + h_d|
+    must match the closed form. All cells of a chunk are checked at once;
+    SweepError names the first faulty cell in canonical order, its
+    non-finite values before its certificate.
     """
     geom = build_geometry(cfg)
+    a_d, a_h, a_g = magnitudes = cfg.link_budget(geom)  # raises ConfigError before any draw
     fading = cfg.fading_spec
     rf = RfConfig(cfg.tx_power_dbm, cfg.bandwidth_hz, cfg.noise_psd_dbm_hz,
                   cfg.static_power_w)
@@ -267,16 +270,14 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
             trials = range(start, min(cfg.trials, start + chunk_trials))
             try:
                 seeds = _trial_seeds(cfg.seed, np.arange(start, trials.stop))
-                h, g, h_d = draw_channels(
-                    geom, fading, m_max, seeds[:1] if one_row else seeds,
-                    tx_gain_dbi=cfg.tx_gain_dbi,
-                    ris_element_gain_dbi=cfg.ris_element_gain_dbi,
-                    rx_gain_dbi=cfg.rx_gain_dbi,
-                    direct_blocked=cfg.direct_link == "blocked",
-                )
-                certificates = (certify_cells(ChannelSet(h=h[0], g=g[0], h_d=h_d[0]), designs)
+                fades = draw_fades(fading, m_max, seeds[:1] if one_row else seeds)
+                re, im = fades[..., 0], fades[..., 1]
+                power = re * re + im * im
+                h_eff = a_g * a_h * closed_form_cells(power[:, 2::2], power[:, 1::2], designs)
+                h_eff += a_d * np.sqrt(power[:, 0])
+                certificates = (certify_cells(channel_set(geom, fades[0], magnitudes), designs)
                                 if start == 0 else None)
-                values = link_columns(closed_form_cells(g, h, h_d, designs), rf)
+                values = link_columns(h_eff, rf)
             except (SimulatorError, ValueError, ArithmeticError) as exc:
                 raise SweepError(f"trials {trials.start}..{trials.stop - 1}: {exc}") from exc
             if one_row:

@@ -4,14 +4,15 @@ The brute-force grid searches check the closed-form optimizers
 independently of them: each one searches a uniform grid of feasible
 matrices and is refused for instances too large to search. loop_validate
 is the entry-by-entry, block-by-block form of ris_core.validate.
-per_trial_channels is the channel draw with a new Philox generator per trial
-and one Python complex product per entry, the reference for the batched draw.
-reference_csv is the CSV written one '%' format per row, the reference for
-emit_csv's batched formatter. prefix_closed_form is the closed form of one
-cell computed on its own prefix arrays, the reference for the shared
-per-chunk terms of phase_optimizer.closed_form_cells. trial_by_trial_csv is a
-sweep's CSV with every trial drawn and evaluated on its own, the reference for
-run_sweep's single evaluated row of a pure line-of-sight chunk.
+per_trial_fades and per_trial_channels draw one trial with a Philox generator
+of its own, the reference for the batched draw_fades and for
+generate_channels. reference_csv is the CSV written one '%' format per row,
+the reference for emit_csv's batched formatter. prefix_closed_form is the
+cascade gain of one cell computed on its own prefix arrays, the reference for
+the shared per-chunk terms of phase_optimizer.closed_form_cells.
+trial_by_trial_csv is a sweep's CSV with every trial drawn and evaluated on
+its own, the reference for run_sweep's chunks and for its single evaluated
+row of a pure line-of-sight chunk.
 """
 
 import math
@@ -35,7 +36,6 @@ from ris_ntn_sim import (
     validate,
 )
 from ris_ntn_sim import sweep
-from ris_ntn_sim.channel_model import draw_channels
 from ris_ntn_sim.phase_optimizer import closed_form_cells
 from ris_ntn_sim.ris_core import UNIT_TOLERANCE
 
@@ -159,25 +159,30 @@ def brute_force_fc2(ch: ChannelSet, grid: int) -> OptimizeResult:
     return OptimizeResult(phi, best_val, phi.arch)
 
 
-def _fades(fading, rows: int, seed: int) -> np.ndarray:
-    """(rows,) fades of one trial: row 0 the direct link, rows 1 + 2i and 2 + 2i element i's hops."""
+def per_trial_fades(fading, rows: int, seed: int) -> np.ndarray:
+    """(rows,) complex fades of one trial: row 0 the direct link, rows 1 + 2i, 2 + 2i element i's hops."""
     if fading.model == "pure_los":
         return np.ones(rows, dtype=np.complex128)
     key = np.array([int(seed) & _MASK64, 0], dtype=np.uint64)
-    n = np.random.Generator(np.random.Philox(key=key)).standard_normal((rows, 4))
+    n = np.random.Generator(np.random.Philox(key=key)).standard_normal((rows, 2))
     k_lin = 10.0 ** (fading.k_factor_db / 10.0)
-    los_amp = math.sqrt(k_lin / (k_lin + 1.0))
-    diffuse_amp = math.sqrt(0.5 / (k_lin + 1.0))  # sqrt(1/(k+1)) and z2's 1/sqrt(2), as the draw rounds them
-    if fading.phase_mode == "common_los":
-        los_re, los_im = np.full(rows, los_amp), np.zeros(rows)
-    else:
-        # los_amp * z1 / |z1| with z1 = n0 + j n1
-        scale = los_amp / np.sqrt(n[:, 0] * n[:, 0] + n[:, 1] * n[:, 1])
-        los_re, los_im = n[:, 0] * scale, n[:, 1] * scale
+    sigma = math.sqrt(0.5 / (k_lin + 1.0))  # per real component
     fades = np.empty(rows, dtype=np.complex128)
-    fades.real = los_re + diffuse_amp * n[:, 2]
-    fades.imag = los_im + diffuse_amp * n[:, 3]
+    fades.real = math.sqrt(k_lin / (k_lin + 1.0)) + sigma * n[:, 0]
+    fades.imag = sigma * n[:, 1]
     return fades
+
+
+def _hop_magnitudes(geom, tx_gain_dbi: float, ris_element_gain_dbi: float, rx_gain_dbi: float,
+                    direct_blocked: bool) -> tuple[float, float, float]:
+    """(a_d, a_h, a_g): free-space gain times end antenna gains of each hop, a_d = 0 if blocked."""
+    f = geom.carrier_hz
+    gain_tx = 10.0 ** (tx_gain_dbi / 20.0)
+    gain_ris = 10.0 ** (ris_element_gain_dbi / 20.0)
+    gain_rx = 10.0 ** (rx_gain_dbi / 20.0)
+    a_d = 0.0 if direct_blocked else gain_tx * gain_rx * fspl_amplitude(geom.d_direct_m, f)
+    return (a_d, gain_tx * gain_ris * fspl_amplitude(geom.d_leo_ris_m, f),
+            gain_ris * gain_rx * fspl_amplitude(geom.d_ris_ut_m, f))
 
 
 def per_trial_channels(
@@ -195,41 +200,33 @@ def per_trial_channels(
 
     Per hop the amplitude is the free-space gain times the endpoint antenna
     gains, the phase is the carrier phase over the slant distance, and each
-    element gets one fade draw. The result is a pure function of the
-    arguments: identical inputs give bit-identical output, and draws for
-    element i never move when the element count grows. With direct_blocked
-    the direct path gain is exactly zero.
+    element gets one fade draw. With direct_blocked the direct path gain is
+    zero.
     """
     if elements < 1:
         raise InvalidInput(f"element count must be positive, got {elements}")
     f = geom.carrier_hz
-    gain_tx = 10.0 ** (tx_gain_dbi / 20.0)
-    gain_ris = 10.0 ** (ris_element_gain_dbi / 20.0)
-    gain_rx = 10.0 ** (rx_gain_dbi / 20.0)
 
-    def hop(distance_m: float) -> complex:
+    def phasor(distance_m: float) -> complex:
         phase = -2.0 * math.pi * distance_m * f / SPEED_OF_LIGHT
-        return fspl_amplitude(distance_m, f) * complex(math.cos(phase), math.sin(phase))
+        return complex(math.cos(phase), math.sin(phase))
 
-    fades = _fades(fading, 1 + 2 * elements, seed).tolist()
-    a_h = gain_tx * gain_ris * hop(geom.d_leo_ris_m)
-    a_g = gain_ris * gain_rx * hop(geom.d_ris_ut_m)
-    h = np.array([a_h * fade for fade in fades[1::2]])
-    g = np.array([a_g * fade for fade in fades[2::2]])
-    h_d = 0j if direct_blocked else gain_tx * gain_rx * hop(geom.d_direct_m) * fades[0]
-    return ChannelSet(h=h, g=g, h_d=h_d)
+    a_d, a_h, a_g = _hop_magnitudes(geom, tx_gain_dbi, ris_element_gain_dbi, rx_gain_dbi,
+                                    direct_blocked)
+    fades = per_trial_fades(fading, 1 + 2 * elements, seed)
+    h = a_h * phasor(geom.d_leo_ris_m) * fades[1::2]
+    g = a_g * phasor(geom.d_ris_ut_m) * fades[2::2]
+    return ChannelSet(h=h, g=g, h_d=a_d * phasor(geom.d_direct_m) * fades[0])
 
 
-def prefix_closed_form(g: np.ndarray, h: np.ndarray, h_d, arch, m: int) -> np.ndarray:
-    """|h_d| + sum_u ||g_u|| ||h_u|| over the blocks of the first m elements, from copies of them."""
-    g, h = g[..., :m].copy(), h[..., :m].copy()
+def prefix_closed_form(power_g: np.ndarray, power_h: np.ndarray, arch, m: int) -> np.ndarray:
+    """sum_u ||g_u|| ||h_u|| over the blocks of the first m elements, from copies of |g|^2 and |h|^2."""
+    power_g, power_h = power_g[..., :m].copy(), power_h[..., :m].copy()
     if arch.kind == "sc":
-        gain = np.abs(g * h).sum(axis=-1)
-    else:
-        blocks = g.shape[:-1] + (-1, arch.block_size(m))
-        norms = [np.sqrt((x.real ** 2 + x.imag ** 2).reshape(blocks).sum(axis=-1)) for x in (g, h)]
-        gain = (norms[0] * norms[1]).sum(axis=-1)
-    return np.abs(h_d) + gain
+        return np.sqrt(power_g * power_h).sum(axis=-1)
+    blocks = power_g.shape[:-1] + (-1, arch.block_size(m))
+    norms = [np.sqrt(x.reshape(blocks).sum(axis=-1)) for x in (power_g, power_h)]
+    return (norms[0] * norms[1]).sum(axis=-1)
 
 
 def reference_csv(records) -> bytes:
@@ -245,18 +242,18 @@ def trial_by_trial_csv(cfg, chunk_trials: int) -> bytes:
     """
     geom = build_geometry(cfg)
     rf = RfConfig(cfg.tx_power_dbm, cfg.bandwidth_hz, cfg.noise_psd_dbm_hz, cfg.static_power_w)
+    a_d, a_h, a_g = _hop_magnitudes(geom, cfg.tx_gain_dbi, cfg.ris_element_gain_dbi,
+                                    cfg.rx_gain_dbi, cfg.direct_link == "blocked")
     cells = sweep._cells(cfg)
     designs = [(arch, m) for _, arch, m in cells]
     m_max = max(m for _, m in designs)
     seeds = [derive_trial_seed(cfg.seed, t) for t in range(cfg.trials)]
     rows = []
     for seed in seeds:
-        h, g, h_d = draw_channels(geom, cfg.fading_spec, m_max, np.array([seed], np.uint64),
-                                  tx_gain_dbi=cfg.tx_gain_dbi,
-                                  ris_element_gain_dbi=cfg.ris_element_gain_dbi,
-                                  rx_gain_dbi=cfg.rx_gain_dbi,
-                                  direct_blocked=cfg.direct_link == "blocked")
-        rows.append(link_columns(closed_form_cells(g, h, h_d, designs), rf)[:, 0])
+        fades = per_trial_fades(cfg.fading_spec, 1 + 2 * m_max, seed)
+        power = (fades.real * fades.real + fades.imag * fades.imag)[None]
+        h_eff = a_g * a_h * closed_form_cells(power[:, 2::2], power[:, 1::2], designs)
+        rows.append(link_columns(h_eff + a_d * np.sqrt(power[:, 0]), rf)[:, 0])
     values = np.stack(rows, axis=1)  # (cells, trials, 4)
     moments = sweep._Moments(len(cells))
     for start in range(0, cfg.trials, chunk_trials):

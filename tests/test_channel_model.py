@@ -17,10 +17,10 @@ from ris_ntn_sim import (
     generate_channels,
     path_loss_db,
 )
-from ris_ntn_sim.channel_model import _restart, draw_channels
+from ris_ntn_sim.channel_model import _restart, draw_fades
 from ris_ntn_sim.sweep import _trial_seeds
 
-from _oracles import per_trial_channels
+from _oracles import per_trial_channels, per_trial_fades
 
 
 def fspl_db_oracle(d, f):
@@ -108,7 +108,7 @@ class TestGenerateChannels:
     def test_huge_k_factor_collapses_to_pure_los(self):
         los = generate_channels(self.geom, FadingSpec.pure_los(), 8, 5)
         nearly = generate_channels(
-            self.geom, FadingSpec(model="rician", k_factor_db=300.0, phase_mode="common_los"), 8, 5
+            self.geom, FadingSpec(model="rician", k_factor_db=300.0), 8, 5
         )
         assert np.allclose(nearly.h, los.h, rtol=1e-6)
         assert np.allclose(nearly.g, los.g, rtol=1e-6)
@@ -202,39 +202,42 @@ class TestRestart:
         assert draws[0].tolist() == draws[1].tolist()
 
 
-class TestDrawChannels:
+class TestDrawFades:
     GAINS = {"tx_gain_dbi": 3.3, "ris_element_gain_dbi": 0.5, "rx_gain_dbi": -1.7}
 
     @pytest.mark.parametrize("chunk", [1, 7])
     @pytest.mark.parametrize("elements", [1, 8, 63])
     @pytest.mark.parametrize("direct_blocked", [True, False])
-    @pytest.mark.parametrize("phase_mode", ["common_los", "iid_uniform"])
     @pytest.mark.parametrize("model", ["pure_los", "rician"])
-    def test_every_trial_equals_the_per_trial_reference(self, model, phase_mode, direct_blocked,
+    def test_every_trial_equals_the_per_trial_reference(self, model, direct_blocked,
                                                         elements, chunk):
         geom = build_geometry(SimConfig())
-        fading = FadingSpec(model=model, phase_mode=phase_mode)
+        fading = FadingSpec(model=model)
         seeds = _trial_seeds(17, np.arange(2**31 - chunk, 2**31))
-        h, g, h_d = draw_channels(geom, fading, elements, seeds,
-                                  direct_blocked=direct_blocked, **self.GAINS)
-        assert h.shape == g.shape == (chunk, elements) and h_d.shape == (chunk,)
+        fades = draw_fades(fading, elements, seeds)
+        assert fades.shape == (chunk, 1 + 2 * elements, 2)
         for i, seed in enumerate(seeds.tolist()):
+            ref_fades = per_trial_fades(fading, 1 + 2 * elements, seed)
+            assert fades[i].tobytes() == ref_fades.tobytes()
             ref = per_trial_channels(geom, fading, elements, seed,
                                      direct_blocked=direct_blocked, **self.GAINS)
-            assert h[i].tobytes() == ref.h.tobytes()
-            assert g[i].tobytes() == ref.g.tobytes()
-            assert h_d[i:i + 1].tobytes() == np.array([ref.h_d]).tobytes()
             one = generate_channels(geom, fading, elements, seed,
                                     direct_blocked=direct_blocked, **self.GAINS)
             assert one.h.tobytes() == ref.h.tobytes() and one.g.tobytes() == ref.g.tobytes()
             assert np.array([one.h_d]).tobytes() == np.array([ref.h_d]).tobytes()
 
+    def test_rician_fades_have_unit_mean_power_and_a_real_line_of_sight_mean(self):
+        # E|f|^2 = nu^2 + 2 sigma^2 = 1 and E[f] = nu: the line-of-sight term is real
+        fades = draw_fades(FadingSpec(k_factor_db=3.0), 20_000, [5])[0].view(np.complex128)[:, 0]
+        power = np.abs(fades) ** 2
+        assert abs(power.mean() - 1.0) <= 4.0 * power.std(ddof=1) / math.sqrt(power.size)
+        k = 10.0 ** 0.3
+        assert abs(fades.mean() - math.sqrt(k / (k + 1.0))) <= 4.0 / math.sqrt(2 * (k + 1) * fades.size)
+
 
 class TestFadingSpec:
-    def test_rejects_unknown_model_and_mode(self):
+    def test_rejects_unknown_model_and_non_finite_k(self):
         with pytest.raises(ValueError):
             FadingSpec(model="rayleigh")
-        with pytest.raises(ValueError):
-            FadingSpec(phase_mode="aligned")
         with pytest.raises(ValueError):
             FadingSpec(k_factor_db=float("inf"))

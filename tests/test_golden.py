@@ -16,10 +16,10 @@ from ris_ntn_sim.sweep import _metadata_path
 
 GOLDEN_CONFIG = SimConfig(trials=50, architectures=("sc", "fc", "gc:4"), seed=42)
 
-GOLDEN_CSV_SHA256 = "259a9edaf7c5a18b8c988a08fd906e0b432a3dd6204d9bbf22190df9ca28fdcf"
+GOLDEN_CSV_SHA256 = "0977ae3f19a81b7103ec6a86db1c72d12bb1d7c5e70e2a790384a18a7450bf9e"
 
 GOLDEN_META_TAIL = """\
-software = ris-ntn-sim 0.5.0
+software = ris-ntn-sim 0.6.0
 records = 1248
 noise_psd_note = noise_psd_dbm_hz is a power spectral density in dBm/Hz; total noise power is noise_psd_dbm_hz + 10*log10(bandwidth_hz)
 
@@ -45,13 +45,13 @@ static_power_w = 0.0
 """
 
 
-# Pins what the first config leaves out: the direct link's fades, common_los
-# fading, a single-element surface and skipped gc cells.
+# Pins what the first config leaves out: the direct link's fades, the inert
+# fading_phase_mode key, a single-element surface and skipped gc cells.
 GOLDEN_DIRECT_CONFIG = SimConfig(trials=40, architectures=("sc", "gc:2"),
                                  elements_sweep=(1, 6, 8, 33), fading_phase_mode="common_los",
                                  direct_link="clear", seed=7)
 
-GOLDEN_DIRECT_CSV_SHA256 = "827e3fd00f32d2f1c7bdbce2e4963dc2ed5d8e7980a2a7aa8f81651246225cef"
+GOLDEN_DIRECT_CSV_SHA256 = "5b6198e350ac87b4c60afd842f35773800aa53a7382e3068221ed5ca7b90f3a6"
 GOLDEN_DIRECT_RECORDS = 252
 
 # Pins pure line of sight, which neither config above draws: every trial of
@@ -68,7 +68,7 @@ GOLDEN_LOS_RECORDS = 12016
 GOLDEN_CHUNKS_CONFIG = SimConfig(trials=2100, architectures=("sc", "fc", "gc:4"),
                                  elements_sweep=(4, 64), seed=5)
 
-GOLDEN_CHUNKS_CSV_SHA256 = "f4d556c1472091b566cd777cf1c8388508f084ef1ba513e99dd7cdc074a951ca"
+GOLDEN_CHUNKS_CSV_SHA256 = "e69eb9514a08bfeffc66c119ef733623bad331932f739cba7e67982b6a3708e9"
 GOLDEN_CHUNKS_RECORDS = 12612
 
 

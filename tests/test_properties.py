@@ -96,18 +96,17 @@ def test_batched_objective_equals_optimize_bit_for_bit(data, groups):
 def test_shared_closed_forms_equal_each_prefix_call_bit_for_bit(data, trials, elements, seed):
     # up to 300 elements, so the prefix sums reach numpy's pairwise blocks of 128
     rng = np.random.default_rng(seed)
-    g, h = rng.normal(size=(2, trials, elements)) + 1j * rng.normal(size=(2, trials, elements))
-    g[rng.random(g.shape) < 0.1] = 0.0
-    h_d = data.draw(st.just(0.0) | st.builds(complex, _COMPONENT, _COMPONENT)
-                    | arrays(np.float64, (2, trials), elements=_COMPONENT).map(
-                        lambda d: d[0] + 1j * d[1]))
+    # the sweep's layout: one row of fade powers per trial, direct link first, then h and g interleaved
+    power = rng.exponential(size=(trials, 1 + 2 * elements))
+    power[rng.random(power.shape) < 0.1] = 0.0
+    power_g, power_h = power[:, 2::2], power[:, 1::2]
     cells = data.draw(prefix_cells(elements, 1))
-    shared = closed_form_cells(g, h, h_d, cells)
+    shared = closed_form_cells(power_g, power_h, cells)
     assert shared.shape == (len(cells), trials)
     for row, (arch, m) in zip(shared, cells):
-        alone = closed_form_objective(g[:, :m], h[:, :m], h_d, arch)
+        alone = closed_form_cells(power_g[:, :m], power_h[:, :m], [(arch, m)])[0]
         assert np.array_equal(row.view(np.uint64), alone.view(np.uint64))
-        reference = prefix_closed_form(g, h, h_d, arch, m)
+        reference = prefix_closed_form(power_g, power_h, arch, m)
         assert np.array_equal(row.view(np.uint64), reference.view(np.uint64))
 
 

@@ -29,6 +29,7 @@ from ris_ntn_sim import (
 )
 from ris_ntn_sim import _csv, channel_model, cli, phase_optimizer, sweep
 from ris_ntn_sim.cli import main
+from ris_ntn_sim.config import LINK_BUDGET_KEYS
 from ris_ntn_sim.sweep import _metadata_path
 
 from _oracles import trial_by_trial_csv
@@ -92,6 +93,14 @@ class TestRunSweep:
         b = csv_bytes(tmp_path, run_sweep(SMALL), SMALL, "b.csv")
         assert a == b
 
+    def test_fading_phase_mode_selects_nothing(self, tmp_path):
+        # no output depends on the phase of a fade's line-of-sight term, so the key is inert
+        common, iid = (SimConfig(trials=20, elements_sweep=(1, 4, 8), direct_link="clear",
+                                 architectures=("sc", "fc", "gc:2"), fading_phase_mode=mode, seed=3)
+                       for mode in ("common_los", "iid_uniform"))
+        assert (csv_bytes(tmp_path, run_sweep(common), common, "common.csv")
+                == csv_bytes(tmp_path, run_sweep(iid), iid, "iid.csv"))
+
     def test_seed_changes_output(self, tmp_path):
         other = SimConfig(trials=6, elements_sweep=(4, 8), architectures=("sc", "fc"), seed=4)
         assert list(run_sweep(SMALL)) != list(run_sweep(other))
@@ -129,8 +138,9 @@ class TestRunSweep:
         geom = build_geometry(SMALL)
         ch = generate_channels(geom, SMALL.fading_spec, 8, record.seed,
                                direct_blocked=True)
+        # the sweep works on fade powers, the library on complex channels: they agree to rounding
         result = optimize(ch, Architecture("fc"))
-        assert result.objective == record.h_eff_mag
+        assert result.objective == pytest.approx(record.h_eff_mag, rel=1e-12)
 
     def test_single_trial_has_zero_stderr(self):
         cfg = SimConfig(trials=1, elements_sweep=(4,), architectures=("sc",))
@@ -149,7 +159,8 @@ class TestRunSweep:
                 assert r.seed == derive_trial_seed(5, r.trial)
                 ch = full[r.trial]
                 prefix = ChannelSet(h=ch.h[:r.elements], g=ch.g[:r.elements], h_d=ch.h_d)
-                assert optimize(prefix, Architecture.from_label(r.arch)).objective == r.h_eff_mag
+                objective = optimize(prefix, Architecture.from_label(r.arch)).objective
+                assert objective == pytest.approx(r.h_eff_mag, rel=1e-12)
 
     def test_records_stream_the_same_rows_every_time(self):
         records = run_sweep(SMALL)
@@ -242,8 +253,8 @@ class TestRunSweep:
         labels = [(label, m) for label in ("fc", "gc:2", "sc") for m in (4, 8)]
         objectives, design = sweep.closed_form_cells, phase_optimizer._design
 
-        def nan_objectives(g, h, h_d, cells):
-            out = objectives(g, h, h_d, cells)
+        def nan_objectives(power_g, power_h, cells):
+            out = objectives(power_g, power_h, cells)
             out[cells.index((Architecture.from_label(nan_cell[0]), nan_cell[1]))] *= np.nan
             return out
 
@@ -384,13 +395,13 @@ class TestPureLineOfSight:
     """A pure line-of-sight chunk draws and evaluates one row and repeats it over its trials."""
 
     def test_one_seed_drawn_per_chunk(self, monkeypatch):
-        drawn, draw = [], sweep.draw_channels
+        drawn, draw = [], sweep.draw_fades
 
-        def counting(geom, fading, elements, seeds, **kwargs):
+        def counting(fading, elements, seeds):
             drawn.append(len(seeds))
-            return draw(geom, fading, elements, seeds, **kwargs)
+            return draw(fading, elements, seeds)
 
-        monkeypatch.setattr(sweep, "draw_channels", counting)
+        monkeypatch.setattr(sweep, "draw_fades", counting)
         monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", 7 * 8)  # 30 trials in 5 chunks
         cfg = SimConfig(trials=30, elements_sweep=(4, 8), architectures=("sc", "fc", "gc:2"),
                         fading_model="pure_los", direct_link="clear")
@@ -487,8 +498,7 @@ class TestKnownNormalsGuard:
         guard_calls = []
         monkeypatch.setattr(channel_model, "_check_known_normals", lambda: guard_calls.append(1))
         resets = count_resets(monkeypatch)
-        channel_model.draw_channels(build_geometry(SimConfig()), FadingSpec.pure_los(), 8,
-                                    np.arange(3, dtype=np.uint64))
+        channel_model.draw_fades(FadingSpec.pure_los(), 8, np.arange(3, dtype=np.uint64))
         assert guard_calls == [] and resets == []
 
 
@@ -716,17 +726,59 @@ class TestCli:
         assert (tmp_path / "old.meta.txt").read_text() == "older run\n"
         assert list(out_csv.iterdir()) == []
 
-    def test_non_finite_metrics_fail_the_sweep(self, tmp_path, capsys):
+    def test_non_finite_metrics_fail_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # fades far outside the link budget's headroom: every |h_eff| is 0, its SNR -inf dB
+        draw = sweep.draw_fades
+        monkeypatch.setattr(sweep, "draw_fades", lambda *args: 0.0 * draw(*args))
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("tx_power_dbm = -3100\ntrials = 3\nelements_sweep = 4, 8\n")
+        cfg_file.write_text("trials = 3\nelements_sweep = 4, 8\n")
         out_csv = tmp_path / "out" / "out.csv"
         out_csv.parent.mkdir()
         assert main(["sweep", "--config", str(cfg_file), "--out", str(out_csv)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("ris-ntn-sim: error: runtime: SweepError")
         assert "arch=fc elements=4" in err and "non-finite" in err
+        assert f"check {LINK_BUDGET_KEYS}" in err
         # neither a partial CSV nor a sidecar nor a temporary file is left behind
         assert list(out_csv.parent.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    @pytest.mark.parametrize("lines", [
+        "carrier_hz = 1e150",  # |h_eff|^2 underflows, so the SNR is 0
+        "ris_element_gain_dbi = -3000",
+        "tx_gain_dbi = 3000\nrx_gain_dbi = 3000",  # |h_eff|^2 overflows
+        "tx_power_dbm = -3100",  # the transmit power is subnormal and the SNR 0
+        "ris_element_gain_dbi = -1267",  # 1 dB outside the fade headroom, either way
+        "tx_gain_dbi = 2839",
+    ])
+    def test_link_budget_without_finite_rows_is_config_error(self, tmp_path, capsys, command,
+                                                              lines):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{lines}\ntrials = 2\nelements_sweep = 4\n")
+        out = ["--out", str(tmp_path / "o.csv")] if command == "sweep" else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(cfg_file), *out])
+        assert code == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # an out-of-band carrier is also logged, on the line before
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("ris-ntn-sim: error: config: ConfigError: unfaded |h_eff| is ")
+        assert last.endswith(f"check {LINK_BUDGET_KEYS}")
+        assert list(tmp_path.iterdir()) == [cfg_file]
+
+    @pytest.mark.parametrize("line", ["ris_element_gain_dbi = -1266", "tx_gain_dbi = 2838"])
+    def test_link_budget_just_inside_the_fade_headroom_sweeps_finite_rows(self, tmp_path, line):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{line}\ntrials = 2\nelements_sweep = 4\n")
+        out_csv = tmp_path / "out.csv"
+        assert main(["validate", "--config", str(cfg_file)]) == 0
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out_csv)]) == 0
+        rows = [row.split(",")[3:7] for row in out_csv.read_text().splitlines()[1:]]
+        assert len(rows) == 2 * (2 + 2)
+        assert np.isfinite(np.array(rows, dtype=float)).all()
 
     def test_one_parser_serves_every_call_of_a_process(self, tmp_path, monkeypatch):
         inits, init = [], argparse.ArgumentParser.__init__
