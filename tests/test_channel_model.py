@@ -17,6 +17,7 @@ from ris_ntn_sim import (
     generate_channels,
     path_loss_db,
 )
+from ris_ntn_sim import channel_model
 from ris_ntn_sim.channel_model import _restart, draw_fades
 from ris_ntn_sim.sweep import _trial_seeds
 
@@ -179,6 +180,13 @@ class TestGenerateChannels:
         with pytest.raises(InvalidInput):
             generate_channels(self.geom, FadingSpec(), 0, 1)
 
+    def test_seed_is_taken_modulo_2_64(self):
+        for seed, same in ((-1, 2**64 - 1), (5, 5 + 2**64)):
+            a = generate_channels(self.geom, FadingSpec(), 4, seed)
+            b = generate_channels(self.geom, FadingSpec(), 4, same)
+            assert a.h.tobytes() == b.h.tobytes() and a.g.tobytes() == b.g.tobytes()
+            assert a.h_d == b.h_d
+
 
 class TestRestart:
     @pytest.mark.parametrize("key", [(0, 0), (2**64 - 1, 2**64 - 1),
@@ -225,6 +233,20 @@ class TestDrawFades:
                                     direct_blocked=direct_blocked, **self.GAINS)
             assert one.h.tobytes() == ref.h.tobytes() and one.g.tobytes() == ref.g.tobytes()
             assert np.array([one.h_d]).tobytes() == np.array([ref.h_d]).tobytes()
+
+    def test_pure_los_fades_are_one_and_reset_no_stream(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a pure line-of-sight draw reset a Philox stream")
+
+        monkeypatch.setattr(channel_model, "_restart", refuse)
+        fades = draw_fades(FadingSpec.pure_los(), 3, [1, 2])
+        assert fades.dtype == np.float64
+        assert fades.tolist() == [[[1.0, 0.0]] * 7] * 2
+
+    @pytest.mark.parametrize("model", ["pure_los", "rician"])
+    def test_element_count_must_be_positive(self, model):
+        with pytest.raises(InvalidInput):
+            draw_fades(FadingSpec(model=model), 0, [1])
 
     def test_rician_fades_have_unit_mean_power_and_a_real_line_of_sight_mean(self):
         # E|f|^2 = nu^2 + 2 sigma^2 = 1 and E[f] = nu: the line-of-sight term is real

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from ris_ntn_sim import SimConfig, format_config, parse_config
+from ris_ntn_sim import SimConfig, build_geometry, format_config, parse_config
+from ris_ntn_sim.channel_model import hop_magnitudes
 from ris_ntn_sim.config import (
     BadValue,
+    ConfigError,
     ConstraintError,
     MalformedLine,
     UnknownKey,
@@ -209,6 +211,34 @@ class TestConstraints:
         # mismatched (gc:U, M) pairs are skipped at sweep time, not rejected here
         cfg = parse_config("architectures = gc:3\nelements_sweep = 8")
         assert cfg.architectures == ("gc:3",)
+
+
+class TestLinkBudget:
+    @pytest.mark.parametrize("direct_link", ["blocked", "clear"])
+    def test_is_the_hop_magnitudes_of_the_config(self, direct_link):
+        cfg = SimConfig(tx_gain_dbi=3.3, ris_element_gain_dbi=0.5, rx_gain_dbi=-1.7,
+                        direct_link=direct_link)
+        geom = build_geometry(cfg)
+        expected = hop_magnitudes(geom, tx_gain_dbi=3.3, ris_element_gain_dbi=0.5,
+                                  rx_gain_dbi=-1.7, direct_blocked=direct_link == "blocked")
+        assert cfg.link_budget(geom) == expected
+        assert (expected[0] == 0.0) == (direct_link == "blocked")
+
+    def test_checks_the_largest_swept_element_count(self):
+        # 2838 dBi is just inside the headroom at 4 elements, not at 4096
+        inside = SimConfig(tx_gain_dbi=2838.0, elements_sweep=(4,))
+        inside.link_budget(build_geometry(inside))
+        outside = SimConfig(tx_gain_dbi=2838.0, elements_sweep=(4096, 4))
+        with pytest.raises(ConfigError, match="at \\[4, 4096\\] elements"):
+            outside.link_budget(build_geometry(outside))
+
+    def test_checks_the_smallest_swept_element_count(self):
+        # -1266 dBi is just inside the headroom at 4 elements, not at 1
+        inside = SimConfig(ris_element_gain_dbi=-1266.0, elements_sweep=(4,))
+        inside.link_budget(build_geometry(inside))
+        outside = SimConfig(ris_element_gain_dbi=-1266.0, elements_sweep=(4, 1))
+        with pytest.raises(ConfigError, match="at \\[1, 4\\] elements"):
+            outside.link_budget(build_geometry(outside))
 
 
 class TestEcho:
