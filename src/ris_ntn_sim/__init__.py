@@ -1,6 +1,6 @@
 """Simulator and phase-shift optimizer for a relay-surface-assisted satellite downlink."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .channel_model import (
     KA_BAND_HZ,
@@ -12,25 +12,16 @@ from .channel_model import (
     generate_channels,
     path_loss_db,
 )
-from .config import ConfigError, SimConfig, format_config, parse_config
+from .config import SimConfig, format_config, parse_config
 from .errors import (
+    ConfigError,
     ConstraintViolated,
     DimensionMismatch,
     InvalidInput,
     SimulatorError,
     SweepError,
 )
-from .link_metrics import (
-    RfConfig,
-    dbm_to_watts,
-    energy_efficiency,
-    link_columns,
-    noise_power_dbm,
-    noise_power_watts,
-    rate_bps,
-    snr_db,
-    snr_linear,
-)
+from .link_metrics import RfConfig, dbm_to_watts, link_columns, noise_power_watts
 from .phase_optimizer import (
     OptimizeResult,
     closed_form_objective,
@@ -53,8 +44,7 @@ __all__ = [
     "SPEED_OF_LIGHT", "KA_BAND_HZ", "LinkGeometry", "FadingSpec",
     "fspl_amplitude", "path_loss_db", "build_geometry", "generate_channels",
     "OptimizeResult", "optimize", "closed_form_objective",
-    "RfConfig", "dbm_to_watts", "noise_power_dbm", "noise_power_watts",
-    "snr_linear", "snr_db", "rate_bps", "energy_efficiency", "link_columns",
+    "RfConfig", "dbm_to_watts", "noise_power_watts", "link_columns",
     "SimConfig", "parse_config", "format_config", "ConfigError",
     "SweepRecord", "SweepRecords", "run_sweep", "emit_csv", "derive_trial_seed", "CSV_HEADER",
     "SimulatorError", "DimensionMismatch", "ConstraintViolated", "InvalidInput", "SweepError",

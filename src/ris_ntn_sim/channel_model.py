@@ -132,10 +132,6 @@ class FadingSpec:
         if not math.isfinite(self.k_factor_db):
             raise ValueError("k_factor_db must be finite")
 
-    @classmethod
-    def pure_los(cls) -> "FadingSpec":
-        return cls(model="pure_los")
-
 
 @functools.cache
 def _check_known_normals() -> None:

@@ -9,8 +9,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .channel_model import build_geometry, path_loss_db
-from .config import ConfigError, SimConfig, format_config, parse_config
-from .errors import SimulatorError
+from .config import SimConfig, format_config, parse_config
+from .errors import ConfigError, SimulatorError
 from .sweep import emit_csv, run_sweep
 
 
@@ -36,7 +36,7 @@ def _cmd_sweep(args) -> int:
     if overrides:
         cfg = replace(cfg, **overrides)
     with run_sweep(cfg) as records:
-        count = emit_csv(records, args.out, cfg)
+        count = emit_csv(records, args.out)
     print(f"wrote {count} records to {args.out}")
     return 0
 

@@ -7,13 +7,14 @@ are hard errors so typos never silently fall back to defaults.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .channel_model import FADING_MODELS, FadingSpec, LinkGeometry, fspl_amplitude, hop_magnitudes
-from .errors import InvalidInput, SimulatorError
+from .errors import ConfigError, InvalidInput
 from .link_metrics import RfConfig, dbm_to_watts, link_columns, noise_power_watts
 from .ris_core import Architecture
 
@@ -35,44 +36,42 @@ LINK_BUDGET_KEYS = ("tx_power_dbm, bandwidth_hz, noise_psd_dbm_hz, static_power_
                     "rx_gain_dbi, direct_link and elements_sweep")
 
 
+def _key_error(key: str, reason: str) -> ConfigError:
+    return ConfigError(f"key {key!r}: {reason}", key)
+
+
 def _as_int(key: str, value) -> int:
     """value as a Python int: any integer operator.index accepts, numpy's included, but bool."""
     # bool is an int subclass, but True is not a count or a seed
     if isinstance(value, bool):
-        raise ConstraintError(key, "must be an integer, not a boolean")
+        raise _key_error(key, "must be an integer, not a boolean")
     try:
         return operator.index(value)
     except TypeError:
-        raise ConstraintError(key, "must be an integer") from None
+        raise _key_error(key, "must be an integer") from None
 
 
-class ConfigError(SimulatorError, ValueError):
-    """Base class for configuration problems."""
+def _as_float(key: str, value) -> float:
+    """value as a finite Python float: any real number, numpy's included, but bool."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise _key_error(key, f"must be a real number, got {type(value).__name__}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise _key_error(key, "must be finite")
+    return value
 
 
-class UnknownKey(ConfigError):
-    def __init__(self, key: str):
-        self.key = key
-        super().__init__(f"unknown config key {key!r}")
-
-
-class BadValue(ConfigError):
-    def __init__(self, key: str, expected: str, value: str):
-        self.key = key
-        self.expected = expected
-        super().__init__(f"key {key!r}: expected {expected}, got {value!r}")
-
-
-class ConstraintError(ConfigError):
-    def __init__(self, key: str, reason: str):
-        self.key = key
-        self.reason = reason
-        super().__init__(f"key {key!r}: {reason}")
-
-
-class MalformedLine(ConfigError):
-    def __init__(self, lineno: int, line: str):
-        super().__init__(f"line {lineno}: expected 'key = value', got {line!r}")
+def _as_tuple(key: str, value) -> tuple:
+    """value as a tuple: any iterable but a string, whose characters are not the values."""
+    if not isinstance(value, str):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise _key_error(key, f"must be a sequence of values, got {type(value).__name__}")
 
 
 _DECIBEL_KEYS = (("tx_gain_dbi", 20.0), ("ris_element_gain_dbi", 20.0),
@@ -113,31 +112,32 @@ class SimConfig:
     static_power_w: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "elements_sweep",
-                           tuple(_as_int("elements_sweep", m) for m in self.elements_sweep))
+        object.__setattr__(self, "elements_sweep", tuple(
+            _as_int("elements_sweep", m) for m in _as_tuple("elements_sweep", self.elements_sweep)))
         object.__setattr__(self, "trials", _as_int("trials", self.trials))
         object.__setattr__(self, "seed", _as_int("seed", self.seed))
-        object.__setattr__(self, "architectures", tuple(str(a).strip() for a in self.architectures))
+        object.__setattr__(self, "architectures", tuple(
+            str(a).strip() for a in _as_tuple("architectures", self.architectures)))
 
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConstraintError(f.name, "must be finite")
+            if f.type == "float":
+                object.__setattr__(self, f.name, _as_float(f.name, getattr(self, f.name)))
         # the channel model scales amplitudes by 10^(gain/20) and the Rician factor is 10^(k/10)
         for key, per_decade in _DECIBEL_KEYS:
             try:
                 10.0 ** (getattr(self, key) / per_decade)
             except OverflowError:
-                raise ConstraintError(
+                raise _key_error(
                     key, f"10 ** ({key} / {per_decade:g}) overflows a float") from None
         for a, b in _HOP_GAIN_KEYS:
             product = 10.0 ** (getattr(self, a) / 20.0) * 10.0 ** (getattr(self, b) / 20.0)
             if not math.isfinite(product):
-                raise ConstraintError(
+                raise _key_error(
                     a, f"10 ** ({a} / 20) * 10 ** ({b} / 20), a hop's gain, overflows a float")
         if self.carrier_hz <= 0:
-            raise ConstraintError("carrier_hz", "must be positive")
+            raise _key_error("carrier_hz", "must be positive")
         if self.bandwidth_hz <= 0:
-            raise ConstraintError("bandwidth_hz", "must be positive")
+            raise _key_error("bandwidth_hz", "must be positive")
         # the link budget divides by both powers, so neither may overflow or round to zero
         rf = RfConfig(self.tx_power_dbm, self.bandwidth_hz, self.noise_psd_dbm_hz)
         for key, watts in (("tx_power_dbm", lambda: dbm_to_watts(rf.tx_power_dbm)),
@@ -147,9 +147,9 @@ class SimConfig:
             except OverflowError:
                 power_w = math.inf
             if not 0 < power_w < math.inf:
-                raise ConstraintError(key, f"power in watts is {power_w!r}; it must be finite and positive")
+                raise _key_error(key, f"power in watts is {power_w!r}; it must be finite and positive")
         if not self.leo_altitude_m > self.haps_altitude_m > 0:
-            raise ConstraintError(
+            raise _key_error(
                 "leo_altitude_m", "satellite must sit above the relay platform, which must sit above ground"
             )
         # the free-space gains of the nadir stack's hops (channel_model.build_geometry)
@@ -159,41 +159,41 @@ class SimConfig:
             try:
                 fspl_amplitude(distance_m, self.carrier_hz)
             except InvalidInput as exc:
-                raise ConstraintError(key, str(exc)) from None
+                raise _key_error(key, str(exc)) from None
         if self.static_power_w < 0:
-            raise ConstraintError("static_power_w", "must be nonnegative")
+            raise _key_error("static_power_w", "must be nonnegative")
 
         if not self.elements_sweep:
-            raise ConstraintError("elements_sweep", "must not be empty")
+            raise _key_error("elements_sweep", "must not be empty")
         if len(set(self.elements_sweep)) != len(self.elements_sweep):
-            raise ConstraintError("elements_sweep", "element counts must be unique")
+            raise _key_error("elements_sweep", "element counts must be unique")
         for m in self.elements_sweep:
             if not 1 <= m <= MAX_ELEMENTS:
-                raise ConstraintError("elements_sweep", f"element counts must be in [1, {MAX_ELEMENTS}], got {m}")
+                raise _key_error("elements_sweep", f"element counts must be in [1, {MAX_ELEMENTS}], got {m}")
 
         if not self.architectures:
-            raise ConstraintError("architectures", "must not be empty")
+            raise _key_error("architectures", "must not be empty")
         if len(set(self.architectures)) != len(self.architectures):
-            raise ConstraintError("architectures", "architecture labels must be unique")
+            raise _key_error("architectures", "architecture labels must be unique")
         for label in self.architectures:
             try:
                 Architecture.from_label(label)
             except ValueError as exc:
-                raise ConstraintError("architectures", str(exc)) from None
+                raise _key_error("architectures", str(exc)) from None
 
         if self.fading_model not in FADING_MODELS:
-            raise ConstraintError("fading_model", f"must be one of {FADING_MODELS}")
+            raise _key_error("fading_model", f"must be one of {FADING_MODELS}")
         # deprecated: it selects nothing since 0.6.0, as no output depends on the LOS phase
         if self.fading_phase_mode not in ("common_los", "iid_uniform"):
-            raise ConstraintError("fading_phase_mode", "must be 'common_los' or 'iid_uniform'")
+            raise _key_error("fading_phase_mode", "must be 'common_los' or 'iid_uniform'")
         if self.direct_link not in ("blocked", "clear"):
-            raise ConstraintError("direct_link", "must be 'blocked' or 'clear'")
+            raise _key_error("direct_link", "must be 'blocked' or 'clear'")
 
         if not 1 <= self.trials <= MAX_TRIALS:
-            raise ConstraintError("trials", f"must be an integer in [1, {MAX_TRIALS}]")
+            raise _key_error("trials", f"must be an integer in [1, {MAX_TRIALS}]")
         # the sweep draws from seed mod 2^64, so a wider seed would alias one in range
         if not 0 <= self.seed < 2**64:
-            raise ConstraintError("seed", "must be an integer in [0, 2^64)")
+            raise _key_error("seed", "must be an integer in [0, 2^64)")
 
     @property
     def fading_spec(self) -> FadingSpec:
@@ -229,28 +229,21 @@ def _parse_int(key: str, value: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise BadValue(key, "integer", value) from None
+        raise _key_error(key, f"expected integer, got {value!r}") from None
 
 
 def _parse_float(key: str, value: str) -> float:
     try:
         return float(value)
     except ValueError:
-        raise BadValue(key, "number", value) from None
+        raise _key_error(key, f"expected number, got {value!r}") from None
 
 
-def _parse_int_list(key: str, value: str) -> tuple[int, ...]:
+def _split_list(key: str, value: str, expected: str) -> list[str]:
     tokens = [tok.strip() for tok in value.split(",")]
     if not all(tokens):
-        raise BadValue(key, "comma-separated integers", value)
-    return tuple(_parse_int(key, tok) for tok in tokens)
-
-
-def _parse_str_list(key: str, value: str) -> tuple[str, ...]:
-    tokens = [tok.strip() for tok in value.split(",")]
-    if not all(tokens):
-        raise BadValue(key, "comma-separated labels", value)
-    return tuple(tokens)
+        raise _key_error(key, f"expected comma-separated {expected}, got {value!r}")
+    return tokens
 
 
 def _parse_str(key: str, value: str) -> str:
@@ -263,8 +256,9 @@ _PARSERS = {
         "float": _parse_float,
         "int": _parse_int,
         "str": _parse_str,
-        "tuple[int, ...]": _parse_int_list,
-        "tuple[str, ...]": _parse_str_list,
+        "tuple[int, ...]": lambda key, value: tuple(
+            _parse_int(key, tok) for tok in _split_list(key, value, "integers")),
+        "tuple[str, ...]": lambda key, value: tuple(_split_list(key, value, "labels")),
     }[f.type]
     for f in fields(SimConfig)
 }
@@ -285,11 +279,11 @@ def parse_config(text: str) -> SimConfig:
         key = key.strip()
         value = value.strip()
         if not sep or not key:
-            raise MalformedLine(lineno, raw.strip())
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         if key not in _PARSERS:
-            raise UnknownKey(key)
+            raise ConfigError(f"unknown config key {key!r}", key)
         if key in overrides:
-            raise ConstraintError(key, "duplicate key")
+            raise _key_error(key, "duplicate key")
         overrides[key] = _PARSERS[key](key, value)
     return SimConfig(**overrides)
 

@@ -5,6 +5,18 @@ class SimulatorError(Exception):
     """Base class for every error raised by this package."""
 
 
+class ConfigError(SimulatorError, ValueError):
+    """A config that cannot be read, parsed or run.
+
+    key names the config key at fault; it is None for an unreadable file, a
+    malformed line or a link budget without finite rows.
+    """
+
+    def __init__(self, message: str, key: str | None = None):
+        self.key = key
+        super().__init__(message)
+
+
 class DimensionMismatch(SimulatorError, ValueError):
     """Array shapes or element counts do not agree."""
 

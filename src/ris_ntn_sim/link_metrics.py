@@ -40,49 +40,26 @@ class RfConfig:
             raise ValueError(f"static power must be nonnegative, got {self.static_power_w}")
 
 
-def noise_power_dbm(rf: RfConfig) -> float:
-    return rf.noise_psd_dbm_hz + 10.0 * math.log10(rf.bandwidth_hz)
-
-
 def noise_power_watts(rf: RfConfig) -> float:
-    return dbm_to_watts(noise_power_dbm(rf))
-
-
-def snr_linear(h_eff, rf: RfConfig):
-    """Received SNR for a channel gain or an array of them."""
-    return dbm_to_watts(rf.tx_power_dbm) * np.abs(h_eff) ** 2 / noise_power_watts(rf)
-
-
-def snr_db(h_eff, rf: RfConfig):
-    # a zero channel gives -inf dB, without numpy's divide-by-zero warning
-    with np.errstate(divide="ignore"):
-        return 10.0 * np.log10(snr_linear(h_eff, rf))
-
-
-def rate_bps(h_eff, rf: RfConfig):
-    # log1p keeps precision in the deep-noise regime where SNR << eps
-    return rf.bandwidth_hz * np.log1p(snr_linear(h_eff, rf)) / _LN2
-
-
-def energy_efficiency(rate, tx_power_dbm: float, static_power_w: float = 0.0):
-    """Achievable rate divided by consumed power, in bits per joule."""
-    power_w = dbm_to_watts(tx_power_dbm) + static_power_w
-    if not power_w > 0:
-        raise InvalidInput(f"total power must be positive, got {power_w} W")
-    return rate / power_w
+    return dbm_to_watts(rf.noise_psd_dbm_hz + 10.0 * math.log10(rf.bandwidth_hz))
 
 
 def link_columns(h_eff, rf: RfConfig) -> np.ndarray:
     """(h_eff_mag, snr_db, rate_bps, ee_bits_per_joule) along a new last axis.
 
     h_eff is a channel gain or an array of them; the columns are the value
-    columns of the sweep CSV.
+    columns of the sweep CSV. The SNR is P_tx |h_eff|^2 / N, the rate
+    B log2(1 + SNR), and the energy efficiency the rate divided by the
+    consumed power P_tx + static_power_w, which must be positive.
     """
-    rate = rate_bps(h_eff, rf)
-    return np.stack([
-        np.abs(h_eff),
-        snr_db(h_eff, rf),
-        rate,
-        energy_efficiency(rate, rf.tx_power_dbm, rf.static_power_w),
-    ], axis=-1)
-
+    tx_w = dbm_to_watts(rf.tx_power_dbm)
+    power_w = tx_w + rf.static_power_w
+    if not power_w > 0:
+        raise InvalidInput(f"total power must be positive, got {power_w} W")
+    magnitude = np.abs(h_eff)
+    snr = tx_w * magnitude ** 2 / noise_power_watts(rf)
+    # log1p keeps precision in the deep-noise regime where SNR << eps
+    rate = rf.bandwidth_hz * np.log1p(snr) / _LN2
+    # a zero channel gives -inf dB, without numpy's divide-by-zero warning
+    with np.errstate(divide="ignore"):
+        return np.stack([magnitude, 10.0 * np.log10(snr), rate, rate / power_w], axis=-1)

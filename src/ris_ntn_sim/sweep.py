@@ -97,13 +97,12 @@ class SweepRecords:
     is in memory up to _SPOOL_MEMORY_BYTES and a temporary file beyond. Trial
     seeds are derived again on read. The records can be iterated front to
     back any number of times; close() releases the spool, and they cannot be
-    read after it.
+    read after it. cfg is the config the sweep ran, which emit_csv echoes.
     """
 
     def __init__(self, cfg: SimConfig, cells: list[tuple[str, Architecture, int]],
                  chunk_trials: int):
-        self._run_seed = cfg.seed
-        self._trials = cfg.trials
+        self.cfg = cfg
         self._chunk_trials = chunk_trials
         self._labels = [(label, m) for label, _, m in cells]
         self._spool = (io.BytesIO() if 32 * len(self) <= _SPOOL_MEMORY_BYTES
@@ -111,7 +110,7 @@ class SweepRecords:
         self._release = weakref.finalize(self, self._spool.close)
 
     def __len__(self) -> int:
-        return len(self._labels) * (self._trials + 2)
+        return len(self._labels) * (self.cfg.trials + 2)
 
     def __iter__(self):
         for cells, trials, values, seeds in self._rows(self._chunk_trials):
@@ -126,14 +125,14 @@ class SweepRecords:
 
         A cell's 'mean' and 'stderr' rows have trial -2 and -1, and the run seed.
         """
-        period = self._trials + 2
+        period = self.cfg.trials + 2
         for start in range(0, len(self), max_rows):
             cells, trials = np.divmod(np.arange(start, min(len(self), start + max_rows)), period)
             self._spool.seek(32 * start)
             values = np.frombuffer(self._spool.read(32 * len(cells)), dtype=np.float64)
-            seeds = np.full(len(cells), self._run_seed, dtype=np.uint64)
-            trial_rows = trials < self._trials
-            seeds[trial_rows] = _trial_seeds(self._run_seed, trials[trial_rows])
+            seeds = np.full(len(cells), self.cfg.seed, dtype=np.uint64)
+            trial_rows = trials < self.cfg.trials
+            seeds[trial_rows] = _trial_seeds(self.cfg.seed, trials[trial_rows])
             trials[~trial_rows] -= period
             yield cells, trials, values.reshape(-1, 4), seeds
 
@@ -149,7 +148,7 @@ class SweepRecords:
     def _write(self, values: np.ndarray, position: int) -> None:
         """Spool C-contiguous (cells, n, 4) float64 values as rows position onward of every cell."""
         for c, block in enumerate(values):
-            self._spool.seek(32 * (c * (self._trials + 2) + position))
+            self._spool.seek(32 * (c * (self.cfg.trials + 2) + position))
             self._spool.write(block)
 
 
@@ -304,7 +303,7 @@ def _temporary_path(path: Path) -> Path:
     return path.with_name(f".{path.name}.{os.getpid()}.tmp")
 
 
-def emit_csv(records: SweepRecords, destination, cfg: SimConfig) -> int:
+def emit_csv(records: SweepRecords, destination) -> int:
     """Write a sweep's records as CSV plus a metadata sidecar next to it; return the record count.
 
     Records stream from their spool into a temporary file beside the
@@ -314,10 +313,10 @@ def emit_csv(records: SweepRecords, destination, cfg: SimConfig) -> int:
     The sidecar is moved into place first and the CSV last, so a failure at
     any point leaves no partial CSV and never a CSV without its sidecar; a
     destination that is a directory is refused (IsADirectoryError) before
-    anything is written, so it leaves no sidecar either. The
-    sidecar records the resolved config, the software version and the
-    noise-density interpretation; only its first line (the timestamp) varies
-    between identical runs.
+    anything is written, so it leaves no sidecar either. The sidecar records
+    the config the records were built from (records.cfg), the software
+    version and the noise-density interpretation; only its first line (the
+    timestamp) varies between identical runs.
     """
     destination = Path(destination)
     # the CSV's move comes last: into a directory it would fail after the sidecar's
@@ -345,7 +344,7 @@ def emit_csv(records: SweepRecords, destination, cfg: SimConfig) -> int:
             "total noise power is noise_psd_dbm_hz + 10*log10(bandwidth_hz)",
             "",
             "[resolved config]",
-            format_config(cfg),
+            format_config(records.cfg),
         ]
         meta_tmp.write_text("\n".join(meta) + "\n", encoding="utf-8")
         os.replace(meta_tmp, metadata)

@@ -18,7 +18,7 @@ from ris_ntn_sim import (
     effective_channel,
     emit_csv,
     generate_channels,
-    noise_power_dbm,
+    noise_power_watts,
     optimize,
     path_loss_db,
     run_sweep,
@@ -167,7 +167,7 @@ def test_criterion_6_link_budget_goldens():
     loss_b = path_loss_db(15e3, 18.7e9)
     assert loss_b == pytest.approx(oracle_db(15e3, 18.7e9), rel=1e-12)
     assert abs(loss_b - 141.4) <= 0.1
-    noise = noise_power_dbm(RfConfig(50.0, 2e7, -170.0))
+    noise = 10.0 * math.log10(noise_power_watts(RfConfig(50.0, 2e7, -170.0))) + 30.0
     assert abs(noise - (-96.99)) <= 0.01
     print(f"criterion 6 PASS: {loss_a:.2f} dB, {loss_b:.2f} dB, noise {noise:.2f} dBm")
 
@@ -176,9 +176,9 @@ def test_criterion_7_sweep_determinism(tmp_path, default_sweep):
     """Re-runs give byte-identical CSV."""
     cfg, records, _ = default_sweep
     reference = tmp_path / "ref.csv"
-    emit_csv(records, reference, cfg)
+    emit_csv(records, reference)
     repeat = tmp_path / "repeat.csv"
-    emit_csv(run_sweep(cfg), repeat, cfg)
+    emit_csv(run_sweep(cfg), repeat)
     ref_bytes = reference.read_bytes()
     assert repeat.read_bytes() == ref_bytes
     meta_tail = lambda p: _metadata_path(p).read_text().split("\n", 1)[1]
@@ -191,7 +191,7 @@ def test_criterion_8_no_gap_without_fading():
     geom = build_geometry(SimConfig())
     worst = 0.0
     for seed in range(10):
-        ch = generate_channels(geom, FadingSpec.pure_los(), 16, 60_000 + seed)
+        ch = generate_channels(geom, FadingSpec("pure_los"), 16, 60_000 + seed)
         gap = abs(optimize(ch, FC).objective - optimize(ch, SC).objective)
         worst = max(worst, gap)
         assert gap <= 1e-9

@@ -100,14 +100,14 @@ class TestGenerateChannels:
         self.geom = build_geometry(SimConfig())
 
     def test_pure_los_magnitudes_are_uniform(self):
-        ch = generate_channels(self.geom, FadingSpec.pure_los(), 4, 123)
+        ch = generate_channels(self.geom, FadingSpec("pure_los"), 4, 123)
         expected_h = fspl_amplitude(self.geom.d_leo_ris_m, self.geom.carrier_hz)
         expected_g = fspl_amplitude(self.geom.d_ris_ut_m, self.geom.carrier_hz)
         assert np.allclose(np.abs(ch.h), expected_h, rtol=1e-12)
         assert np.allclose(np.abs(ch.g), expected_g, rtol=1e-12)
 
     def test_huge_k_factor_collapses_to_pure_los(self):
-        los = generate_channels(self.geom, FadingSpec.pure_los(), 8, 5)
+        los = generate_channels(self.geom, FadingSpec("pure_los"), 8, 5)
         nearly = generate_channels(
             self.geom, FadingSpec(model="rician", k_factor_db=300.0), 8, 5
         )
@@ -150,7 +150,7 @@ class TestGenerateChannels:
 
     def test_pure_los_magnitude_ordering(self):
         # longer hop means smaller amplitude; direct path is the longest here
-        ch = generate_channels(self.geom, FadingSpec.pure_los(), 4, 3)
+        ch = generate_channels(self.geom, FadingSpec("pure_los"), 4, 3)
         assert abs(ch.h_d) < np.abs(ch.g).min()
         assert abs(ch.h_d) < np.abs(ch.h).min()
 
@@ -239,7 +239,7 @@ class TestDrawFades:
             raise AssertionError("a pure line-of-sight draw reset a Philox stream")
 
         monkeypatch.setattr(channel_model, "_restart", refuse)
-        fades = draw_fades(FadingSpec.pure_los(), 3, [1, 2])
+        fades = draw_fades(FadingSpec("pure_los"), 3, [1, 2])
         assert fades.dtype == np.float64
         assert fades.tolist() == [[[1.0, 0.0]] * 7] * 2
 

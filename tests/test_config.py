@@ -1,17 +1,14 @@
 """Config parsing: defaults, overrides, and typo rejection."""
 
+from dataclasses import fields
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from ris_ntn_sim import SimConfig, build_geometry, format_config, parse_config
+from ris_ntn_sim import ConfigError, SimConfig, build_geometry, format_config, parse_config
 from ris_ntn_sim.channel_model import hop_magnitudes
-from ris_ntn_sim.config import (
-    BadValue,
-    ConfigError,
-    ConstraintError,
-    MalformedLine,
-    UnknownKey,
-)
 
 
 class TestDefaults:
@@ -46,38 +43,54 @@ class TestSyntax:
         assert cfg.trials == 5
 
     def test_unknown_key_is_a_hard_error(self):
-        with pytest.raises(UnknownKey) as err:
+        with pytest.raises(ConfigError) as err:
             parse_config("tx_powr_dbm = 50")
         assert err.value.key == "tx_powr_dbm"
+        assert str(err.value) == "unknown config key 'tx_powr_dbm'"
 
     def test_duplicate_key_rejected(self):
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ConfigError) as err:
             parse_config("trials = 5\ntrials = 6")
+        assert err.value.key == "trials"
+        assert str(err.value) == "key 'trials': duplicate key"
 
     def test_malformed_line_rejected(self):
-        with pytest.raises(MalformedLine):
+        with pytest.raises(ConfigError) as err:
             parse_config("trials")
-        with pytest.raises(MalformedLine):
-            parse_config("= 5")
+        assert err.value.key is None
+        assert str(err.value) == "line 1: expected 'key = value', got 'trials'"
+        with pytest.raises(ConfigError) as err:
+            parse_config("# header\n = 5  # no key")
+        assert err.value.key is None
+        assert str(err.value) == "line 2: expected 'key = value', got '= 5  # no key'"
 
 
 class TestTypes:
     def test_bad_integer(self):
-        with pytest.raises(BadValue) as err:
+        with pytest.raises(ConfigError) as err:
             parse_config("trials = many")
         assert err.value.key == "trials"
-        with pytest.raises(BadValue):
+        assert str(err.value) == "key 'trials': expected integer, got 'many'"
+        with pytest.raises(ConfigError, match="expected integer"):
             parse_config("trials = 1.5")
 
     def test_bad_float(self):
-        with pytest.raises(BadValue):
+        with pytest.raises(ConfigError) as err:
             parse_config("carrier_hz = fast")
+        assert err.value.key == "carrier_hz"
+        assert str(err.value) == "key 'carrier_hz': expected number, got 'fast'"
 
     def test_bad_list(self):
-        with pytest.raises(BadValue):
+        with pytest.raises(ConfigError) as err:
             parse_config("elements_sweep = 8,,16")
-        with pytest.raises(BadValue):
+        assert err.value.key == "elements_sweep"
+        assert str(err.value) == ("key 'elements_sweep': expected comma-separated integers, "
+                                  "got '8,,16'")
+        with pytest.raises(ConfigError, match="expected integer, got 'sixteen'"):
             parse_config("elements_sweep = 8, sixteen")
+        with pytest.raises(ConfigError) as err:
+            parse_config("architectures = sc,")
+        assert str(err.value) == "key 'architectures': expected comma-separated labels, got 'sc,'"
 
     def test_scientific_notation_accepted(self):
         cfg = parse_config("bandwidth_hz = 20e6\nleo_altitude_m = 6.0e5")
@@ -112,8 +125,10 @@ class TestConstraints:
         "seed = 18446744073709551616",
     ])
     def test_rejected(self, text):
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ConfigError) as err:
             parse_config(text)
+        assert err.value.key in {f.name for f in fields(SimConfig)}
+        assert str(err.value).startswith(f"key {err.value.key!r}: ")
 
     @pytest.mark.parametrize("key, value", [
         ("tx_gain_dbi", 7000.0),
@@ -123,10 +138,10 @@ class TestConstraints:
         ("rician_k_db", 3090.0),
     ])
     def test_decibel_values_whose_linear_value_overflows_are_rejected(self, key, value):
-        with pytest.raises(ConstraintError) as err:
+        with pytest.raises(ConfigError) as err:
             SimConfig(**{key: value})
         assert err.value.key == key
-        assert "overflows" in err.value.reason
+        assert "overflows" in str(err.value)
 
     @pytest.mark.parametrize("key, value", [
         ("tx_gain_dbi", 6000.0),
@@ -144,10 +159,10 @@ class TestConstraints:
     ])
     def test_hop_gain_products_that_overflow_are_rejected(self, a, b):
         # each gain is representable on its own; their product is not
-        with pytest.raises(ConstraintError) as err:
+        with pytest.raises(ConfigError) as err:
             SimConfig(**{a: 6000.0, b: 6000.0})
         assert err.value.key == a
-        assert b in err.value.reason and "overflows" in err.value.reason
+        assert b in str(err.value) and "overflows" in str(err.value)
 
     @pytest.mark.parametrize("key, value", [
         ("tx_power_dbm", 3300.0),
@@ -156,7 +171,7 @@ class TestConstraints:
         ("noise_psd_dbm_hz", -3300.0),
     ])
     def test_powers_whose_watts_overflow_or_vanish_are_rejected(self, key, value):
-        with pytest.raises(ConstraintError) as err:
+        with pytest.raises(ConfigError) as err:
             SimConfig(**{key: value})
         assert err.value.key == key
 
@@ -167,7 +182,7 @@ class TestConstraints:
         # 10^(3080/20) squared is about 1e308, just below the largest float
         cfg = SimConfig(tx_gain_dbi=3080.0, ris_element_gain_dbi=3080.0, rx_gain_dbi=3080.0)
         assert cfg.tx_gain_dbi == 3080.0
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ConfigError):
             SimConfig(tx_gain_dbi=3080.0, ris_element_gain_dbi=3090.0)
 
     def test_seeds_are_the_uint64_range(self):
@@ -175,7 +190,7 @@ class TestConstraints:
         assert parse_config("seed = 0").seed == 0
         assert parse_config("seed = 18446744073709551615").seed == 2**64 - 1
         for seed in (-1, 2**64, 2**64 + 42):
-            with pytest.raises(ConstraintError, match="'seed'"):
+            with pytest.raises(ConfigError, match="'seed'"):
                 SimConfig(seed=seed)
 
     def test_largest_element_count_accepted(self):
@@ -192,7 +207,7 @@ class TestConstraints:
         {"trials": np.bool_(True)},
     ])
     def test_non_integers_rejected_for_integer_keys(self, overrides):
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ConfigError):
             SimConfig(**overrides)
 
     @pytest.mark.parametrize("key, value", [
@@ -206,6 +221,50 @@ class TestConstraints:
         got = getattr(cfg, key)
         assert got == value
         assert all(type(v) is int for v in (got if isinstance(got, tuple) else (got,)))
+
+    @pytest.mark.parametrize("key, value", [
+        ("tx_power_dbm", True),
+        ("carrier_hz", np.bool_(True)),
+        ("bandwidth_hz", "2e7"),
+        ("noise_psd_dbm_hz", None),
+        ("rician_k_db", 1 + 0j),
+        ("leo_altitude_m", Decimal("600e3")),
+        ("static_power_w", 10**400),
+        ("tx_gain_dbi", -(10**400)),
+        ("rx_gain_dbi", np.float64("nan")),
+    ])
+    def test_non_numbers_and_non_finite_values_rejected_for_float_keys(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            SimConfig(**{key: value})
+        assert err.value.key == key
+
+    @pytest.mark.parametrize("key, value", [
+        ("carrier_hz", np.float64(18.7e9)),
+        ("tx_power_dbm", np.float32(40.5)),
+        ("bandwidth_hz", 20_000_000),
+        ("noise_psd_dbm_hz", np.int64(-170)),
+        ("static_power_w", Fraction(1, 4)),
+    ])
+    def test_real_numbers_accepted_as_python_floats(self, key, value):
+        got = getattr(SimConfig(**{key: value}), key)
+        assert type(got) is float and got == value
+
+    @pytest.mark.parametrize("key, value", [
+        ("elements_sweep", 8),
+        ("elements_sweep", np.int64(8)),
+        ("elements_sweep", "8, 16"),
+        ("architectures", "fc"),
+        ("architectures", None),
+    ])
+    def test_single_values_rejected_for_tuple_keys(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            SimConfig(**{key: value})
+        assert err.value.key == key
+        assert "must be a sequence of values" in str(err.value)
+
+    def test_any_non_string_sequence_accepted_for_tuple_keys(self):
+        cfg = SimConfig(elements_sweep=np.array([4, 8]), architectures=["sc", "fc"])
+        assert cfg.elements_sweep == (4, 8) and cfg.architectures == ("sc", "fc")
 
     def test_gc_divisibility_is_not_a_config_error(self):
         # mismatched (gc:U, M) pairs are skipped at sweep time, not rejected here
@@ -247,6 +306,16 @@ class TestEcho:
                         elements_sweep=(4, 8, 12), rician_k_db=6.5,
                         direct_link="clear")
         assert parse_config(format_config(cfg)) == cfg
+
+    def test_numpy_and_int_values_echo_as_the_plain_config(self):
+        plain = SimConfig(carrier_hz=18.7e9, tx_power_dbm=40.5, bandwidth_hz=2e7,
+                          elements_sweep=(4, 8), architectures=("sc", "fc"))
+        cfg = SimConfig(carrier_hz=np.float64(18.7e9), tx_power_dbm=np.float32(40.5),
+                        bandwidth_hz=20_000_000, elements_sweep=np.array([4, 8]),
+                        architectures=["sc", "fc"])
+        assert format_config(cfg) == format_config(plain)
+        assert "carrier_hz = 18700000000.0" in format_config(cfg)
+        assert parse_config(format_config(cfg)) == cfg == plain
 
     def test_echo_mentions_every_field(self):
         text = format_config(SimConfig())

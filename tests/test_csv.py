@@ -138,7 +138,7 @@ def test_emit_matches_the_reference_writer(tmp_path, monkeypatch, case):
         monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", chunk_trials * max(cfg.elements_sweep))
     with run_sweep(cfg) as records:
         expected = reference_csv(records)
-        assert emit_csv(records, tmp_path / "spool.csv", cfg) == len(records)
+        assert emit_csv(records, tmp_path / "spool.csv") == len(records)
     assert (tmp_path / "spool.csv").read_bytes() == expected
 
 
@@ -155,7 +155,7 @@ def test_emit_memory_does_not_grow_with_trials(tmp_path, monkeypatch, fading_mod
         with run_sweep(cfg) as records:
             tracemalloc.start()
             try:
-                emit_csv(records, tmp_path / f"{trials}.csv", cfg)
+                emit_csv(records, tmp_path / f"{trials}.csv")
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

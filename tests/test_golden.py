@@ -19,7 +19,7 @@ GOLDEN_CONFIG = SimConfig(trials=50, architectures=("sc", "fc", "gc:4"), seed=42
 GOLDEN_CSV_SHA256 = "0977ae3f19a81b7103ec6a86db1c72d12bb1d7c5e70e2a790384a18a7450bf9e"
 
 GOLDEN_META_TAIL = """\
-software = ris-ntn-sim 0.6.0
+software = ris-ntn-sim 0.7.0
 records = 1248
 noise_psd_note = noise_psd_dbm_hz is a power spectral density in dBm/Hz; total noise power is noise_psd_dbm_hz + 10*log10(bandwidth_hz)
 
@@ -74,7 +74,7 @@ GOLDEN_CHUNKS_RECORDS = 12612
 
 def test_golden_csv_and_metadata(tmp_path):
     path = tmp_path / "golden.csv"
-    emit_csv(run_sweep(GOLDEN_CONFIG), path, GOLDEN_CONFIG)
+    emit_csv(run_sweep(GOLDEN_CONFIG), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256
     timestamp, tail = _metadata_path(path).read_text(encoding="utf-8").split("\n", 1)
     assert timestamp.startswith("generated_at = ")
@@ -83,14 +83,14 @@ def test_golden_csv_and_metadata(tmp_path):
 
 def test_golden_direct_link_csv(tmp_path):
     path = tmp_path / "golden_direct.csv"
-    count = emit_csv(run_sweep(GOLDEN_DIRECT_CONFIG), path, GOLDEN_DIRECT_CONFIG)
+    count = emit_csv(run_sweep(GOLDEN_DIRECT_CONFIG), path)
     assert count == GOLDEN_DIRECT_RECORDS
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DIRECT_CSV_SHA256
 
 
 def test_golden_pure_los_csv(tmp_path):
     path = tmp_path / "golden_los.csv"
-    count = emit_csv(run_sweep(GOLDEN_LOS_CONFIG), path, GOLDEN_LOS_CONFIG)
+    count = emit_csv(run_sweep(GOLDEN_LOS_CONFIG), path)
     assert count == GOLDEN_LOS_RECORDS
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_LOS_CSV_SHA256
 
@@ -100,7 +100,7 @@ def test_golden_chunked_csv_at_every_batch_size(tmp_path, monkeypatch, batch_row
     if batch_rows is not None:
         monkeypatch.setattr(_csv, "BATCH_ROWS", batch_rows)
     path = tmp_path / "golden_chunks.csv"
-    count = emit_csv(run_sweep(GOLDEN_CHUNKS_CONFIG), path, GOLDEN_CHUNKS_CONFIG)
+    count = emit_csv(run_sweep(GOLDEN_CHUNKS_CONFIG), path)
     assert count == GOLDEN_CHUNKS_RECORDS
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CHUNKS_CSV_SHA256
 

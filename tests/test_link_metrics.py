@@ -5,19 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from ris_ntn_sim import (
-    InvalidInput,
-    RfConfig,
-    dbm_to_watts,
-    energy_efficiency,
-    link_columns,
-    noise_power_dbm,
-    rate_bps,
-    snr_db,
-    snr_linear,
-)
+from ris_ntn_sim import InvalidInput, RfConfig, dbm_to_watts, link_columns, noise_power_watts
 
 DEFAULT_RF = RfConfig(tx_power_dbm=50.0, bandwidth_hz=2e7, noise_psd_dbm_hz=-170.0)
+
+
+# the snr_db and rate_bps columns of link_columns
+def snr_db(h_eff, rf):
+    return link_columns(h_eff, rf)[..., 1]
+
+
+def rate_bps(h_eff, rf):
+    return link_columns(h_eff, rf)[..., 2]
 
 
 class TestSnr:
@@ -37,7 +36,7 @@ class TestSnr:
         assert snr_db(0.0, DEFAULT_RF) == float("-inf")
 
     def test_noise_power(self):
-        got = noise_power_dbm(DEFAULT_RF)
+        got = 10.0 * math.log10(noise_power_watts(DEFAULT_RF)) + 30.0
         assert got == pytest.approx(-170.0 + 10.0 * math.log10(2e7), abs=1e-12)
         assert abs(got - (-96.99)) <= 0.01
 
@@ -45,9 +44,8 @@ class TestSnr:
 class TestRate:
     def test_unity_snr_gives_one_bit_per_hz(self):
         rf = RfConfig(tx_power_dbm=30.0, bandwidth_hz=2e7, noise_psd_dbm_hz=-100.0)
-        from ris_ntn_sim import noise_power_watts
         h_mag = math.sqrt(noise_power_watts(rf) / dbm_to_watts(rf.tx_power_dbm))
-        assert snr_linear(h_mag, rf) == pytest.approx(1.0, rel=1e-12)
+        assert snr_db(h_mag, rf) == pytest.approx(0.0, abs=1e-11)
         assert rate_bps(h_mag, rf) == pytest.approx(2e7, rel=1e-12)
 
     def test_zero_channel_gives_zero_rate(self):
@@ -67,17 +65,22 @@ class TestRate:
 
 class TestEnergyEfficiency:
     def test_default_power_divides_by_100_watts(self):
-        assert energy_efficiency(2e7, 50.0) == pytest.approx(2e5, rel=1e-15)
+        _, _, rate, ee = link_columns(3e-8, DEFAULT_RF)
+        assert ee == pytest.approx(rate / 100.0, rel=1e-15)
 
     def test_zero_rate(self):
-        assert energy_efficiency(0.0, 50.0) == 0.0
+        assert link_columns(0.0, DEFAULT_RF)[3] == 0.0
 
     def test_non_positive_power_rejected(self):
-        with pytest.raises(InvalidInput):
-            energy_efficiency(1.0, float("-inf"))
+        # 10^((-3300 - 30) / 10) W rounds to zero
+        rf = RfConfig(-3300.0, 2e7, -170.0)
+        with pytest.raises(InvalidInput, match="total power must be positive"):
+            link_columns(1.0, rf)
 
     def test_static_power_term(self):
-        assert energy_efficiency(2e7, 50.0, static_power_w=100.0) == pytest.approx(1e5, rel=1e-12)
+        rf = RfConfig(50.0, 2e7, -170.0, static_power_w=100.0)
+        _, _, rate, ee = link_columns(3e-8, rf)
+        assert ee == pytest.approx(rate / 200.0, rel=1e-12)
 
     def test_report_ties_ee_to_rate_exactly(self):
         _, _, rate, ee = link_columns(3e-8, DEFAULT_RF)
@@ -87,6 +90,29 @@ class TestEnergyEfficiency:
         mags = np.linspace(0.0, 1e-6, 30)
         ees = link_columns(mags, DEFAULT_RF)[:, 3]
         assert all(a < b for a, b in zip(ees, ees[1:]))
+
+
+class TestLinkColumns:
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 50), (2, 1, 4)])
+    def test_equals_the_column_formulas_bit_for_bit(self, shape):
+        rng = np.random.default_rng(len(shape))
+        h_eff = 10.0 ** rng.uniform(-12.0, -4.0, shape)
+        h_eff.flat[0] = 0.0
+        rf = RfConfig(43.0, 3e7, -171.5, static_power_w=2.5)
+        p_w = dbm_to_watts(rf.tx_power_dbm)
+        snr = p_w * np.abs(h_eff) ** 2 / dbm_to_watts(-171.5 + 10.0 * math.log10(3e7))
+        rate = 3e7 * np.log1p(snr) / math.log(2.0)
+        with np.errstate(divide="ignore"):
+            expected = [np.abs(h_eff), 10.0 * np.log10(snr), rate, rate / (p_w + 2.5)]
+        got = link_columns(h_eff, rf)
+        assert got.shape == (*shape, 4)
+        for column, want in enumerate(expected):
+            np.testing.assert_array_equal(got[..., column], want)
+
+    def test_complex_gains_use_their_magnitude(self):
+        h_eff = np.array([5e-8j, -5e-8])
+        got = link_columns(h_eff, DEFAULT_RF)
+        np.testing.assert_array_equal(got[0], got[1])
 
 
 class TestUnits:

@@ -161,7 +161,7 @@ class TestOrderingAndInvariance:
 
     def test_monotone_in_elements_without_fading(self):
         geom = build_geometry(SimConfig())
-        full = generate_channels(geom, FadingSpec.pure_los(), 12, 5)
+        full = generate_channels(geom, FadingSpec("pure_los"), 12, 5)
         objectives = [
             optimize(ChannelSet(h=full.h[:m], g=full.g[:m], h_d=full.h_d), SC).objective
             for m in range(1, 13)

@@ -16,6 +16,7 @@ from ris_ntn_sim import (
     CSV_HEADER,
     Architecture,
     ChannelSet,
+    ConfigError,
     FadingSpec,
     SimConfig,
     SimulatorError,
@@ -23,6 +24,7 @@ from ris_ntn_sim import (
     build_geometry,
     derive_trial_seed,
     emit_csv,
+    format_config,
     generate_channels,
     optimize,
     run_sweep,
@@ -37,9 +39,9 @@ from _oracles import trial_by_trial_csv
 SMALL = SimConfig(trials=6, elements_sweep=(4, 8), architectures=("sc", "fc"), seed=3)
 
 
-def csv_bytes(tmp_path, records, cfg, name="out.csv"):
+def csv_bytes(tmp_path, records, name="out.csv"):
     path = tmp_path / name
-    emit_csv(records, path, cfg)
+    emit_csv(records, path)
     return path.read_bytes()
 
 
@@ -89,8 +91,8 @@ class TestRunSweep:
         assert per_cell == [0, 1, 2, 3, 4, 5, "mean", "stderr"]
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
-        a = csv_bytes(tmp_path, run_sweep(SMALL), SMALL, "a.csv")
-        b = csv_bytes(tmp_path, run_sweep(SMALL), SMALL, "b.csv")
+        a = csv_bytes(tmp_path, run_sweep(SMALL), "a.csv")
+        b = csv_bytes(tmp_path, run_sweep(SMALL), "b.csv")
         assert a == b
 
     def test_fading_phase_mode_selects_nothing(self, tmp_path):
@@ -98,8 +100,8 @@ class TestRunSweep:
         common, iid = (SimConfig(trials=20, elements_sweep=(1, 4, 8), direct_link="clear",
                                  architectures=("sc", "fc", "gc:2"), fading_phase_mode=mode, seed=3)
                        for mode in ("common_los", "iid_uniform"))
-        assert (csv_bytes(tmp_path, run_sweep(common), common, "common.csv")
-                == csv_bytes(tmp_path, run_sweep(iid), iid, "iid.csv"))
+        assert (csv_bytes(tmp_path, run_sweep(common), "common.csv")
+                == csv_bytes(tmp_path, run_sweep(iid), "iid.csv"))
 
     def test_seed_changes_output(self, tmp_path):
         other = SimConfig(trials=6, elements_sweep=(4, 8), architectures=("sc", "fc"), seed=4)
@@ -116,7 +118,7 @@ class TestRunSweep:
         cfg = SimConfig(trials=3, elements_sweep=(8,), architectures=("gc:3",))
         with run_sweep(cfg) as records:
             assert len(records) == 0
-            assert emit_csv(records, tmp_path / "none.csv", cfg) == 0
+            assert emit_csv(records, tmp_path / "none.csv") == 0
         assert (tmp_path / "none.csv").read_text() == CSV_HEADER + "\n"
 
     def test_aggregates_match_trial_statistics(self):
@@ -337,10 +339,10 @@ class TestChunking:
     @pytest.mark.parametrize("chunk_trials", [1, 7])
     def test_chunks_change_no_trial_row(self, tmp_path, monkeypatch, chunk_trials):
         one = tmp_path / "one.csv"
-        emit_csv(run_sweep(self.CFG), one, self.CFG)
+        emit_csv(run_sweep(self.CFG), one)
         monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", chunk_trials * 8)
         chunked = tmp_path / "chunked.csv"
-        emit_csv(run_sweep(self.CFG), chunked, self.CFG)
+        emit_csv(run_sweep(self.CFG), chunked)
         rows = lambda p: [line.split(",") for line in p.read_text().splitlines()[1:]]
         for a, b in zip(rows(one), rows(chunked), strict=True):
             if a[2] in ("mean", "stderr"):
@@ -359,7 +361,7 @@ class TestChunking:
             tracemalloc.start()
             try:
                 with run_sweep(cfg) as records:
-                    emit_csv(records, tmp_path / f"{trials}.csv", cfg)
+                    emit_csv(records, tmp_path / f"{trials}.csv")
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -375,14 +377,14 @@ class TestChunking:
         config = functools.partial(SimConfig, elements_sweep=(4, 8), architectures=("sc", "fc"),
                                    fading_model="pure_los", fading_phase_mode="common_los")
         # the formatter's tables and the first sweep's one-off allocations stay outside
-        emit_csv(run_sweep(config(trials=10)), tmp_path / "warm.csv", config(trials=10))
+        emit_csv(run_sweep(config(trials=10)), tmp_path / "warm.csv")
 
         def peak(trials):
             cfg = config(trials=trials)
             tracemalloc.start()
             try:
                 with run_sweep(cfg) as records:
-                    emit_csv(records, tmp_path / f"{trials}.csv", cfg)
+                    emit_csv(records, tmp_path / f"{trials}.csv")
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -416,7 +418,7 @@ class TestPureLineOfSight:
         monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", 7 * 64)  # 40 trials in 6 chunks
         cfg = SimConfig(trials=40, elements_sweep=(6, 8, 64), architectures=("sc", "fc", "gc:4"),
                         fading_model=fading_model, direct_link=direct_link, seed=13)
-        assert csv_bytes(tmp_path, run_sweep(cfg), cfg) == trial_by_trial_csv(cfg, 7)
+        assert csv_bytes(tmp_path, run_sweep(cfg)) == trial_by_trial_csv(cfg, 7)
 
 
 class TestTrialSeeds:
@@ -498,7 +500,7 @@ class TestKnownNormalsGuard:
         guard_calls = []
         monkeypatch.setattr(channel_model, "_check_known_normals", lambda: guard_calls.append(1))
         resets = count_resets(monkeypatch)
-        channel_model.draw_fades(FadingSpec.pure_los(), 8, np.arange(3, dtype=np.uint64))
+        channel_model.draw_fades(FadingSpec("pure_los"), 8, np.arange(3, dtype=np.uint64))
         assert guard_calls == [] and resets == []
 
 
@@ -506,20 +508,20 @@ class TestEmitCsv:
     def test_header_exact(self, tmp_path):
         cfg = SimConfig(trials=2, elements_sweep=(4,), architectures=("gc:3",))
         path = tmp_path / "empty.csv"
-        emit_csv(run_sweep(cfg), path, cfg)
+        emit_csv(run_sweep(cfg), path)
         assert path.read_text() == CSV_HEADER + "\n"
 
     def test_one_line_per_record(self, tmp_path):
         cfg = SimConfig(trials=1, elements_sweep=(4,), architectures=("sc",))
         records = run_sweep(cfg)
         path = tmp_path / "one.csv"
-        emit_csv(records, path, cfg)
+        emit_csv(records, path)
         assert len(path.read_text().splitlines()) == 1 + len(records) == 1 + 3
 
     def test_floats_round_trip_exactly(self, tmp_path):
         records = run_sweep(SMALL)
         path = tmp_path / "rt.csv"
-        emit_csv(records, path, SMALL)
+        emit_csv(records, path)
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         for line, record in zip(lines[1:], records):
@@ -534,7 +536,7 @@ class TestEmitCsv:
 
     def test_metadata_sidecar(self, tmp_path):
         path = tmp_path / "run.csv"
-        emit_csv(run_sweep(SMALL), path, SMALL)
+        emit_csv(run_sweep(SMALL), path)
         meta = _metadata_path(path)
         assert meta.name == "run.meta.txt"
         text = meta.read_text()
@@ -544,7 +546,7 @@ class TestEmitCsv:
 
     def test_failed_stream_leaves_previous_output_untouched(self, tmp_path, monkeypatch):
         path = tmp_path / "run.csv"
-        emit_csv(run_sweep(SMALL), path, SMALL)
+        emit_csv(run_sweep(SMALL), path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         # 1,102 rows: the second batch fails after the first was written
         cfg = SimConfig(trials=1100, elements_sweep=(4,), architectures=("sc",))
@@ -558,18 +560,27 @@ class TestEmitCsv:
 
         monkeypatch.setattr(_csv, "format_batch", failing)
         with pytest.raises(OSError, match="disk full"):
-            emit_csv(run_sweep(cfg), path, cfg)
+            emit_csv(run_sweep(cfg), path)
         assert calls == [_csv.BATCH_ROWS, 1102 - _csv.BATCH_ROWS]
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_sidecar_echoes_the_config_the_records_were_built_from(self, tmp_path):
+        cfg = SimConfig(trials=2, elements_sweep=(4,), architectures=("sc",), seed=9)
+        records = run_sweep(cfg)
+        assert records.cfg is cfg
+        path = tmp_path / "run.csv"
+        emit_csv(records, path)
+        assert _metadata_path(path).read_text().endswith(
+            "[resolved config]\n" + format_config(cfg) + "\n")
+
     def test_returns_record_count(self, tmp_path):
         records = run_sweep(SMALL)
-        assert emit_csv(records, tmp_path / "n.csv", SMALL) == len(records)
+        assert emit_csv(records, tmp_path / "n.csv") == len(records)
 
     def test_metadata_deterministic_after_timestamp(self, tmp_path):
         records = run_sweep(SMALL)
-        emit_csv(records, tmp_path / "a.csv", SMALL)
-        emit_csv(records, tmp_path / "b.csv", SMALL)
+        emit_csv(records, tmp_path / "a.csv")
+        emit_csv(records, tmp_path / "b.csv")
         tail = lambda p: p.read_text().split("\n", 1)[1]
         assert tail(_metadata_path(tmp_path / "a.csv")) == tail(_metadata_path(tmp_path / "b.csv"))
 
@@ -622,6 +633,39 @@ class TestCli:
         assert "utf-8" in err
         assert list(tmp_path.iterdir()) == [cfg_file]
 
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    @pytest.mark.parametrize("text, key, message", [
+        ("tx_powr_dbm = 50\n", "tx_powr_dbm", "unknown config key 'tx_powr_dbm'"),
+        ("trials = many\n", "trials", "key 'trials': expected integer, got 'many'"),
+        ("# x\ntrials\n", None, "line 2: expected 'key = value', got 'trials'"),
+        ("trials = 5\ntrials = 6\n", "trials", "key 'trials': duplicate key"),
+        ("trials = 0\n", "trials", "key 'trials': must be an integer in [1, 2147483647]"),
+        (None, None, "cannot read config file {path}: [Errno 2] No such file or directory: "
+                     "'{path}'"),
+        # the hop product underflows to zero, so the unfaded |h_eff| is exactly 0
+        ("ris_element_gain_dbi = -3200\ntrials = 2\nelements_sweep = 4\n", None,
+         f"unfaded |h_eff| is [0.0, 0.0] at [4, 4] elements, and fades "
+         f"may scale it by 1e+20 either way: link metrics would not be finite; "
+         f"check {LINK_BUDGET_KEYS}"),
+    ], ids=["unknown-key", "bad-value", "malformed-line", "duplicate-key", "constraint",
+            "unreadable-file", "link-budget"])
+    def test_every_config_failure_is_one_config_error_line(self, tmp_path, capsys, command,
+                                                           text, key, message):
+        cfg_file = tmp_path / "run.cfg"
+        if text is not None:
+            cfg_file.write_text(text)
+        message = message.format(path=cfg_file)
+        with pytest.raises(ConfigError) as err:
+            cfg = cli._load_config(cfg_file)
+            cfg.link_budget(build_geometry(cfg))
+        assert (err.value.key, str(err.value)) == (key, message)
+        out = ["--out", str(tmp_path / "out.csv")] if command == "sweep" else []
+        assert main([command, "--config", str(cfg_file), *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ris-ntn-sim: error: config: ConfigError: {message}\n"
+        assert list(tmp_path.iterdir()) == ([] if text is None else [cfg_file])
+
     def test_validate_rejects_typo(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("tx_powr_dbm = 50\n")
@@ -660,7 +704,7 @@ class TestCli:
         out_csv = tmp_path / "out.csv"
         assert main(["sweep", "--out", str(out_csv), "--arch", arch]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("ris-ntn-sim: error: config: ConstraintError")
+        assert err.startswith("ris-ntn-sim: error: config: ConfigError")
         assert repr(label) in err
         assert not out_csv.exists()
 
@@ -669,7 +713,7 @@ class TestCli:
         cfg_file.write_text("tx_gain_dbi = 7000\ntrials = 2\n")
         assert main(["sweep", "--config", str(cfg_file), "--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("ris-ntn-sim: error: config: ConstraintError")
+        assert err.startswith("ris-ntn-sim: error: config: ConfigError")
         assert "'tx_gain_dbi'" in err
         assert not (tmp_path / "o.csv").exists()
 
@@ -682,7 +726,7 @@ class TestCli:
         assert code == 2
         assert caught == []
         err = capsys.readouterr().err
-        assert err.startswith("ris-ntn-sim: error: config: ConstraintError")
+        assert err.startswith("ris-ntn-sim: error: config: ConfigError")
         assert "'tx_gain_dbi'" in err and "ris_element_gain_dbi" in err
         assert "Warning" not in err
         assert list(tmp_path.iterdir()) == [cfg_file]
@@ -700,7 +744,7 @@ class TestCli:
         assert main([command, "--config", str(cfg_file), *out]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith(f"ris-ntn-sim: error: config: ConstraintError: key {key!r}: gain at")
+        assert lines[0].startswith(f"ris-ntn-sim: error: config: ConfigError: key {key!r}: gain at")
         assert f"Hz is {gain}, not finite and positive" in lines[0]
         assert list(tmp_path.iterdir()) == [cfg_file]
 
@@ -831,6 +875,6 @@ class TestCli:
         assert code == 2
         assert caught == []
         err = capsys.readouterr().err
-        assert err.startswith("ris-ntn-sim: error: config: ConstraintError")
+        assert err.startswith("ris-ntn-sim: error: config: ConfigError")
         assert "'tx_power_dbm'" in err
         assert list(tmp_path.iterdir()) == [cfg_file]
