@@ -2,28 +2,28 @@
 
 A row is its cell's head, the text ``arch,elements,``, then the trial field
 (a trial index, or ``mean`` or ``stderr`` for a cell's aggregate rows), four
-float64 values and a uint64 seed. Each field is written into fixed character
-positions of a NUL-padded uint8 matrix; dropping the NULs gives the batch's
-bytes.
+float64 values and a uint64 seed.
 
-The floats are exact. The 17 correctly rounded significant digits of x are
-the integer nearest x * 10^(16 - E), computed as the double-double product of
-x with an exactly rounded power of ten hi + lo, using Veltkamp's split and
-Dekker's exact product (Dekker, "A floating-point technique for extending
-the available precision", 1971), to within 1e-14. E, the decimal exponent,
-comes from log10 and is corrected once where the scaled value falls outside
-[10^16, 10^17). A value whose 17th digit lies within TIE_MARGIN of a rounding
-tie goes through Python's correctly rounded '%.17g' instead (Gay, "Correctly
-rounded binary-decimal and decimal-binary conversions", 1990), and so do
-zeros, non-finite values and values outside the power-of-ten table.
+A row run is a sequence of consecutive rows of one cell whose four values
+have equal bits, so 0.0 and -0.0, and NaNs with different payloads, stay
+apart; every trial of a pure line-of-sight cell is one run. A batch of fewer
+than SMALL_BATCH runs is one join of per-row texts: the head, the row's
+trial text, the run's values spelled once with '%.17g' and the row's seed
+text. Other batches take the array path: each field is written into fixed
+character positions of a NUL-padded uint8 matrix, and dropping the NULs
+gives the batch's bytes.
 
-A run of equal consecutive floats, in the column-major order of a batch's
-values, is spelled once and its text repeated over the run; equal means the
-same bits, so 0.0 and -0.0, and NaNs with different payloads, stay apart.
-Fewer than 4 * SMALL_BATCH spelled floats, and the integers of a batch of
-fewer than SMALL_BATCH rows, are formatted each on its own, with '%.17g' or
-'%d': there the fixed cost of the array path, about a hundred numpy calls,
-exceeds that of formatting each value.
+The array path's floats are exact. The 17 correctly rounded significant
+digits of x are the integer nearest x * 10^(16 - E), computed as the
+double-double product of x with an exactly rounded power of ten hi + lo,
+using Veltkamp's split and Dekker's exact product (Dekker, "A floating-point
+technique for extending the available precision", 1971), to within 1e-14.
+E, the decimal exponent, comes from log10 and is corrected once where the
+scaled value falls outside [10^16, 10^17). A value whose 17th digit lies
+within TIE_MARGIN of a rounding tie goes through Python's correctly rounded
+'%.17g' instead (Gay, "Correctly rounded binary-decimal and decimal-binary
+conversions", 1990), and so do zeros, non-finite values and values outside
+the power-of-ten table.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ import numpy as np
 # at 1024 rows against 70 us at 1000).
 BATCH_ROWS = 1000
 
-# Batches with fewer rows format each integer on its own with '%d', and fewer
-# than 4 * SMALL_BATCH spelled floats go each to '%.17g'.
+# Batches with fewer row runs are joined from per-row texts: below this count
+# the array path's fixed cost, about a hundred numpy calls, exceeds the join's.
 SMALL_BATCH = 48
 
 # A 17th digit this close to a rounding tie goes to '%.17g'; the product's
@@ -68,7 +68,6 @@ _FLOAT_TEMPLATE = b"%%-%d.17g," % FLOAT_WIDTH
 
 # A uint64 has at most 20 decimal digits: five groups of four.
 _INT_WIDTH = 20
-_INT_TEMPLATE = b"%%-%dd" % _INT_WIDTH
 _POWERS = 10 ** np.arange(_INT_WIDTH, dtype=np.uint64)
 # Digit positions 0 .. 19, as a column against per-value rows.
 _RANKS = np.arange(_INT_WIDTH, dtype=np.uint8)[:, None]
@@ -209,52 +208,21 @@ def _exact_fields(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~exact)
 
 
-def _printf(values: list, template: bytes, width: int) -> np.ndarray:
-    """(width, len(values)) uint8: column i is template % values[i], NUL-padded.
-
-    One '%' call formats them all; the templates pad with spaces, which
-    '%.17g' and '%d' never write themselves.
-    """
-    text = (template * len(values)) % tuple(values)
-    return np.frombuffer(text.replace(b" ", b"\0"), np.uint8).reshape(-1, width).T
-
-
-def _float_fields(x: np.ndarray, array_path: bool) -> np.ndarray:
-    """(FLOAT_WIDTH + 1, len(x)) uint8: column i is '%.17g' of x[i] and a comma, NUL-padded.
-
-    Without array_path every value takes the fallback.
-    """
-    if not array_path:
-        return _printf(x.tolist(), _FLOAT_TEMPLATE, FLOAT_WIDTH + 1)
+def _float_fields(x: np.ndarray) -> np.ndarray:
+    """(FLOAT_WIDTH + 1, len(x)) uint8: column i is '%.17g' of x[i] and a comma, NUL-padded."""
     out = np.zeros((FLOAT_WIDTH + 1, len(x)), np.uint8)
     out[FLOAT_WIDTH] = ord(",")
     slow = _exact_fields(x, out)
     if slow.size:
-        out[:, slow] = _printf(x[slow].tolist(), _FLOAT_TEMPLATE, FLOAT_WIDTH + 1)
+        # one '%' call for all; the template pads with spaces, which '%.17g' never writes
+        text = (_FLOAT_TEMPLATE * len(slow)) % tuple(x[slow].tolist())
+        padded = np.frombuffer(text.replace(b" ", b"\0"), np.uint8)
+        out[:, slow] = padded.reshape(-1, FLOAT_WIDTH + 1).T
     return out
 
 
-def _float_runs(x: np.ndarray) -> np.ndarray:
-    """_float_fields of x, each run of consecutive values with equal bits spelled once.
-
-    The array path is taken for at least 4 * SMALL_BATCH spelled values.
-    """
-    bits = x.view(np.uint64)
-    new = bits[1:] != bits[:-1]
-    if new.all():  # nothing repeats: the repeat below would be the identity
-        return _float_fields(x, len(x) >= 4 * SMALL_BATCH)
-    starts = np.flatnonzero(np.concatenate(([True], new)))
-    fields = _float_fields(x[starts], len(starts) >= 4 * SMALL_BATCH)
-    return np.repeat(fields, np.diff(starts, append=len(x)), axis=1)
-
-
-def _int_fields(v: np.ndarray, array_path: bool) -> np.ndarray:
-    """(20, len(v)) uint8: column i is the decimal digits of the uint64 v[i], NUL-padded.
-
-    Without array_path each value is formatted with '%d'.
-    """
-    if not array_path:
-        return _printf(v.tolist(), _INT_TEMPLATE, _INT_WIDTH)
+def _int_fields(v: np.ndarray) -> np.ndarray:
+    """(20, len(v)) uint8: column i is the decimal digits of the uint64 v[i], NUL-padded."""
     # leading zeros go, but a zero keeps its last digit
     lengths = np.maximum(np.searchsorted(_POWERS, v, side="right"), 1)
     digits = _spell(v, _tables().quads)
@@ -262,27 +230,69 @@ def _int_fields(v: np.ndarray, array_path: bool) -> np.ndarray:
     return digits
 
 
+def row_texts(trials: np.ndarray, seeds: np.ndarray) -> tuple[list[bytes], list[bytes]]:
+    """Each row's trial text (``12,``, ``mean,`` or ``stderr,``) and seed text (``123\\n``)."""
+    # one '%' call per column, each text ended by a NUL to split on
+    trial_texts = (b"%d,\0" * len(trials) % tuple(trials.tolist())).split(b"\0")[:-1]
+    for i in np.flatnonzero(trials < 0).tolist():
+        trial_texts[i] = (b"mean,", b"stderr,")[trials[i]]
+    return trial_texts, (b"%d\n\0" * len(seeds) % tuple(seeds.tolist())).split(b"\0")[:-1]
+
+
+def _joined(heads: list[bytes], cells: np.ndarray, trials: np.ndarray, values: np.ndarray,
+            seeds: np.ndarray, starts: np.ndarray, texts) -> bytes:
+    """format_batch's bytes as one join of per-row pieces, for rows whose runs begin at starts."""
+    if texts is None:
+        trial_texts, seed_texts = row_texts(trials, seeds)
+        offsets = starts.tolist()
+    else:
+        trial_texts, seed_texts = texts()
+        offsets = (trials[starts] % len(trial_texts)).tolist()
+    bounds = [*starts.tolist(), len(seeds)]
+    pieces = [b""] * (4 * len(seeds))
+    for a, b, offset, cell, run in zip(bounds, bounds[1:], offsets, cells[starts].tolist(),
+                                       values[starts].tolist()):
+        k = b - a
+        pieces[4 * a:4 * b:4] = [heads[cell]] * k
+        pieces[4 * a + 1:4 * b:4] = trial_texts[offset:offset + k]
+        pieces[4 * a + 2:4 * b:4] = [b"%.17g,%.17g,%.17g,%.17g," % tuple(run)] * k
+        pieces[4 * a + 3:4 * b:4] = seed_texts[offset:offset + k]
+    return b"".join(pieces)
+
+
 def format_batch(heads: list[bytes], cells: np.ndarray, trials: np.ndarray,
-                 values: np.ndarray, seeds: np.ndarray) -> bytes:
+                 values: np.ndarray, seeds: np.ndarray, texts=None) -> bytes:
     """The CSV bytes of consecutive rows, newline-terminated, in row order.
 
     heads holds each cell's ``arch,elements,`` text, with no NUL byte; row i
     belongs to cell cells[i] and has trial index trials[i], or -2 and -1 for
     the cell's 'mean' and 'stderr' rows, (rows, 4) float64 values and a
-    uint64 seed. The rows are built column-major, one character position of
-    every row at a time, so each numpy call runs over the whole batch. Each
-    run of equal consecutive floats is spelled once (_float_runs).
+    uint64 seed. A batch of fewer than SMALL_BATCH row runs is joined from
+    per-row texts. A row's trial and seed texts depend only on its position
+    in its cell: texts, if given, returns row_texts of the T + 2 positions of
+    a cell, and is called only when the batch joins; otherwise they are
+    row_texts of the batch's own rows. Other batches are built column-major,
+    one character position of every row at a time, so each numpy call runs
+    over the whole batch.
     """
+    bits = values.view(np.uint64)
+    # a row's four bool flags, viewed as one uint32, are nonzero if any is
+    new = (bits[1:] != bits[:-1]).view(np.uint32)[:, 0] != 0
+    new |= cells[1:] != cells[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], new)))
+    if len(starts) < SMALL_BATCH:
+        return _joined(heads, cells, trials, values, seeds, starts, texts)
+
     n = len(seeds)
     # the floats first: their temporaries are the largest, and columns does not exist yet
-    fields = _float_runs(values.T.ravel())
+    fields = _float_fields(values.T.ravel())
     width = max(map(len, heads))
     floats = 4 * (FLOAT_WIDTH + 1)
     columns = np.zeros((width + _INT_WIDTH + 1 + floats + _INT_WIDTH + 1, n), np.uint8)
     table = np.frombuffer(b"".join(head.ljust(width, b"\0") for head in heads), np.uint8)
     np.take(table.reshape(-1, width).T, cells, axis=1, out=columns[:width])
 
-    ints = _int_fields(np.concatenate([trials.astype(np.uint64), seeds]), n >= SMALL_BATCH)
+    ints = _int_fields(np.concatenate([trials.astype(np.uint64), seeds]))
     col = width
     columns[col:col + _INT_WIDTH] = ints[:, :n]
     # trials -2 and -1 were spelled as wrapped uint64s; the aggregate names replace them

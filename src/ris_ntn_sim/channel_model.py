@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, SimulatorError
+from .errors import InvalidInput, SimulatorError, finite_float_fields
 from .ris_core import ChannelSet
 
 logger = logging.getLogger(__name__)
@@ -121,6 +121,8 @@ class FadingSpec:
     times a standard complex Gaussian, so E|fade|^2 = 1 for any k. With one
     antenna at each end no output depends on the phase of the line-of-sight
     term, and the envelope's law does not either (Rice), so it is zero.
+    k_factor_db is stored as a finite Python float; a bool, a non-real or a
+    non-finite value is a ValueError.
     """
 
     model: str = "rician"
@@ -129,8 +131,7 @@ class FadingSpec:
     def __post_init__(self):
         if self.model not in FADING_MODELS:
             raise ValueError(f"unknown fading model {self.model!r} (expected {FADING_MODELS})")
-        if not math.isfinite(self.k_factor_db):
-            raise ValueError("k_factor_db must be finite")
+        finite_float_fields(self, ("k_factor_db",))
 
 
 @functools.cache

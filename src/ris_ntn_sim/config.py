@@ -7,14 +7,13 @@ are hard errors so typos never silently fall back to defaults.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .channel_model import FADING_MODELS, FadingSpec, LinkGeometry, fspl_amplitude, hop_magnitudes
-from .errors import ConfigError, InvalidInput
+from .errors import ConfigError, InvalidInput, finite_float
 from .link_metrics import RfConfig, dbm_to_watts, link_columns, noise_power_watts
 from .ris_core import Architecture
 
@@ -52,16 +51,11 @@ def _as_int(key: str, value) -> int:
 
 
 def _as_float(key: str, value) -> float:
-    """value as a finite Python float: any real number, numpy's included, but bool."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise _key_error(key, f"must be a real number, got {type(value).__name__}")
+    """value as a finite Python float (errors.finite_float), or a ConfigError on key."""
     try:
-        value = float(value)
-    except OverflowError:  # an int beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise _key_error(key, "must be finite")
-    return value
+        return finite_float(value)
+    except ValueError as exc:
+        raise _key_error(key, str(exc)) from None
 
 
 def _as_tuple(key: str, value) -> tuple:

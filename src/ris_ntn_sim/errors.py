@@ -1,4 +1,7 @@
-"""Exception types shared across the simulator modules."""
+"""Exception types shared across the simulator modules, and the check of real-valued fields."""
+
+import math
+import numbers
 
 
 class SimulatorError(Exception):
@@ -45,3 +48,28 @@ class InvalidInput(SimulatorError, ValueError):
 
 class SweepError(SimulatorError, RuntimeError):
     """Failure inside a sweep, annotated with (arch, elements, trial) context."""
+
+
+def finite_float(value) -> float:
+    """value as a finite Python float: any real number, numpy's included, but a bool.
+
+    Anything else raises ValueError, whose message follows the field's name.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"must be a real number, got {type(value).__name__}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def finite_float_fields(instance, names) -> None:
+    """Store each named field of a frozen dataclass as its finite_float; a ValueError names it."""
+    for name in names:
+        try:
+            object.__setattr__(instance, name, finite_float(getattr(instance, name)))
+        except ValueError as exc:
+            raise ValueError(f"{name} {exc}") from None

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, finite_float_fields
 
 _LN2 = math.log(2.0)
 
@@ -22,7 +22,9 @@ class RfConfig:
 
     noise_psd_dbm_hz is a density in dBm/Hz; the total noise power follows by
     adding 10*log10(bandwidth). static_power_w is an optional additive term
-    in the energy-efficiency denominator and defaults to zero.
+    in the energy-efficiency denominator and defaults to zero. Every field is
+    stored as a finite Python float; a bool, a non-real or a non-finite value
+    is a ValueError.
     """
 
     tx_power_dbm: float
@@ -31,9 +33,8 @@ class RfConfig:
     static_power_w: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.tx_power_dbm, self.bandwidth_hz,
-                                       self.noise_psd_dbm_hz, self.static_power_w))):
-            raise ValueError("RF parameters must be finite")
+        finite_float_fields(self, ("tx_power_dbm", "bandwidth_hz", "noise_psd_dbm_hz",
+                                   "static_power_w"))
         if self.bandwidth_hz <= 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth_hz}")
         if self.static_power_w < 0:

@@ -11,6 +11,7 @@ byte-identical CSV.
 from __future__ import annotations
 
 import errno
+import functools
 import io
 import logging
 import math
@@ -125,16 +126,21 @@ class SweepRecords:
 
         A cell's 'mean' and 'stderr' rows have trial -2 and -1, and the run seed.
         """
-        period = self.cfg.trials + 2
         for start in range(0, len(self), max_rows):
-            cells, trials = np.divmod(np.arange(start, min(len(self), start + max_rows)), period)
+            cells, trials, seeds = self._columns(start, min(len(self), start + max_rows))
             self._spool.seek(32 * start)
             values = np.frombuffer(self._spool.read(32 * len(cells)), dtype=np.float64)
-            seeds = np.full(len(cells), self.cfg.seed, dtype=np.uint64)
-            trial_rows = trials < self.cfg.trials
-            seeds[trial_rows] = _trial_seeds(self.cfg.seed, trials[trial_rows])
-            trials[~trial_rows] -= period
             yield cells, trials, values.reshape(-1, 4), seeds
+
+    def _columns(self, start: int, stop: int):
+        """(cell, trial, seed) columns of rows start .. stop - 1, as _rows gives them."""
+        period = self.cfg.trials + 2
+        cells, trials = np.divmod(np.arange(start, stop), period)
+        seeds = np.full(len(cells), self.cfg.seed, dtype=np.uint64)
+        trial_rows = trials < self.cfg.trials
+        seeds[trial_rows] = _trial_seeds(self.cfg.seed, trials[trial_rows])
+        trials[~trial_rows] -= period
+        return cells, trials, seeds
 
     def close(self) -> None:
         self._release()
@@ -333,8 +339,13 @@ def emit_csv(records: SweepRecords, destination) -> int:
         with open(csv_tmp, "wb") as out:
             out.write(CSV_HEADER.encode() + b"\n")
             heads = [f"{label},{m},".encode() for label, m in records._labels]
+            period = records.cfg.trials + 2
+            # a row's trial and seed texts depend only on its position in its cell:
+            # where a cell fits in a batch, those of cell 0 serve the whole sweep
+            texts = (functools.cache(lambda: _csv.row_texts(*records._columns(0, period)[1:]))
+                     if period <= _csv.BATCH_ROWS else None)
             for cells, trials, values, seeds in records._rows(_csv.BATCH_ROWS):
-                out.write(_csv.format_batch(heads, cells, trials, values, seeds))
+                out.write(_csv.format_batch(heads, cells, trials, values, seeds, texts))
                 count += len(seeds)
         meta = [
             f"generated_at = {datetime.now(timezone.utc).isoformat()}",

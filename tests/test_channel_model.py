@@ -3,6 +3,8 @@
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -263,3 +265,16 @@ class TestFadingSpec:
             FadingSpec(model="rayleigh")
         with pytest.raises(ValueError):
             FadingSpec(k_factor_db=float("inf"))
+
+    @pytest.mark.parametrize("value, stored", [
+        (True, None), ("10", None), (None, None), (1 + 0j, None), (Decimal("3"), None),
+        (10**400, None), (float("-inf"), None), (float("nan"), None),
+        (np.float32(1.5), 1.5), (np.int64(3), 3.0), (Fraction(1, 2), 0.5), (3, 3.0)])
+    def test_k_factor_is_a_finite_python_float(self, value, stored):
+        if stored is None:
+            with pytest.raises(ValueError, match="^k_factor_db must be") as exc:
+                FadingSpec("rician", value)
+            assert type(exc.value) is ValueError
+        else:
+            k = FadingSpec("rician", value).k_factor_db
+            assert type(k) is float and k == stored

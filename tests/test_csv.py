@@ -15,9 +15,9 @@ from _oracles import reference_csv
 from test_golden import GOLDEN_DIRECT_CONFIG
 
 
-def formatted(values: np.ndarray, array_path: bool = True) -> bytes:
-    """The formatter's bytes for values, each followed by its comma."""
-    fields = np.ascontiguousarray(_csv._float_fields(values, array_path).T)
+def formatted(values: np.ndarray) -> bytes:
+    """The array path's bytes for values, each followed by its comma."""
+    fields = np.ascontiguousarray(_csv._float_fields(values).T)
     return fields[fields != 0].tobytes()
 
 
@@ -42,8 +42,7 @@ def near_tie(value: float) -> bool:
 @example(1e17)
 @example(1000000000000000.25)  # an exact tie at the 17th digit
 def test_formatter_spells_any_double_as_printf(value):
-    for array_path in (True, False):
-        assert formatted(np.array([value]), array_path) == ("%.17g," % value).encode()
+    assert formatted(np.array([value])) == ("%.17g," % value).encode()
 
 
 def test_exact_tie_rounds_half_to_even():
@@ -66,11 +65,10 @@ def test_random_doubles_and_powers_of_ten():
     assert len(slow) < 0.07 * len(values)
 
 
-@pytest.mark.parametrize("array_path", [True, False], ids=["array", "per_value"])
-def test_integers_spell_as_printf(array_path):
+def test_integers_spell_as_printf():
     edges = [0, 1, 9, 2**31 - 1, 2**63, 2**64 - 1] + [10**k + d for k in range(1, 20) for d in (-1, 0)]
     values = np.array(edges, dtype=np.uint64)
-    fields = np.ascontiguousarray(_csv._int_fields(values, array_path).T)
+    fields = np.ascontiguousarray(_csv._int_fields(values).T)
     assert [bytes(f[f != 0]) for f in fields] == [b"%d" % v for v in edges]
 
 
@@ -86,35 +84,73 @@ RUN_VALUES = [bits(v) for v in (0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
 RUN_VALUES += [0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001]
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), array_path=st.booleans())
-def test_runs_of_equal_values_spell_as_printf(data, array_path):
-    pool = data.draw(st.lists(st.sampled_from(RUN_VALUES) | st.integers(0, 2**64 - 1),
-                              min_size=2, max_size=8, unique=True))
-    # runs of one value each, neighbours distinct: as many spelled values as runs
-    spelled = 4 * _csv.SMALL_BATCH
-    runs = data.draw(st.integers(spelled, 2 * spelled) if array_path else st.integers(1, spelled - 4))
-    picks = data.draw(st.lists(st.integers(1, len(pool) - 1), min_size=runs, max_size=runs))
-    lengths = data.draw(st.lists(st.integers(1, 9), min_size=runs, max_size=runs))
-    index = np.cumsum(picks) % len(pool)
-    x = np.repeat(np.array(pool, np.uint64)[index], lengths)
-    # up to three values from the start complete the last row; format_batch reads
-    # the values column by column, so the runs stay in that order
-    x = np.resize(x, 4 * -(-len(x) // 4)).view(np.float64)
-    values = np.ascontiguousarray(x.reshape(4, -1).T)
-    rows = len(values)
-    seeds = np.arange(rows, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    columns = ([b"sc,8,"], np.zeros(rows, np.int64), np.append(np.arange(rows - 1), -2),
-               values, seeds)
-    records = [("sc", 8, t, *v, seed) for t, v, seed in
-               zip([*range(rows - 1), "mean"], values.tolist(), seeds.tolist())]
+def sweep_rows(period: int, first: int, row_bits: list[list[int]]):
+    """format_batch's columns, and the records they stand for, of rows first onward of a sweep.
 
-    paths, float_fields = [], _csv._float_fields
+    Each cell has period rows, trials 0 .. period - 3 then 'mean' and 'stderr';
+    row i sits at position first + i of the concatenated cells and has the
+    four float64 values whose bits are row_bits[i]. Seeds depend only on a
+    row's position in its cell, as in a sweep.
+    """
+    cells, positions = np.divmod(np.arange(first, first + len(row_bits)), period)
+    trials = np.where(positions < period - 2, positions, positions - period)
+    seeds = (positions.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) ^ np.uint64(2**64 - 1)
+    values = np.array(row_bits, np.uint64).view(np.float64)
+    heads = [b"sc,%d," % (c + 1) for c in range(cells[-1] + 1)]
+    records = [("sc", c + 1, t if t >= 0 else ("mean", "stderr")[t], *v, seed) for c, t, v, seed
+               in zip(cells.tolist(), trials.tolist(), values.tolist(), seeds.tolist())]
+    return (heads, cells, trials, values, seeds), records
+
+
+def format_both_ways(columns, period: int) -> tuple[bytes, int]:
+    """format_batch's bytes, equal with per-batch and per-sweep texts, and how often it joined."""
+    joins, joined = [], _csv._joined
+    cell, _ = sweep_rows(period, 0, [[0] * 4] * period)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_csv, "_float_fields",
-                      lambda v, path: paths.append(path) or float_fields(v, path))
-        assert _csv.format_batch(*columns) == reference_csv(records)[len(CSV_HEADER) + 1:]
-    assert paths == [array_path]
+        patch.setattr(_csv, "_joined", lambda *args: joins.append(1) or joined(*args))
+        text = _csv.format_batch(*columns)
+        assert _csv.format_batch(*columns, lambda: _csv.row_texts(cell[2], cell[4])) == text
+    return text, len(joins) // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), runs=st.sampled_from([_csv.SMALL_BATCH - 1, _csv.SMALL_BATCH]))
+def test_runs_of_equal_values_spell_as_printf(data, runs):
+    pool = data.draw(st.lists(st.sampled_from(RUN_VALUES) | st.integers(0, 2**64 - 1),
+                              min_size=2, max_size=6, unique=True))
+    period = data.draw(st.integers(3, 30))
+    first = data.draw(st.integers(0, period - 1))
+    # exactly `runs` row runs: a run ends at a cell's end, or where the next row
+    # changes one column to another value of the pool
+    rows = [[data.draw(st.sampled_from(pool)) for _ in range(4)]]
+    for run in range(runs):
+        if run:
+            cell_start = (first + len(rows)) % period == 0
+            column = data.draw(st.integers(0, 3))
+            step = data.draw(st.integers(0 if cell_start else 1, len(pool) - 1))
+            row = list(rows[-1])
+            row[column] = pool[(pool.index(row[column]) + step) % len(pool)]
+            rows.append(row)
+        left_in_cell = period - (first + len(rows) - 1) % period
+        rows += [rows[-1]] * (min(data.draw(st.integers(1, 9)), left_in_cell) - 1)
+
+    columns, records = sweep_rows(period, first, rows)
+    text, joins = format_both_ways(columns, period)
+    assert text == reference_csv(records)[len(CSV_HEADER) + 1:]
+    assert joins == (runs < _csv.SMALL_BATCH)
+
+
+@pytest.mark.parametrize("rows", [_csv.SMALL_BATCH - 1, _csv.SMALL_BATCH])
+@pytest.mark.parametrize("pair", [(bits(0.0), bits(-0.0)),
+                                  (0x7FF8000000000000, 0x7FF8000000000001)],
+                         ids=["signed_zeros", "nan_payloads"])
+def test_rows_that_differ_only_in_bits_are_separate_runs(rows, pair):
+    # one cell, each row one run: the batch joins below SMALL_BATCH runs only
+    period = rows + 2
+    columns, records = sweep_rows(period, 0, [[bits(1.5), pair[i % 2], 0, 0] for i in range(rows)])
+    text, joins = format_both_ways(columns, period)
+    assert text == reference_csv(records)[len(CSV_HEADER) + 1:]
+    assert joins == (rows < _csv.SMALL_BATCH)
 
 
 EMIT_CASES = {
@@ -126,7 +162,7 @@ EMIT_CASES = {
                            direct_link="clear", architectures=("sc", "gc:4"),
                            elements_sweep=(6, 8, 16, 64)), None),
     "largest_seed": (SimConfig(trials=70, elements_sweep=(4, 8), seed=2**64 - 1), None),
-    # fewer than SMALL_BATCH rows: every value is formatted on its own
+    # fewer than SMALL_BATCH rows: the batch joins
     "small": (SimConfig(trials=5, elements_sweep=(4,), architectures=("sc",), seed=0), None),
 }
 

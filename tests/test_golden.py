@@ -88,7 +88,14 @@ def test_golden_direct_link_csv(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DIRECT_CSV_SHA256
 
 
-def test_golden_pure_los_csv(tmp_path):
+# 1502 rows per cell: at 7 and 47 rows batches end inside runs, at 1501
+# between a cell's mean and stderr rows; from 1502 up a cell fits in a batch.
+@pytest.mark.parametrize("batch_rows", [7, 47, 1501, 1502, 1503, None])
+def test_golden_pure_los_csv(tmp_path, monkeypatch, batch_rows):
+    if batch_rows is not None:
+        monkeypatch.setattr(_csv, "BATCH_ROWS", batch_rows)
+    # every batch joins, so the array path never spells a float
+    monkeypatch.setattr(_csv, "_exact_fields", None)
     path = tmp_path / "golden_los.csv"
     count = emit_csv(run_sweep(GOLDEN_LOS_CONFIG), path)
     assert count == GOLDEN_LOS_RECORDS

@@ -1,6 +1,8 @@
 """SNR, rate and energy-efficiency arithmetic."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -128,3 +130,20 @@ class TestUnits:
             RfConfig(float("nan"), 2e7, -170.0)
         with pytest.raises(ValueError):
             RfConfig(50.0, 2e7, -170.0, static_power_w=-1.0)
+
+    @pytest.mark.parametrize("field", ["tx_power_dbm", "bandwidth_hz", "noise_psd_dbm_hz",
+                                       "static_power_w"])
+    @pytest.mark.parametrize("value, stored", [
+        (True, None), ("-170", None), (None, None), (1 + 0j, None), (Decimal("1.5"), None),
+        (10**400, None), (float("inf"), None), (float("nan"), None),
+        (np.float32(1.5), 1.5), (np.int64(7), 7.0), (Fraction(3, 2), 1.5), (7, 7.0)])
+    def test_rf_config_fields_are_finite_python_floats(self, field, value, stored):
+        fields = {"tx_power_dbm": 50.0, "bandwidth_hz": 2e7, "noise_psd_dbm_hz": -170.0,
+                  "static_power_w": 0.0, field: value}
+        if stored is None:
+            with pytest.raises(ValueError, match=f"^{field} must be") as exc:
+                RfConfig(**fields)
+            assert type(exc.value) is ValueError
+        else:
+            assert type(getattr(RfConfig(**fields), field)) is float
+            assert getattr(RfConfig(**fields), field) == stored

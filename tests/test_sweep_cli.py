@@ -552,11 +552,11 @@ class TestEmitCsv:
         cfg = SimConfig(trials=1100, elements_sweep=(4,), architectures=("sc",))
         calls, format_batch = [], _csv.format_batch
 
-        def failing(heads, cells, trials, values, seeds):
+        def failing(heads, cells, trials, values, seeds, texts):
             calls.append(len(seeds))
             if len(calls) == 2:
                 raise OSError("disk full")
-            return format_batch(heads, cells, trials, values, seeds)
+            return format_batch(heads, cells, trials, values, seeds, texts)
 
         monkeypatch.setattr(_csv, "format_batch", failing)
         with pytest.raises(OSError, match="disk full"):
