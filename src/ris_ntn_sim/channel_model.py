@@ -62,14 +62,16 @@ def path_loss_db(distance_m: float, freq_hz: float) -> float:
 
 @dataclass(frozen=True)
 class LinkGeometry:
-    """Altitudes, carrier and slant distances of the vertical satellite stack."""
+    """The vertical satellite stack: satellite, relay surface and terminal co-vertical.
+
+    Two altitudes and a carrier fix it. The direct distance is the satellite
+    altitude, satellite to surface the altitude difference, and surface to
+    terminal the platform altitude.
+    """
 
     leo_altitude_m: float
     haps_altitude_m: float
     carrier_hz: float
-    d_direct_m: float
-    d_leo_ris_m: float
-    d_ris_ut_m: float
 
     def __post_init__(self):
         if not (self.leo_altitude_m > self.haps_altitude_m > 0):
@@ -79,35 +81,29 @@ class LinkGeometry:
             )
         if self.carrier_hz <= 0:
             raise InvalidInput(f"carrier must be positive, got {self.carrier_hz}")
-        if min(self.d_direct_m, self.d_leo_ris_m, self.d_ris_ut_m) <= 0:
-            raise InvalidInput("slant distances must all be positive")
-        if self.d_leo_ris_m + self.d_ris_ut_m < self.d_direct_m * (1.0 - 1e-9):
-            raise InvalidInput("two-hop distance cannot be shorter than the direct distance")
         if not KA_BAND_HZ[0] <= self.carrier_hz <= KA_BAND_HZ[1]:
             logger.warning(
                 "carrier %.6g Hz is outside the Ka band %.4g-%.4g Hz",
                 self.carrier_hz, KA_BAND_HZ[0], KA_BAND_HZ[1],
             )
 
+    @property
+    def d_direct_m(self) -> float:
+        return self.leo_altitude_m
+
+    @property
+    def d_leo_ris_m(self) -> float:
+        return self.leo_altitude_m - self.haps_altitude_m
+
+    @property
+    def d_ris_ut_m(self) -> float:
+        return self.haps_altitude_m
+
 
 def build_geometry(cfg) -> LinkGeometry:
-    """Nadir-stack geometry: satellite, relay surface and terminal co-vertical.
-
-    cfg is anything with leo_altitude_m, haps_altitude_m and carrier_hz
-    attributes. The direct distance equals the satellite altitude, the
-    satellite-to-surface distance is the altitude difference, and the
-    surface-to-terminal distance is the platform altitude.
-    """
-    leo = float(cfg.leo_altitude_m)
-    haps = float(cfg.haps_altitude_m)
-    return LinkGeometry(
-        leo_altitude_m=leo,
-        haps_altitude_m=haps,
-        carrier_hz=float(cfg.carrier_hz),
-        d_direct_m=leo,
-        d_leo_ris_m=leo - haps,
-        d_ris_ut_m=haps,
-    )
+    """Nadir-stack geometry of cfg, anything with leo_altitude_m, haps_altitude_m and carrier_hz."""
+    return LinkGeometry(float(cfg.leo_altitude_m), float(cfg.haps_altitude_m),
+                        float(cfg.carrier_hz))
 
 
 FADING_MODELS = ("pure_los", "rician")

@@ -29,7 +29,7 @@ _EPS = np.finfo(np.float64).eps
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """A feasible phase-shift matrix and the channel magnitude it achieves.
+    """A feasible phase-shift matrix, of architecture phi.arch, and the channel magnitude it achieves.
 
     degenerate marks a channel where every block has a zero g or h: the
     objective collapses to |h_d| and the matrix is the identity.
@@ -37,7 +37,6 @@ class OptimizeResult:
 
     phi: PhaseShiftMatrix
     objective: float
-    architecture: Architecture
     degenerate: bool = False
 
 
@@ -201,10 +200,10 @@ def optimize(ch: ChannelSet, arch: Architecture) -> OptimizeResult:
     groups = corner.size
     # the build buffers are gone before validate runs: only phi's copy stays
     phi = PhaseShiftMatrix(_block_matrix(w_u.reshape(groups, -1), w_v.reshape(groups, -1),
-                                         corner, live), arch, ch.elements)
+                                         corner, live), arch)
     validate(phi)
     objective = float(closed_form_objective(ch.g, ch.h, ch.h_d, arch))
-    return OptimizeResult(phi, objective, arch, degenerate=not live.any())
+    return OptimizeResult(phi, objective, degenerate=not live.any())
 
 
 def _norm_excess(squared_norm: np.ndarray, terms: np.ndarray | int) -> np.ndarray:

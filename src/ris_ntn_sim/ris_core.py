@@ -78,7 +78,7 @@ class Architecture:
 
 @dataclass(frozen=True)
 class PhaseShiftMatrix:
-    """An M x M phase-shift matrix tagged with its architecture.
+    """An M x M phase-shift matrix tagged with its architecture; M is its element count.
 
     Construction only checks shapes; feasibility is checked by ``validate``.
     The stored array is a read-only copy, so instances are immutable and safe
@@ -87,18 +87,18 @@ class PhaseShiftMatrix:
 
     matrix: np.ndarray
     arch: Architecture
-    elements: int
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=np.complex128, copy=True, order="C")
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatch(f"phase-shift matrix must be square, got shape {mat.shape}")
-        if self.elements < 1 or mat.shape[0] != self.elements:
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
             raise DimensionMismatch(
-                f"matrix is {mat.shape[0]}x{mat.shape[1]} but element count is {self.elements}"
-            )
+                f"phase-shift matrix must be square and non-empty, got shape {mat.shape}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+    @property
+    def elements(self) -> int:
+        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)

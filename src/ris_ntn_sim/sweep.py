@@ -97,14 +97,13 @@ class SweepRecords:
     [32 i, 32 i + 32). The final size is known at construction, so the spool
     is in memory up to _SPOOL_MEMORY_BYTES and a temporary file beyond. Trial
     seeds are derived again on read. The records can be iterated front to
-    back any number of times; close() releases the spool, and they cannot be
-    read after it. cfg is the config the sweep ran, which emit_csv echoes.
+    back any number of times, _csv.BATCH_ROWS rows read at a time, as
+    emit_csv reads them; close() releases the spool, and they cannot be read
+    after it. cfg is the config the sweep ran, which emit_csv echoes.
     """
 
-    def __init__(self, cfg: SimConfig, cells: list[tuple[str, Architecture, int]],
-                 chunk_trials: int):
+    def __init__(self, cfg: SimConfig, cells: list[tuple[str, Architecture, int]]):
         self.cfg = cfg
-        self._chunk_trials = chunk_trials
         self._labels = [(label, m) for label, _, m in cells]
         self._spool = (io.BytesIO() if 32 * len(self) <= _SPOOL_MEMORY_BYTES
                        else tempfile.TemporaryFile())
@@ -114,7 +113,9 @@ class SweepRecords:
         return len(self._labels) * (self.cfg.trials + 2)
 
     def __iter__(self):
-        for cells, trials, values, seeds in self._rows(self._chunk_trials):
+        from . import _csv  # imported on use, as in emit_csv
+
+        for cells, trials, values, seeds in self._rows(_csv.BATCH_ROWS):
             for c, trial, row, seed in zip(cells.tolist(), trials.tolist(), values.tolist(),
                                            seeds.tolist()):
                 label, m = self._labels[c]
@@ -263,7 +264,7 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     designs = [(arch, m) for _, arch, m in cells]
     m_max = max((m for _, m in designs), default=1)
     chunk_trials = max(1, CHUNK_ELEMENTS // m_max)
-    records = SweepRecords(cfg, cells, chunk_trials)
+    records = SweepRecords(cfg, cells)
     if not cells:
         return records
     moments = _Moments(len(cells))

@@ -106,9 +106,9 @@ def brute_force_sc(ch: ChannelSet, grid: int) -> OptimizeResult:
         if candidate > best_val:
             best_val, best_key = candidate, key
 
-    phi = PhaseShiftMatrix(np.diag(phasors[list(best_key)]), Architecture("sc"), m)
+    phi = PhaseShiftMatrix(np.diag(phasors[list(best_key)]), Architecture("sc"))
     validate(phi)
-    return OptimizeResult(phi, best_val, phi.arch)
+    return OptimizeResult(phi, best_val)
 
 
 def brute_force_fc2(ch: ChannelSet, grid: int) -> OptimizeResult:
@@ -154,9 +154,9 @@ def brute_force_fc2(ch: ChannelSet, grid: int) -> OptimizeResult:
         ],
         dtype=np.complex128,
     )
-    phi = PhaseShiftMatrix(mat, Architecture("fc"), 2)
+    phi = PhaseShiftMatrix(mat, Architecture("fc"))
     validate(phi)
-    return OptimizeResult(phi, best_val, phi.arch)
+    return OptimizeResult(phi, best_val)
 
 
 def per_trial_fades(fading, rows: int, seed: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from ris_ntn_sim import (
     SPEED_OF_LIGHT,
     FadingSpec,
     InvalidInput,
+    LinkGeometry,
     SimConfig,
     build_geometry,
     fspl_amplitude,
@@ -64,6 +65,7 @@ class TestFspl:
 class TestGeometry:
     def test_nadir_stack_600_15(self):
         geom = build_geometry(SimConfig())
+        assert geom == LinkGeometry(600e3, 15e3, 18.7e9)
         assert geom.d_direct_m == 600e3
         assert geom.d_leo_ris_m == 585e3
         assert geom.d_ris_ut_m == 15e3  # platform height straight below the satellite
@@ -80,6 +82,11 @@ class TestGeometry:
 
         with pytest.raises(InvalidInput):
             build_geometry(Cfg())
+
+    @pytest.mark.parametrize("carrier_hz", [0.0, -18.7e9])
+    def test_non_positive_carrier(self, carrier_hz):
+        with pytest.raises(InvalidInput, match="carrier"):
+            LinkGeometry(600e3, 15e3, carrier_hz)
 
     def test_out_of_band_carrier_warns(self, caplog):
         class Cfg:

@@ -266,6 +266,17 @@ class TestConstraints:
         cfg = SimConfig(elements_sweep=np.array([4, 8]), architectures=["sc", "fc"])
         assert cfg.elements_sweep == (4, 8) and cfg.architectures == ("sc", "fc")
 
+    @pytest.mark.parametrize("key, value", [
+        ("carrier_hz", 0.0),
+        ("carrier_hz", -1.0),
+        ("elements_sweep", ()),
+        ("architectures", ()),
+    ])
+    def test_non_positive_carrier_and_empty_sweeps_rejected(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            SimConfig(**{key: value})
+        assert err.value.key == key
+
     def test_gc_divisibility_is_not_a_config_error(self):
         # mismatched (gc:U, M) pairs are skipped at sweep time, not rejected here
         cfg = parse_config("architectures = gc:3\nelements_sweep = 8")

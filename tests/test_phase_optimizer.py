@@ -99,7 +99,7 @@ class TestOptimizeGc:
         sc = optimize(ch, SC)
         assert gc.objective == pytest.approx(sc.objective, rel=1e-12)
         assert np.allclose(gc.phi.matrix, sc.phi.matrix, atol=1e-12)
-        assert gc.architecture == Architecture("gc", 6)
+        assert gc.phi.arch == Architecture("gc", 6)
 
     def test_single_group_reduces_to_fc(self):
         ch = unit_channel(6, 3)

@@ -3,6 +3,7 @@
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -11,6 +12,7 @@ from ris_ntn_sim import (
     UNIT_TOLERANCE,
     Architecture,
     ChannelSet,
+    DimensionMismatch,
     SimConfig,
     effective_channel,
     optimize,
@@ -108,6 +110,14 @@ def test_shared_closed_forms_equal_each_prefix_call_bit_for_bit(data, trials, el
         assert np.array_equal(row.view(np.uint64), alone.view(np.uint64))
         reference = prefix_closed_form(power_g, power_h, arch, m)
         assert np.array_equal(row.view(np.uint64), reference.view(np.uint64))
+
+
+@pytest.mark.parametrize("power_g, power_h", [(np.ones((2, 4)), np.ones((2, 3))),
+                                              (np.ones(4), np.ones((1, 4))),
+                                              (1.0, 1.0)], ids=["columns", "rows", "scalars"])
+def test_closed_form_cells_need_equal_shapes_of_at_least_one_axis(power_g, power_h):
+    with pytest.raises(DimensionMismatch):
+        closed_form_cells(power_g, power_h, [(SC, 1)])
 
 
 def test_closed_form_broadcasts_h_d_over_the_channel_rows():

@@ -1,4 +1,6 @@
-"""The package's public names are pinned, so any addition or removal is deliberate."""
+"""The package's public names and constructors are pinned, so any change to them is deliberate."""
+
+import inspect
 
 import ris_ntn_sim
 
@@ -13,6 +15,24 @@ PUBLIC_NAMES = [
     "path_loss_db", "run_sweep", "validate",
 ]
 
+# constructor parameters of every public class that is not an exception
+CONSTRUCTOR_FIELDS = {
+    "Architecture": ("kind", "groups"),
+    "ChannelSet": ("h", "g", "h_d"),
+    "FadingSpec": ("model", "k_factor_db"),
+    "LinkGeometry": ("leo_altitude_m", "haps_altitude_m", "carrier_hz"),
+    "OptimizeResult": ("phi", "objective", "degenerate"),
+    "PhaseShiftMatrix": ("matrix", "arch"),
+    "RfConfig": ("tx_power_dbm", "bandwidth_hz", "noise_psd_dbm_hz", "static_power_w"),
+    "SimConfig": ("carrier_hz", "tx_power_dbm", "bandwidth_hz", "noise_psd_dbm_hz",
+                  "leo_altitude_m", "haps_altitude_m", "elements_sweep", "architectures",
+                  "fading_model", "rician_k_db", "fading_phase_mode", "direct_link", "trials",
+                  "seed", "tx_gain_dbi", "ris_element_gain_dbi", "rx_gain_dbi", "static_power_w"),
+    "SweepRecord": ("arch", "elements", "trial", "h_eff_mag", "snr_db", "rate_bps",
+                    "ee_bits_per_joule", "seed"),
+    "SweepRecords": ("cfg", "cells"),
+}
+
 
 def test_all_is_the_pinned_list():
     assert len(PUBLIC_NAMES) == 37
@@ -26,3 +46,10 @@ def test_every_public_exception_is_a_simulator_error():
     assert len(errors) == 6
     assert all(issubclass(e, ris_ntn_sim.SimulatorError) for e in errors)
     assert issubclass(ris_ntn_sim.ConfigError, ValueError)
+
+
+def test_constructor_fields_are_the_pinned_ones():
+    public = (getattr(ris_ntn_sim, name) for name in PUBLIC_NAMES)
+    fields = {cls.__name__: tuple(inspect.signature(cls).parameters) for cls in public
+              if isinstance(cls, type) and not issubclass(cls, Exception)}
+    assert fields == CONSTRUCTOR_FIELDS

@@ -534,12 +534,12 @@ class TestEmitCsv:
             assert float(cols[6]) == record.ee_bits_per_joule
             assert int(cols[7]) == record.seed
 
-    def test_metadata_sidecar(self, tmp_path):
-        path = tmp_path / "run.csv"
-        emit_csv(run_sweep(SMALL), path)
-        meta = _metadata_path(path)
-        assert meta.name == "run.meta.txt"
-        text = meta.read_text()
+    @pytest.mark.parametrize("name, sidecar", [("run.csv", "run.meta.txt"),
+                                               ("out", "out.meta.txt")])
+    def test_metadata_sidecar(self, tmp_path, name, sidecar):
+        emit_csv(run_sweep(SMALL), tmp_path / name)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, sidecar])
+        text = (tmp_path / sidecar).read_text()
         assert text.startswith("generated_at = ")
         assert "dBm/Hz" in text
         assert "trials = 6" in text
