@@ -1,6 +1,6 @@
 """Simulator and phase-shift optimizer for a relay-surface-assisted satellite downlink."""
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .channel_model import (
     KA_BAND_HZ,
@@ -21,7 +21,7 @@ from .errors import (
     SimulatorError,
     SweepError,
 )
-from .link_metrics import RfConfig, dbm_to_watts, link_columns, noise_power_watts
+from .link_metrics import dbm_to_watts, link_columns, noise_power_watts
 from .phase_optimizer import (
     OptimizeResult,
     closed_form_objective,
@@ -44,7 +44,7 @@ __all__ = [
     "SPEED_OF_LIGHT", "KA_BAND_HZ", "LinkGeometry", "FadingSpec",
     "fspl_amplitude", "path_loss_db", "build_geometry", "generate_channels",
     "OptimizeResult", "optimize", "closed_form_objective",
-    "RfConfig", "dbm_to_watts", "noise_power_watts", "link_columns",
+    "dbm_to_watts", "noise_power_watts", "link_columns",
     "SimConfig", "parse_config", "format_config", "ConfigError",
     "SweepRecord", "SweepRecords", "run_sweep", "emit_csv", "derive_trial_seed", "CSV_HEADER",
     "SimulatorError", "DimensionMismatch", "ConstraintViolated", "InvalidInput", "SweepError",

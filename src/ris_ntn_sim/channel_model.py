@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, SimulatorError, finite_float_fields
+from .errors import InvalidInput, SimulatorError, checked_args, exact_int, finite_float, linear_from_db
 from .ris_core import ChannelSet
 
 logger = logging.getLogger(__name__)
@@ -118,7 +118,8 @@ class FadingSpec:
     antenna at each end no output depends on the phase of the line-of-sight
     term, and the envelope's law does not either (Rice), so it is zero.
     k_factor_db is stored as a finite Python float; a bool, a non-real or a
-    non-finite value is a ValueError.
+    non-finite value, or one whose linear factor 10 ** (k / 10) overflows, is
+    a ValueError.
     """
 
     model: str = "rician"
@@ -127,7 +128,11 @@ class FadingSpec:
     def __post_init__(self):
         if self.model not in FADING_MODELS:
             raise ValueError(f"unknown fading model {self.model!r} (expected {FADING_MODELS})")
-        finite_float_fields(self, ("k_factor_db",))
+        try:
+            linear_from_db(self.k_factor_db, 10.0)  # draw_fades' linear factor
+            object.__setattr__(self, "k_factor_db", finite_float(self.k_factor_db))
+        except ValueError as exc:
+            raise ValueError(f"k_factor_db {exc}") from None
 
 
 @functools.cache
@@ -185,8 +190,13 @@ def hop_magnitudes(geom: LinkGeometry, *, tx_gain_dbi: float = 0.0,
     """(a_d, a_h, a_g): free-space gain times end antenna gains of each hop, a_d = 0 if blocked.
 
     The hops are direct, satellite-to-surface and surface-to-terminal.
+    Raises InvalidInput for a gain that is not finite_float, or whose linear
+    value 10 ** (gain / 20) or a hop's product of two of them overflows.
     """
-    tx, ris, rx = (10.0 ** (dbi / 20.0) for dbi in (tx_gain_dbi, ris_element_gain_dbi, rx_gain_dbi))
+    tx, ris, rx = checked_args(lambda dbi: linear_from_db(dbi, 20.0), tx_gain_dbi=tx_gain_dbi,
+                               ris_element_gain_dbi=ris_element_gain_dbi, rx_gain_dbi=rx_gain_dbi)
+    if not all(math.isfinite(gain) for gain in (tx * rx, tx * ris, ris * rx)):
+        raise InvalidInput("a hop's product of two linear antenna gains overflows a float")
     f = geom.carrier_hz
     a_d = 0.0 if direct_blocked else tx * rx * fspl_amplitude(geom.d_direct_m, f)
     return (a_d, tx * ris * fspl_amplitude(geom.d_leo_ris_m, f),
@@ -220,8 +230,10 @@ def generate_channels(
     the complex hop amplitudes (channel_set). The result is a pure function
     of the arguments, and draws for element i never move when the element
     count grows. With direct_blocked the direct path gain is exactly zero.
+    elements and seed must be exact_int integers, else InvalidInput.
     """
+    elements, seed = checked_args(exact_int, elements=elements, seed=seed)
     magnitudes = hop_magnitudes(geom, tx_gain_dbi=tx_gain_dbi,
                                 ris_element_gain_dbi=ris_element_gain_dbi,
                                 rx_gain_dbi=rx_gain_dbi, direct_blocked=direct_blocked)
-    return channel_set(geom, draw_fades(fading, elements, [int(seed) & _MASK64])[0], magnitudes)
+    return channel_set(geom, draw_fades(fading, elements, [seed & _MASK64])[0], magnitudes)

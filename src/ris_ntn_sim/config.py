@@ -7,14 +7,13 @@ are hard errors so typos never silently fall back to defaults.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .channel_model import FADING_MODELS, FadingSpec, LinkGeometry, fspl_amplitude, hop_magnitudes
-from .errors import ConfigError, InvalidInput, finite_float
-from .link_metrics import RfConfig, dbm_to_watts, link_columns, noise_power_watts
+from .errors import ConfigError, exact_int, finite_float, linear_from_db
+from .link_metrics import dbm_to_watts, link_columns, noise_power_watts
 from .ris_core import Architecture
 
 # The sweep itself needs O(M) memory per trial, but any swept cell can be
@@ -39,21 +38,10 @@ def _key_error(key: str, reason: str) -> ConfigError:
     return ConfigError(f"key {key!r}: {reason}", key)
 
 
-def _as_int(key: str, value) -> int:
-    """value as a Python int: any integer operator.index accepts, numpy's included, but bool."""
-    # bool is an int subclass, but True is not a count or a seed
-    if isinstance(value, bool):
-        raise _key_error(key, "must be an integer, not a boolean")
+def _checked(key: str, check, *args):
+    """check(*args), one of the errors module's checks, its ValueError a ConfigError on key."""
     try:
-        return operator.index(value)
-    except TypeError:
-        raise _key_error(key, "must be an integer") from None
-
-
-def _as_float(key: str, value) -> float:
-    """value as a finite Python float (errors.finite_float), or a ConfigError on key."""
-    try:
-        return finite_float(value)
+        return check(*args)
     except ValueError as exc:
         raise _key_error(key, str(exc)) from None
 
@@ -107,25 +95,20 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "elements_sweep", tuple(
-            _as_int("elements_sweep", m) for m in _as_tuple("elements_sweep", self.elements_sweep)))
-        object.__setattr__(self, "trials", _as_int("trials", self.trials))
-        object.__setattr__(self, "seed", _as_int("seed", self.seed))
+            _checked("elements_sweep", exact_int, m)
+            for m in _as_tuple("elements_sweep", self.elements_sweep)))
         object.__setattr__(self, "architectures", tuple(
             str(a).strip() for a in _as_tuple("architectures", self.architectures)))
 
         for f in fields(self):
-            if f.type == "float":
-                object.__setattr__(self, f.name, _as_float(f.name, getattr(self, f.name)))
+            check = {"float": finite_float, "int": exact_int}.get(f.type)
+            if check:
+                object.__setattr__(self, f.name, _checked(f.name, check, getattr(self, f.name)))
         # the channel model scales amplitudes by 10^(gain/20) and the Rician factor is 10^(k/10)
-        for key, per_decade in _DECIBEL_KEYS:
-            try:
-                10.0 ** (getattr(self, key) / per_decade)
-            except OverflowError:
-                raise _key_error(
-                    key, f"10 ** ({key} / {per_decade:g}) overflows a float") from None
+        linear = {key: _checked(key, linear_from_db, getattr(self, key), per_decade)
+                  for key, per_decade in _DECIBEL_KEYS}
         for a, b in _HOP_GAIN_KEYS:
-            product = 10.0 ** (getattr(self, a) / 20.0) * 10.0 ** (getattr(self, b) / 20.0)
-            if not math.isfinite(product):
+            if not math.isfinite(linear[a] * linear[b]):
                 raise _key_error(
                     a, f"10 ** ({a} / 20) * 10 ** ({b} / 20), a hop's gain, overflows a float")
         if self.carrier_hz <= 0:
@@ -133,9 +116,8 @@ class SimConfig:
         if self.bandwidth_hz <= 0:
             raise _key_error("bandwidth_hz", "must be positive")
         # the link budget divides by both powers, so neither may overflow or round to zero
-        rf = RfConfig(self.tx_power_dbm, self.bandwidth_hz, self.noise_psd_dbm_hz)
-        for key, watts in (("tx_power_dbm", lambda: dbm_to_watts(rf.tx_power_dbm)),
-                           ("noise_psd_dbm_hz", lambda: noise_power_watts(rf))):
+        for key, watts in (("tx_power_dbm", lambda: dbm_to_watts(self.tx_power_dbm)),
+                           ("noise_psd_dbm_hz", lambda: noise_power_watts(self))):
             try:
                 power_w = watts()
             except OverflowError:
@@ -150,10 +132,7 @@ class SimConfig:
         for key, distance_m in (("leo_altitude_m", self.leo_altitude_m),
                                 ("leo_altitude_m", self.leo_altitude_m - self.haps_altitude_m),
                                 ("haps_altitude_m", self.haps_altitude_m)):
-            try:
-                fspl_amplitude(distance_m, self.carrier_hz)
-            except InvalidInput as exc:
-                raise _key_error(key, str(exc)) from None
+            _checked(key, fspl_amplitude, distance_m, self.carrier_hz)
         if self.static_power_w < 0:
             raise _key_error("static_power_w", "must be nonnegative")
 
@@ -207,11 +186,9 @@ class SimConfig:
                                     direct_blocked=self.direct_link == "blocked")
         a_d, a_h, a_g = magnitudes
         swept = (min(self.elements_sweep), max(self.elements_sweep))
-        rf = RfConfig(self.tx_power_dbm, self.bandwidth_hz, self.noise_psd_dbm_hz,
-                      self.static_power_w)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             unfaded = np.array(swept) * a_g * a_h + a_d
-            values = link_columns(unfaded * [1.0 / FADE_HEADROOM, FADE_HEADROOM], rf)
+            values = link_columns(unfaded * [1.0 / FADE_HEADROOM, FADE_HEADROOM], self)
         if not np.isfinite(values).all():
             raise ConfigError(f"unfaded |h_eff| is {unfaded.tolist()} at {list(swept)} elements, "
                               f"and fades may scale it by {FADE_HEADROOM:g} either way: link "

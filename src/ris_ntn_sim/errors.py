@@ -1,7 +1,8 @@
-"""Exception types shared across the simulator modules, and the check of real-valued fields."""
+"""Exception types shared across the simulator modules, and the checks of numeric inputs."""
 
 import math
 import numbers
+import operator
 
 
 class SimulatorError(Exception):
@@ -66,10 +67,40 @@ def finite_float(value) -> float:
     return value
 
 
-def finite_float_fields(instance, names) -> None:
-    """Store each named field of a frozen dataclass as its finite_float; a ValueError names it."""
-    for name in names:
+def exact_int(value) -> int:
+    """value as a Python int: any integer operator.index accepts, numpy's included, but a bool.
+
+    Anything else, 1.5 too, raises ValueError, whose message follows the field's name.
+    """
+    # bool is an int subclass, but True is not a count or a seed
+    if isinstance(value, bool):
+        raise ValueError("must be an integer, not a boolean")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"must be an integer, got {type(value).__name__}") from None
+
+
+def linear_from_db(value, per_decade: float) -> float:
+    """10 ** (value / per_decade): per_decade is 10 for a power ratio and 20 for an amplitude.
+
+    value must pass finite_float; one whose linear value overflows a float
+    raises ValueError too, whose message follows the field's name.
+    """
+    value = finite_float(value)
+    try:
+        return 10.0 ** (value / per_decade)
+    except OverflowError:
+        raise ValueError(f"must be finite on the linear scale, but 10 ** ({value!r} / "
+                         f"{per_decade:g}) overflows a float") from None
+
+
+def checked_args(check, **args) -> list:
+    """check(value) of each keyword argument in order; a ValueError is an InvalidInput naming it."""
+    values = []
+    for name, value in args.items():
         try:
-            object.__setattr__(instance, name, finite_float(getattr(instance, name)))
+            values.append(check(value))
         except ValueError as exc:
-            raise ValueError(f"{name} {exc}") from None
+            raise InvalidInput(f"{name} {exc}") from None
+    return values

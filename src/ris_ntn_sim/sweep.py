@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from .channel_model import build_geometry, channel_set, draw_fades
 from .config import LINK_BUDGET_KEYS, MAX_TRIALS, SimConfig, format_config
-from .errors import DimensionMismatch, SimulatorError, SweepError
-from .link_metrics import RfConfig, link_columns
+from .errors import DimensionMismatch, SimulatorError, SweepError, checked_args, exact_int
+from .link_metrics import link_columns
 from .phase_optimizer import certify_cells, closed_form_cells
 from .ris_core import UNIT_TOLERANCE, Architecture
 
@@ -71,7 +71,8 @@ def _trial_seeds(run_seed: int, trials: np.ndarray) -> np.ndarray:
 
 
 def derive_trial_seed(run_seed: int, trial: int) -> int:
-    """Deterministic seed of one trial, shared by every cell of the sweep."""
+    """Seed of one trial, shared by every cell of the sweep; InvalidInput unless both are integers."""
+    run_seed, trial = checked_args(exact_int, run_seed=run_seed, trial=trial)
     return int(_trial_seeds(run_seed, np.array([trial]))[0])
 
 
@@ -258,8 +259,6 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     geom = build_geometry(cfg)
     a_d, a_h, a_g = magnitudes = cfg.link_budget(geom)  # raises ConfigError before any draw
     fading = cfg.fading_spec
-    rf = RfConfig(cfg.tx_power_dbm, cfg.bandwidth_hz, cfg.noise_psd_dbm_hz,
-                  cfg.static_power_w)
     cells = _cells(cfg)
     designs = [(arch, m) for _, arch, m in cells]
     m_max = max((m for _, m in designs), default=1)
@@ -283,7 +282,7 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
                 h_eff += a_d * np.sqrt(power[:, 0])
                 certificates = (certify_cells(channel_set(geom, fades[0], magnitudes), designs)
                                 if start == 0 else None)
-                values = link_columns(h_eff, rf)
+                values = link_columns(h_eff, cfg)
             except (SimulatorError, ValueError, ArithmeticError) as exc:
                 raise SweepError(f"trials {trials.start}..{trials.stop - 1}: {exc}") from exc
             if one_row:

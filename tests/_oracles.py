@@ -28,7 +28,6 @@ from ris_ntn_sim import (
     InvalidInput,
     OptimizeResult,
     PhaseShiftMatrix,
-    RfConfig,
     build_geometry,
     derive_trial_seed,
     fspl_amplitude,
@@ -241,7 +240,6 @@ def trial_by_trial_csv(cfg, chunk_trials: int) -> bytes:
     through the sweep's own moments, as run_sweep merges its chunks.
     """
     geom = build_geometry(cfg)
-    rf = RfConfig(cfg.tx_power_dbm, cfg.bandwidth_hz, cfg.noise_psd_dbm_hz, cfg.static_power_w)
     a_d, a_h, a_g = _hop_magnitudes(geom, cfg.tx_gain_dbi, cfg.ris_element_gain_dbi,
                                     cfg.rx_gain_dbi, cfg.direct_link == "blocked")
     cells = sweep._cells(cfg)
@@ -253,7 +251,7 @@ def trial_by_trial_csv(cfg, chunk_trials: int) -> bytes:
         fades = per_trial_fades(cfg.fading_spec, 1 + 2 * m_max, seed)
         power = (fades.real * fades.real + fades.imag * fades.imag)[None]
         h_eff = a_g * a_h * closed_form_cells(power[:, 2::2], power[:, 1::2], designs)
-        rows.append(link_columns(h_eff + a_d * np.sqrt(power[:, 0]), rf)[:, 0])
+        rows.append(link_columns(h_eff + a_d * np.sqrt(power[:, 0]), cfg)[:, 0])
     values = np.stack(rows, axis=1)  # (cells, trials, 4)
     moments = sweep._Moments(len(cells))
     for start in range(0, cfg.trials, chunk_trials):

@@ -24,7 +24,6 @@ from ris_ntn_sim import (
     run_sweep,
     validate,
 )
-from ris_ntn_sim.link_metrics import RfConfig
 from ris_ntn_sim.sweep import _metadata_path
 
 from _helpers import unit_channel
@@ -167,7 +166,7 @@ def test_criterion_6_link_budget_goldens():
     loss_b = path_loss_db(15e3, 18.7e9)
     assert loss_b == pytest.approx(oracle_db(15e3, 18.7e9), rel=1e-12)
     assert abs(loss_b - 141.4) <= 0.1
-    noise = 10.0 * math.log10(noise_power_watts(RfConfig(50.0, 2e7, -170.0))) + 30.0
+    noise = 10.0 * math.log10(noise_power_watts(SimConfig(bandwidth_hz=2e7, noise_psd_dbm_hz=-170.0))) + 30.0
     assert abs(noise - (-96.99)) <= 0.01
     print(f"criterion 6 PASS: {loss_a:.2f} dB, {loss_b:.2f} dB, noise {noise:.2f} dBm")
 

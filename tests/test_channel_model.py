@@ -185,12 +185,33 @@ class TestGenerateChannels:
         assert np.array_equal(blocked.h, clear.h)
         assert np.array_equal(blocked.g, clear.g)
 
-    def test_element_count_must_be_positive(self):
+    @pytest.mark.parametrize("elements, seed", [
+        (0, 1), (-3, 1), (True, 1), (2.5, 1), ("8", 1), (None, 1),
+        (4, 1.5), (4, True), (4, "3"), (4, None)])
+    def test_element_count_and_seed_must_be_integers(self, elements, seed):
+        # none is rounded: 1.5 would otherwise draw seed 1, and True one element
         with pytest.raises(InvalidInput):
-            generate_channels(self.geom, FadingSpec(), 0, 1)
+            generate_channels(self.geom, FadingSpec(), elements, seed)
+
+    @pytest.mark.parametrize("gains", [
+        {"tx_gain_dbi": 7000.0},
+        {"ris_element_gain_dbi": 1e300},
+        {"rx_gain_dbi": float("nan")},
+        {"tx_gain_dbi": float("inf")},
+        {"rx_gain_dbi": float("-inf")},
+        {"tx_gain_dbi": True},
+        {"tx_gain_dbi": "3"},
+        {"tx_gain_dbi": 6000.0, "ris_element_gain_dbi": 6000.0},
+        {"ris_element_gain_dbi": 6000.0, "rx_gain_dbi": 6000.0},
+        {"tx_gain_dbi": 6000.0, "rx_gain_dbi": 6000.0},
+    ])
+    def test_gains_must_be_finite_on_the_linear_scale(self, gains):
+        # each gain alone, or a hop's product of two, that is not finite is refused before any draw
+        with pytest.raises(InvalidInput):
+            generate_channels(self.geom, FadingSpec(), 4, 1, **gains)
 
     def test_seed_is_taken_modulo_2_64(self):
-        for seed, same in ((-1, 2**64 - 1), (5, 5 + 2**64)):
+        for seed, same in ((-1, 2**64 - 1), (5, 5 + 2**64), (np.int64(-1), np.uint64(2**64 - 1))):
             a = generate_channels(self.geom, FadingSpec(), 4, seed)
             b = generate_channels(self.geom, FadingSpec(), 4, same)
             assert a.h.tobytes() == b.h.tobytes() and a.g.tobytes() == b.g.tobytes()
@@ -276,7 +297,9 @@ class TestFadingSpec:
     @pytest.mark.parametrize("value, stored", [
         (True, None), ("10", None), (None, None), (1 + 0j, None), (Decimal("3"), None),
         (10**400, None), (float("-inf"), None), (float("nan"), None),
-        (np.float32(1.5), 1.5), (np.int64(3), 3.0), (Fraction(1, 2), 0.5), (3, 3.0)])
+        (4000.0, None), (3090.0, None), (10**300, None),  # 10 ** (k / 10) overflows
+        (np.float32(1.5), 1.5), (np.int64(3), 3.0), (Fraction(1, 2), 0.5), (3, 3.0),
+        (3000.0, 3000.0), (-4000.0, -4000.0)])
     def test_k_factor_is_a_finite_python_float(self, value, stored):
         if stored is None:
             with pytest.raises(ValueError, match="^k_factor_db must be") as exc:

@@ -232,6 +232,7 @@ class TestConstraints:
         ("static_power_w", 10**400),
         ("tx_gain_dbi", -(10**400)),
         ("rx_gain_dbi", np.float64("nan")),
+        ("static_power_w", float("inf")),
     ])
     def test_non_numbers_and_non_finite_values_rejected_for_float_keys(self, key, value):
         with pytest.raises(ConfigError) as err:

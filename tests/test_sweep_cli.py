@@ -18,6 +18,7 @@ from ris_ntn_sim import (
     ChannelSet,
     ConfigError,
     FadingSpec,
+    InvalidInput,
     SimConfig,
     SimulatorError,
     SweepError,
@@ -436,6 +437,16 @@ class TestTrialSeeds:
             derive_trial_seed(1, -1)
         with pytest.raises(ValueError):
             derive_trial_seed(1, 2**31)
+
+    @pytest.mark.parametrize("run_seed, trial", [
+        (42, 1.5), (42, True), (42, "3"), (42, None), (1.5, 0), (True, 0)])
+    def test_non_integers_rejected(self, run_seed, trial):
+        # none is truncated to a neighbouring trial's seed
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            derive_trial_seed(run_seed, trial)
+
+    def test_numpy_integers_accepted(self):
+        assert derive_trial_seed(np.uint64(42), np.int64(3)) == derive_trial_seed(42, 3)
 
     @pytest.mark.parametrize("run_seed", [0, 42, -1, 2**64 - 1, 2**70 + 3])
     @pytest.mark.parametrize("start, stop", [(0, 7), (7, 14), (2**31 - 5, 2**31)])
