@@ -74,13 +74,13 @@ class LinkGeometry:
     carrier_hz: float
 
     def __post_init__(self):
-        if not (self.leo_altitude_m > self.haps_altitude_m > 0):
+        if not (math.inf > self.leo_altitude_m > self.haps_altitude_m > 0):
             raise InvalidInput(
-                f"need leo_altitude_m > haps_altitude_m > 0, "
+                f"need a finite leo_altitude_m > haps_altitude_m > 0, "
                 f"got {self.leo_altitude_m} and {self.haps_altitude_m}"
             )
-        if self.carrier_hz <= 0:
-            raise InvalidInput(f"carrier must be positive, got {self.carrier_hz}")
+        if not 0 < self.carrier_hz < math.inf:
+            raise InvalidInput(f"carrier must be positive and finite, got {self.carrier_hz}")
         if not KA_BAND_HZ[0] <= self.carrier_hz <= KA_BAND_HZ[1]:
             logger.warning(
                 "carrier %.6g Hz is outside the Ka band %.4g-%.4g Hz",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .channel_model import FADING_MODELS, FadingSpec, LinkGeometry, fspl_amplitude, hop_magnitudes
-from .errors import ConfigError, exact_int, finite_float, linear_from_db
+from .errors import ConfigError, InvalidInput, exact_int, finite_float, linear_from_db
 from .link_metrics import dbm_to_watts, link_columns, noise_power_watts
 from .ris_core import Architecture
 
@@ -120,7 +120,7 @@ class SimConfig:
                            ("noise_psd_dbm_hz", lambda: noise_power_watts(self))):
             try:
                 power_w = watts()
-            except OverflowError:
+            except InvalidInput:  # watts that overflow a float
                 power_w = math.inf
             if not 0 < power_w < math.inf:
                 raise _key_error(key, f"power in watts is {power_w!r}; it must be finite and positive")

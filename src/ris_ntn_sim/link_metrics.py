@@ -6,13 +6,14 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, checked_args, finite_float, linear_from_db
 
 _LN2 = math.log(2.0)
 
 
 def dbm_to_watts(p_dbm: float) -> float:
-    return 10.0 ** ((p_dbm - 30.0) / 10.0)
+    """p_dbm in W; InvalidInput unless p_dbm is a finite real number whose watts fit in a float."""
+    return checked_args(lambda p: linear_from_db(finite_float(p) - 30.0, 10.0), p_dbm=p_dbm)[0]
 
 
 def noise_power_watts(cfg) -> float:

@@ -88,6 +88,14 @@ class TestGeometry:
         with pytest.raises(InvalidInput, match="carrier"):
             LinkGeometry(600e3, 15e3, carrier_hz)
 
+    @pytest.mark.parametrize("leo, haps, carrier_hz", [
+        (math.inf, 15e3, 18.7e9), (math.nan, 15e3, 18.7e9), (600e3, math.inf, 18.7e9),
+        (600e3, math.nan, 18.7e9), (600e3, 15e3, math.inf), (600e3, 15e3, math.nan),
+        (600e3, 15e3, -math.inf)])
+    def test_non_finite_fields_rejected(self, leo, haps, carrier_hz):
+        with pytest.raises(InvalidInput, match="finite"):
+            LinkGeometry(leo, haps, carrier_hz)
+
     def test_out_of_band_carrier_warns(self, caplog):
         class Cfg:
             leo_altitude_m = 600e3

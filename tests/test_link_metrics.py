@@ -121,6 +121,15 @@ class TestLinkColumns:
         np.testing.assert_array_equal(link_columns(h_eff, rf), link_columns(h_eff, cfg))
         assert noise_power_watts(rf) == noise_power_watts(cfg)
 
+    @pytest.mark.parametrize("field", ["tx_power_dbm", "noise_psd_dbm_hz"])
+    @pytest.mark.parametrize("value", [3400.0, float("nan"), float("inf")])
+    def test_levels_without_finite_watts_rejected(self, field, value):
+        # SimConfig refuses these levels itself; any other object reaches the equations with them
+        fields = {"tx_power_dbm": 50.0, "bandwidth_hz": 2e7, "noise_psd_dbm_hz": -170.0,
+                  "static_power_w": 0.0, field: value}
+        with pytest.raises(InvalidInput, match="^p_dbm must be"):
+            link_columns(1.0, SimpleNamespace(**fields))
+
     def test_complex_gains_use_their_magnitude(self):
         h_eff = np.array([5e-8j, -5e-8])
         got = link_columns(h_eff, DEFAULT_CFG)
@@ -132,3 +141,13 @@ class TestUnits:
     def test_dbm_watt_round_trip(self, p_dbm):
         back = 10.0 * math.log10(dbm_to_watts(p_dbm)) + 30.0
         assert back == pytest.approx(p_dbm, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("p_dbm", [3400.0, float("nan"), float("inf"), float("-inf"), True, "30"])
+    def test_levels_without_finite_watts_rejected(self, p_dbm):
+        # 3400 dBm is 10^337 W, beyond the float range
+        with pytest.raises(InvalidInput, match="^p_dbm must be"):
+            dbm_to_watts(p_dbm)
+
+    def test_numpy_levels_accepted(self):
+        assert dbm_to_watts(np.float64(17.5)) == dbm_to_watts(17.5)
+        assert dbm_to_watts(np.int64(30)) == 1.0
