@@ -1,6 +1,6 @@
 """Simulator and phase-shift optimizer for a relay-surface-assisted satellite downlink."""
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .channel_model import (
     KA_BAND_HZ,
@@ -13,39 +13,24 @@ from .channel_model import (
     path_loss_db,
 )
 from .config import SimConfig, format_config, parse_config
-from .errors import (
-    ConfigError,
-    ConstraintViolated,
-    DimensionMismatch,
-    InvalidInput,
-    SimulatorError,
-    SweepError,
-)
+from .errors import ConfigError, ConstraintViolated, InvalidInput, SimulatorError, SweepError
 from .link_metrics import dbm_to_watts, link_columns, noise_power_watts
 from .phase_optimizer import (
     OptimizeResult,
     closed_form_objective,
     optimize,
 )
-from .ris_core import (
-    UNIT_TOLERANCE,
-    Architecture,
-    ChannelSet,
-    PhaseShiftMatrix,
-    effective_channel,
-    validate,
-)
+from .ris_core import UNIT_TOLERANCE, Architecture, ChannelSet, PhaseShiftMatrix, validate
 from .sweep import CSV_HEADER, SweepRecord, SweepRecords, derive_trial_seed, emit_csv, run_sweep
 
 __all__ = [
     "__version__",
-    "Architecture", "PhaseShiftMatrix", "ChannelSet", "UNIT_TOLERANCE",
-    "validate", "effective_channel",
+    "Architecture", "PhaseShiftMatrix", "ChannelSet", "UNIT_TOLERANCE", "validate",
     "SPEED_OF_LIGHT", "KA_BAND_HZ", "LinkGeometry", "FadingSpec",
     "fspl_amplitude", "path_loss_db", "build_geometry", "generate_channels",
     "OptimizeResult", "optimize", "closed_form_objective",
     "dbm_to_watts", "noise_power_watts", "link_columns",
     "SimConfig", "parse_config", "format_config", "ConfigError",
     "SweepRecord", "SweepRecords", "run_sweep", "emit_csv", "derive_trial_seed", "CSV_HEADER",
-    "SimulatorError", "DimensionMismatch", "ConstraintViolated", "InvalidInput", "SweepError",
+    "SimulatorError", "ConstraintViolated", "InvalidInput", "SweepError",
 ]

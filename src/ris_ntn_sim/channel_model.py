@@ -18,11 +18,12 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidInput, SimulatorError, checked_args, exact_int, finite_float, linear_from_db
+from .errors import (InvalidInput, SimulatorError, checked_args, exact_int, finite_float, linear_from_db,
+                     positive_float)
 from .ris_core import ChannelSet
 
 logger = logging.getLogger(__name__)
@@ -42,11 +43,9 @@ _KNOWN_NORMALS = {
 def fspl_amplitude(distance_m: float, freq_hz: float) -> float:
     """Free-space amplitude gain lambda / (4 pi d) of one hop.
 
-    Raises InvalidInput unless the inputs and the gain are finite and positive.
+    Raises InvalidInput unless the inputs (positive_float) and the gain are finite and positive.
     """
-    for name, value in (("distance", distance_m), ("frequency", freq_hz)):
-        if not 0 < value < math.inf:
-            raise InvalidInput(f"{name} must be finite and positive, got {value}")
+    distance_m, freq_hz = checked_args(positive_float, distance_m=distance_m, freq_hz=freq_hz)
     product = 4.0 * math.pi * distance_m * freq_hz  # may underflow to zero or overflow
     amplitude = SPEED_OF_LIGHT / product if product > 0 else math.inf
     if not 0 < amplitude < math.inf:
@@ -64,7 +63,8 @@ def path_loss_db(distance_m: float, freq_hz: float) -> float:
 class LinkGeometry:
     """The vertical satellite stack: satellite, relay surface and terminal co-vertical.
 
-    Two altitudes and a carrier fix it. The direct distance is the satellite
+    Two altitudes and a carrier fix it, stored as finite Python floats
+    (finite_float, else InvalidInput). The direct distance is the satellite
     altitude, satellite to surface the altitude difference, and surface to
     terminal the platform altitude.
     """
@@ -74,13 +74,14 @@ class LinkGeometry:
     carrier_hz: float
 
     def __post_init__(self):
-        if not (math.inf > self.leo_altitude_m > self.haps_altitude_m > 0):
-            raise InvalidInput(
-                f"need a finite leo_altitude_m > haps_altitude_m > 0, "
-                f"got {self.leo_altitude_m} and {self.haps_altitude_m}"
-            )
-        if not 0 < self.carrier_hz < math.inf:
-            raise InvalidInput(f"carrier must be positive and finite, got {self.carrier_hz}")
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, value in zip(values, checked_args(finite_float, **values)):
+            object.__setattr__(self, name, value)
+        if not self.leo_altitude_m > self.haps_altitude_m > 0:
+            raise InvalidInput(f"need leo_altitude_m > haps_altitude_m > 0, "
+                               f"got {self.leo_altitude_m} and {self.haps_altitude_m}")
+        if not self.carrier_hz > 0:
+            raise InvalidInput(f"carrier_hz must be positive, got {self.carrier_hz}")
         if not KA_BAND_HZ[0] <= self.carrier_hz <= KA_BAND_HZ[1]:
             logger.warning(
                 "carrier %.6g Hz is outside the Ka band %.4g-%.4g Hz",
@@ -102,8 +103,7 @@ class LinkGeometry:
 
 def build_geometry(cfg) -> LinkGeometry:
     """Nadir-stack geometry of cfg, anything with leo_altitude_m, haps_altitude_m and carrier_hz."""
-    return LinkGeometry(float(cfg.leo_altitude_m), float(cfg.haps_altitude_m),
-                        float(cfg.carrier_hz))
+    return LinkGeometry(cfg.leo_altitude_m, cfg.haps_altitude_m, cfg.carrier_hz)
 
 
 FADING_MODELS = ("pure_los", "rician")

@@ -21,10 +21,6 @@ class ConfigError(SimulatorError, ValueError):
         super().__init__(message)
 
 
-class DimensionMismatch(SimulatorError, ValueError):
-    """Array shapes or element counts do not agree."""
-
-
 class ConstraintViolated(SimulatorError, ValueError):
     """A phase-shift matrix lies outside its architecture's feasible set.
 
@@ -40,10 +36,11 @@ class ConstraintViolated(SimulatorError, ValueError):
 
 
 class InvalidInput(SimulatorError, ValueError):
-    """An input lies outside its domain.
+    """A bad argument: an input outside its domain, or shapes that do not agree.
 
-    A non-positive distance, carrier, power or element count, or altitudes
-    that do not put the satellite above the relay above ground.
+    A non-positive distance, carrier, power or element count, altitudes that
+    do not put the satellite above the relay above ground, or array shapes
+    and element counts that disagree.
     """
 
 
@@ -64,6 +61,14 @@ def finite_float(value) -> float:
         value = math.inf
     if not math.isfinite(value):
         raise ValueError("must be finite")
+    return value
+
+
+def positive_float(value) -> float:
+    """finite_float(value), which must also be positive, else ValueError."""
+    value = finite_float(value)
+    if not value > 0:
+        raise ValueError(f"must be positive, got {value!r}")
     return value
 
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInput, checked_args, finite_float, linear_from_db
+from .errors import InvalidInput, checked_args, finite_float, linear_from_db, positive_float
 
 _LN2 = math.log(2.0)
 
@@ -17,8 +17,12 @@ def dbm_to_watts(p_dbm: float) -> float:
 
 
 def noise_power_watts(cfg) -> float:
-    """Noise power in W: the density noise_psd_dbm_hz in dBm/Hz plus 10*log10(bandwidth_hz)."""
-    return dbm_to_watts(cfg.noise_psd_dbm_hz + 10.0 * math.log10(cfg.bandwidth_hz))
+    """Noise power in W: the density noise_psd_dbm_hz in dBm/Hz plus 10*log10(bandwidth_hz).
+
+    InvalidInput unless bandwidth_hz is a finite, positive real number.
+    """
+    bandwidth_hz = checked_args(positive_float, bandwidth_hz=cfg.bandwidth_hz)[0]
+    return dbm_to_watts(cfg.noise_psd_dbm_hz + 10.0 * math.log10(bandwidth_hz))
 
 
 def link_columns(h_eff, cfg) -> np.ndarray:
@@ -29,10 +33,13 @@ def link_columns(h_eff, cfg) -> np.ndarray:
     tx_power_dbm, bandwidth_hz, noise_psd_dbm_hz and static_power_w. The SNR
     is P_tx |h_eff|^2 / N, the rate B log2(1 + SNR), and the energy
     efficiency the rate divided by the consumed power P_tx + static_power_w,
-    which must be positive.
+    which must be positive; static_power_w must be a finite, nonnegative real number.
     """
     tx_w = dbm_to_watts(cfg.tx_power_dbm)
-    power_w = tx_w + cfg.static_power_w
+    static_w = checked_args(finite_float, static_power_w=cfg.static_power_w)[0]
+    if static_w < 0:
+        raise InvalidInput(f"static_power_w must be nonnegative, got {static_w!r}")
+    power_w = tx_w + static_w
     if not power_w > 0:
         raise InvalidInput(f"total power must be positive, got {power_w} W")
     magnitude = np.abs(h_eff)

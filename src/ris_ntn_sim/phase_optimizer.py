@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import InvalidInput
 from .ris_core import Architecture, ChannelSet, PhaseShiftMatrix, diagonal_blocks, validate
 
 _EPS = np.finfo(np.float64).eps
@@ -56,7 +56,7 @@ def closed_form_cells(power_g, power_h, cells: Sequence[tuple[Architecture, int]
     power_g = np.asarray(power_g, dtype=np.float64)
     power_h = np.asarray(power_h, dtype=np.float64)
     if power_g.shape != power_h.shape or power_g.ndim < 1:
-        raise DimensionMismatch(
+        raise InvalidInput(
             f"g and h must have equal shapes, got {power_g.shape} and {power_h.shape}")
     cascade = np.sqrt(power_g * power_h) if any(a.kind == "sc" for a, _ in cells) else None
     out = np.empty((len(cells),) + power_g.shape[:-1])
@@ -64,7 +64,7 @@ def closed_form_cells(power_g, power_h, cells: Sequence[tuple[Architecture, int]
         if arch.kind == "sc":
             out[c] = cascade[..., :m].sum(axis=-1)
         else:
-            # raises DimensionMismatch unless groups | M
+            # raises InvalidInput unless groups | M
             blocks = power_g.shape[:-1] + (-1, arch.block_size(m))
             out[c] = (np.sqrt(power_g[..., :m].reshape(blocks).sum(axis=-1))
                       * np.sqrt(power_h[..., :m].reshape(blocks).sum(axis=-1))).sum(axis=-1)
@@ -108,7 +108,7 @@ class _Layout(NamedTuple):
 def _layout(ch: ChannelSet, cells: Sequence[tuple[Architecture, int]]) -> _Layout:
     """Layout of the (architecture, element count) cells of ch, in order, built from whole arrays."""
     elements = np.array([m for _, m in cells])
-    # raises DimensionMismatch unless groups | M
+    # raises InvalidInput unless groups | M
     sizes = np.array([arch.block_size(m) for arch, m in cells])
     groups = elements // sizes
     ends = np.cumsum(elements)

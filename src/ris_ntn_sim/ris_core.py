@@ -8,8 +8,7 @@ matrices are realizable:
   fully connected  ("fc") : any unitary matrix
   group connected  ("gc") : block diagonal, U unitary blocks of size M/U
 
-``validate`` checks membership in the feasible set, and ``effective_channel``
-applies a matrix to one channel realization.
+``validate`` checks membership in the feasible set.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolated, DimensionMismatch
+from .errors import ConstraintViolated, InvalidInput, checked_args, exact_int
 
 # Feasibility tolerance in max-norm. Double-precision construction lands
 # around 1e-15; the headroom absorbs accumulated rounding.
@@ -36,8 +35,13 @@ class Architecture:
         if self.kind not in ("sc", "fc", "gc"):
             raise ValueError(f"unknown architecture kind {self.kind!r}")
         if self.kind == "gc":
-            if not isinstance(self.groups, int) or self.groups < 1:
+            try:
+                groups = exact_int(self.groups)
+            except ValueError:
+                groups = 0
+            if groups < 1:
                 raise ValueError("group-connected architecture needs a positive integer group count")
+            object.__setattr__(self, "groups", groups)
         elif self.groups is not None:
             raise ValueError(f"architecture {self.kind!r} takes no group count")
 
@@ -62,15 +66,19 @@ class Architecture:
         return self.kind
 
     def block_size(self, elements: int) -> int:
-        """Side length of the unitary blocks for a surface with this many elements."""
+        """Side length of the unitary blocks for a surface with this many elements.
+
+        InvalidInput unless elements is a positive exact_int integer that the group count divides.
+        """
+        elements = checked_args(exact_int, elements=elements)[0]
         if elements < 1:
-            raise DimensionMismatch(f"element count must be positive, got {elements}")
+            raise InvalidInput(f"element count must be positive, got {elements}")
         if self.kind == "sc":
             return 1
         if self.kind == "fc":
             return elements
         if elements % self.groups:
-            raise DimensionMismatch(
+            raise InvalidInput(
                 f"group count {self.groups} does not divide element count {elements}"
             )
         return elements // self.groups
@@ -91,7 +99,7 @@ class PhaseShiftMatrix:
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=np.complex128, copy=True, order="C")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
-            raise DimensionMismatch(
+            raise InvalidInput(
                 f"phase-shift matrix must be square and non-empty, got shape {mat.shape}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -118,7 +126,7 @@ class ChannelSet:
         h = np.array(self.h, dtype=np.complex128, copy=True)
         g = np.array(self.g, dtype=np.complex128, copy=True)
         if h.ndim != 1 or g.ndim != 1 or h.size != g.size or h.size < 1:
-            raise DimensionMismatch(
+            raise InvalidInput(
                 f"h and g must be 1-D vectors of equal positive length, got {h.shape} and {g.shape}"
             )
         h_d = complex(self.h_d)
@@ -150,7 +158,7 @@ def _first(mask: np.ndarray) -> tuple[int, ...] | None:
 def validate(phi: PhaseShiftMatrix) -> None:
     """Check phi against its architecture's feasibility constraints.
 
-    Raises DimensionMismatch when the group count does not divide the element
+    Raises InvalidInput when the group count does not divide the element
     count, and ConstraintViolated at the row-major first offending entry
     otherwise, checking in this order: a non-finite entry, a nonzero entry
     outside the diagonal/block pattern, then a non-unit-modulus diagonal
@@ -189,13 +197,3 @@ def validate(phi: PhaseShiftMatrix) -> None:
         u = int(failing.argmax())
         i, j = np.unravel_index(int(deviation[u].argmax()), (size, size))
         raise ConstraintViolated((u * size + i, u * size + j), deviation[u, i, j], reason)
-
-
-def effective_channel(phi: PhaseShiftMatrix, ch: ChannelSet) -> complex:
-    """End-to-end scalar gain g^T Phi h + h_d (row-vector convention, no conjugation)."""
-    if ch.elements != phi.elements:
-        raise DimensionMismatch(
-            f"channel has {ch.elements} elements but matrix expects {phi.elements}"
-        )
-    return complex(ch.g @ phi.matrix @ ch.h + ch.h_d)
-

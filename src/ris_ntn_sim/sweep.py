@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .channel_model import build_geometry, channel_set, draw_fades
 from .config import LINK_BUDGET_KEYS, MAX_TRIALS, SimConfig, format_config
-from .errors import DimensionMismatch, SimulatorError, SweepError, checked_args, exact_int
+from .errors import InvalidInput, SimulatorError, SweepError, checked_args, exact_int
 from .link_metrics import link_columns
 from .phase_optimizer import certify_cells, closed_form_cells
 from .ris_core import UNIT_TOLERANCE, Architecture
@@ -168,7 +168,7 @@ def _cells(cfg: SimConfig) -> list[tuple[str, Architecture, int]]:
         for elements in sorted(cfg.elements_sweep):
             try:
                 arch.block_size(elements)
-            except DimensionMismatch as exc:
+            except InvalidInput as exc:
                 logger.warning("skipping arch=%s elements=%d: %s", label, elements, exc)
                 continue
             cells.append((label, arch, elements))

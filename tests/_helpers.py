@@ -1,4 +1,4 @@
-"""Shared test helpers: synthetic unit-scale channel draws."""
+"""Shared test helpers: synthetic unit-scale channel draws and the end-to-end gain of a matrix."""
 
 import numpy as np
 
@@ -23,3 +23,8 @@ def random_unitary(n: int, seed: int) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, _ = np.linalg.qr(a)
     return q
+
+
+def effective_gain(phi, ch) -> complex:
+    """End-to-end scalar gain g^T Phi h + h_d of ch through phi (row-vector convention, no conjugation)."""
+    return complex(ch.g @ phi.matrix @ ch.h + ch.h_d)

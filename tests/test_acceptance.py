@@ -15,7 +15,6 @@ from ris_ntn_sim import (
     FadingSpec,
     SimConfig,
     build_geometry,
-    effective_channel,
     emit_csv,
     generate_channels,
     noise_power_watts,
@@ -26,7 +25,7 @@ from ris_ntn_sim import (
 )
 from ris_ntn_sim.sweep import _metadata_path
 
-from _helpers import unit_channel
+from _helpers import effective_gain, unit_channel
 from _oracles import brute_force_fc2, brute_force_sc
 
 RESIDUAL_TOL = 1e-10
@@ -126,11 +125,11 @@ def test_criterion_4_closed_form_certificates():
         sc = optimize(ch, SC)
         sc_certificate = abs(ch.h_d) + float(np.abs(ch.g * ch.h).sum())
         assert sc.objective == pytest.approx(sc_certificate, rel=1e-9)
-        assert abs(effective_channel(sc.phi, ch)) == pytest.approx(sc.objective, rel=1e-9)
+        assert abs(effective_gain(sc.phi, ch)) == pytest.approx(sc.objective, rel=1e-9)
         fc = optimize(ch, FC)
         fc_certificate = abs(ch.h_d) + float(np.linalg.norm(ch.g) * np.linalg.norm(ch.h))
         assert fc.objective == pytest.approx(fc_certificate, rel=1e-9)
-        assert abs(effective_channel(fc.phi, ch)) == pytest.approx(fc.objective, rel=1e-9)
+        assert abs(effective_gain(fc.phi, ch)) == pytest.approx(fc.objective, rel=1e-9)
     print("criterion 4 PASS: closed-form certificates matched on 1000 instances")
 
 

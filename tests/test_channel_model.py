@@ -5,6 +5,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,6 +54,19 @@ class TestFspl:
         with pytest.raises(InvalidInput):
             fspl_amplitude(1e3, -1.0)
 
+    @pytest.mark.parametrize("distance_m, freq_hz, name", [
+        (True, 18.7e9, "distance_m"), ("6e5", 18.7e9, "distance_m"), (None, 18.7e9, "distance_m"),
+        (math.inf, 18.7e9, "distance_m"), (6e5, True, "freq_hz"), (6e5, "18.7e9", "freq_hz"),
+        (6e5, math.nan, "freq_hz")])
+    def test_inputs_must_be_finite_real_numbers(self, distance_m, freq_hz, name):
+        for call in (fspl_amplitude, path_loss_db):
+            with pytest.raises(InvalidInput, match=f"^{name} must be"):
+                call(distance_m, freq_hz)
+
+    def test_numpy_and_int_inputs_accepted(self):
+        assert fspl_amplitude(np.float64(6e5), np.int64(18_700_000_000)) == fspl_amplitude(6e5, 18.7e9)
+        assert fspl_amplitude(600_000, 18.7e9) == fspl_amplitude(6e5, 18.7e9)
+
     def test_strictly_decreasing_in_distance_and_frequency(self):
         distances = np.geomspace(1.0, 1e7, 25)
         amps = [fspl_amplitude(d, 12e9) for d in distances]
@@ -95,6 +109,29 @@ class TestGeometry:
     def test_non_finite_fields_rejected(self, leo, haps, carrier_hz):
         with pytest.raises(InvalidInput, match="finite"):
             LinkGeometry(leo, haps, carrier_hz)
+
+    @pytest.mark.parametrize("leo, haps, carrier_hz, name", [
+        (True, 15e3, 18.7e9, "leo_altitude_m"), (600e3, True, 18.7e9, "haps_altitude_m"),
+        (600e3, 15e3, True, "carrier_hz"), ("6e5", 15e3, 18.7e9, "leo_altitude_m"),
+        (600e3, None, 18.7e9, "haps_altitude_m"), (600e3, 15e3, 18.7e9j, "carrier_hz")])
+    def test_fields_must_be_real_numbers(self, leo, haps, carrier_hz, name):
+        with pytest.raises(InvalidInput, match=f"^{name} must be a real number"):
+            LinkGeometry(leo, haps, carrier_hz)
+
+    def test_fields_are_stored_as_python_floats(self):
+        for geom in (LinkGeometry(600000, 15000, 18_700_000_000),
+                     LinkGeometry(np.float64(600e3), np.int64(15000), np.float32(18.7e9))):
+            fields = (geom.leo_altitude_m, geom.haps_altitude_m, geom.carrier_hz)
+            assert all(type(value) is float for value in fields)
+        assert LinkGeometry(600000, 15000, 18_700_000_000) == LinkGeometry(600e3, 15e3, 18.7e9)
+
+    @pytest.mark.parametrize("attribute", ["leo_altitude_m", "haps_altitude_m", "carrier_hz"])
+    @pytest.mark.parametrize("value", ["6e5", True])
+    def test_build_geometry_passes_attributes_unconverted(self, attribute, value):
+        cfg = SimpleNamespace(leo_altitude_m=600e3, haps_altitude_m=15e3, carrier_hz=18.7e9)
+        setattr(cfg, attribute, value)
+        with pytest.raises(InvalidInput, match=f"^{attribute} must be a real number"):
+            build_geometry(cfg)
 
     def test_out_of_band_carrier_warns(self, caplog):
         class Cfg:

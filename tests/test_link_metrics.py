@@ -130,6 +130,29 @@ class TestLinkColumns:
         with pytest.raises(InvalidInput, match="^p_dbm must be"):
             link_columns(1.0, SimpleNamespace(**fields))
 
+    @pytest.mark.parametrize("value", [0, -1.0, float("inf"), float("nan"), True, "2e7", None])
+    def test_bandwidth_must_be_a_finite_positive_real(self, value):
+        # SimConfig refuses these bandwidths itself; any other object reaches the equations with them
+        rf = SimpleNamespace(tx_power_dbm=50.0, bandwidth_hz=value, noise_psd_dbm_hz=-170.0,
+                             static_power_w=0.0)
+        for call in (lambda: noise_power_watts(rf), lambda: link_columns(1.0, rf)):
+            with pytest.raises(InvalidInput, match="^bandwidth_hz must be"):
+                call()
+
+    @pytest.mark.parametrize("value", [-1.0, float("inf"), float("nan"), True, "1", None])
+    def test_static_power_must_be_a_finite_nonnegative_real(self, value):
+        rf = SimpleNamespace(tx_power_dbm=50.0, bandwidth_hz=2e7, noise_psd_dbm_hz=-170.0,
+                             static_power_w=value)
+        with pytest.raises(InvalidInput, match="^static_power_w must be"):
+            link_columns(1.0, rf)
+
+    def test_numpy_bandwidth_and_static_power_accepted(self):
+        rf = SimpleNamespace(tx_power_dbm=43.0, bandwidth_hz=np.float32(3e7),
+                             noise_psd_dbm_hz=-171.5, static_power_w=np.int64(2))
+        cfg = SimConfig(tx_power_dbm=43.0, bandwidth_hz=float(np.float32(3e7)),
+                        noise_psd_dbm_hz=-171.5, static_power_w=2.0)
+        np.testing.assert_array_equal(link_columns(3e-8, rf), link_columns(3e-8, cfg))
+
     def test_complex_gains_use_their_magnitude(self):
         h_eff = np.array([5e-8j, -5e-8])
         got = link_columns(h_eff, DEFAULT_CFG)

@@ -8,17 +8,16 @@ import pytest
 from ris_ntn_sim import (
     Architecture,
     ChannelSet,
-    DimensionMismatch,
     FadingSpec,
+    InvalidInput,
     SimConfig,
     build_geometry,
-    effective_channel,
     generate_channels,
     optimize,
     validate,
 )
 
-from _helpers import unit_channel
+from _helpers import effective_gain, unit_channel
 from _oracles import brute_force_fc2, brute_force_sc
 
 SC, FC = Architecture("sc"), Architecture("fc")
@@ -51,7 +50,7 @@ class TestOptimizeSc:
         ch = unit_channel(4, 9, h_d_scale=0.0)
         result = optimize(ch, SC)
         assert result.objective == pytest.approx(float(np.abs(ch.g * ch.h).sum()), rel=1e-12)
-        assert effective_channel(result.phi, ch) == pytest.approx(result.objective, rel=1e-12)
+        assert effective_gain(result.phi, ch) == pytest.approx(result.objective, rel=1e-12)
 
 
 class TestOptimizeFc:
@@ -116,7 +115,7 @@ class TestOptimizeGc:
         assert gc <= fc + 1e-9
 
     def test_group_count_must_divide(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput):
             optimize(unit_channel(4, 0), Architecture("gc", 3))
 
     def test_zero_block_contributes_nothing(self):
@@ -173,7 +172,7 @@ class TestOrderingAndInvariance:
         ch = unit_channel(5, seed)
         for label in ("sc", "fc", "gc:5"):
             result = optimize(ch, Architecture.from_label(label))
-            recomputed = abs(effective_channel(result.phi, ch))
+            recomputed = abs(effective_gain(result.phi, ch))
             assert recomputed == pytest.approx(result.objective, rel=1e-9)
 
 

@@ -1,5 +1,6 @@
 """Property tests of the batched closed forms and the factored certificate the sweep evaluates."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -12,15 +13,15 @@ from ris_ntn_sim import (
     UNIT_TOLERANCE,
     Architecture,
     ChannelSet,
-    DimensionMismatch,
+    InvalidInput,
     SimConfig,
-    effective_channel,
     optimize,
     run_sweep,
 )
 from ris_ntn_sim import phase_optimizer
 from ris_ntn_sim.phase_optimizer import certify_cells, closed_form_cells, closed_form_objective
 
+from _helpers import effective_gain
 from _oracles import prefix_closed_form
 
 # The ordering bounds are exact in real arithmetic; the two sides are rounded
@@ -116,7 +117,8 @@ def test_shared_closed_forms_equal_each_prefix_call_bit_for_bit(data, trials, el
                                               (np.ones(4), np.ones((1, 4))),
                                               (1.0, 1.0)], ids=["columns", "rows", "scalars"])
 def test_closed_form_cells_need_equal_shapes_of_at_least_one_axis(power_g, power_h):
-    with pytest.raises(DimensionMismatch):
+    shapes = f"{np.shape(power_g)} and {np.shape(power_h)}"
+    with pytest.raises(InvalidInput, match=rf"^g and h must have equal shapes, got {re.escape(shapes)}$"):
         closed_form_cells(power_g, power_h, [(SC, 1)])
 
 
@@ -176,7 +178,7 @@ def test_factored_certificate_matches_the_dense_matrix(drawn):
     for arch in (SC, FC, Architecture("gc", groups)):
         [achieved], [bound] = certify_cells(ch, [(arch, ch.elements)])
         phi = optimize(ch, arch).phi
-        dense = abs(effective_channel(phi, ch))
+        dense = abs(effective_gain(phi, ch))
         assert abs(achieved - dense) <= 1e-12 * dense
         assert bound <= UNIT_TOLERANCE
         assert bound >= np.abs(phi.matrix.conj().T @ phi.matrix - np.eye(ch.elements)).max()
@@ -195,7 +197,7 @@ def test_cell_certificates_match_the_dense_matrices(drawn, data, pass_entries):
     for (arch, m), (achieved, bound) in zip(cells, certificates):
         prefix = ChannelSet(h=ch.h[:m], g=ch.g[:m], h_d=ch.h_d)
         phi = optimize(prefix, arch).phi
-        dense = abs(effective_channel(phi, prefix))
+        dense = abs(effective_gain(phi, prefix))
         assert abs(achieved - dense) <= 1e-12 * dense
         assert bound <= UNIT_TOLERANCE
         assert bound >= np.abs(phi.matrix.conj().T @ phi.matrix - np.eye(m)).max()

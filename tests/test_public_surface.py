@@ -2,21 +2,41 @@
 
 import argparse
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 import ris_ntn_sim
-from ris_ntn_sim import cli
+from ris_ntn_sim import (
+    Architecture,
+    ConfigError,
+    FadingSpec,
+    InvalidInput,
+    LinkGeometry,
+    SimConfig,
+    build_geometry,
+    cli,
+    dbm_to_watts,
+    derive_trial_seed,
+    fspl_amplitude,
+    generate_channels,
+    link_columns,
+    noise_power_watts,
+    path_loss_db,
+)
 
 SOURCE = Path(__file__).parents[1] / "src" / "ris_ntn_sim"
 
 PUBLIC_NAMES = [
     "Architecture", "CSV_HEADER", "ChannelSet", "ConfigError", "ConstraintViolated",
-    "DimensionMismatch", "FadingSpec", "InvalidInput", "KA_BAND_HZ", "LinkGeometry",
+    "FadingSpec", "InvalidInput", "KA_BAND_HZ", "LinkGeometry",
     "OptimizeResult", "PhaseShiftMatrix", "SPEED_OF_LIGHT", "SimConfig",
     "SimulatorError", "SweepError", "SweepRecord", "SweepRecords", "UNIT_TOLERANCE",
     "__version__", "build_geometry", "closed_form_objective", "dbm_to_watts",
-    "derive_trial_seed", "effective_channel", "emit_csv", "format_config", "fspl_amplitude",
+    "derive_trial_seed", "emit_csv", "format_config", "fspl_amplitude",
     "generate_channels", "link_columns", "noise_power_watts", "optimize", "parse_config",
     "path_loss_db", "run_sweep", "validate",
 ]
@@ -48,7 +68,7 @@ CLI_OPTIONS = {
 
 
 def test_all_is_the_pinned_list():
-    assert len(PUBLIC_NAMES) == 36
+    assert len(PUBLIC_NAMES) == 34
     assert sorted(ris_ntn_sim.__all__) == PUBLIC_NAMES
 
 
@@ -56,7 +76,7 @@ def test_every_public_exception_is_a_simulator_error():
     errors = [getattr(ris_ntn_sim, name) for name in PUBLIC_NAMES
               if isinstance(getattr(ris_ntn_sim, name), type)
               and issubclass(getattr(ris_ntn_sim, name), Exception)]
-    assert len(errors) == 6
+    assert len(errors) == 5
     assert all(issubclass(e, ris_ntn_sim.SimulatorError) for e in errors)
     assert issubclass(ris_ntn_sim.ConfigError, ValueError)
 
@@ -66,6 +86,61 @@ def test_constructor_fields_are_the_pinned_ones():
     fields = {cls.__name__: tuple(inspect.signature(cls).parameters) for cls in public
               if isinstance(cls, type) and not issubclass(cls, Exception)}
     assert fields == CONSTRUCTOR_FIELDS
+
+
+RF = {"tx_power_dbm": 50.0, "bandwidth_hz": 2e7, "noise_psd_dbm_hz": -170.0, "static_power_w": 0.0}
+GEOMETRY = {"leo_altitude_m": 600e3, "haps_altitude_m": 15e3, "carrier_hz": 18.7e9}
+HOP = {"distance_m": 600e3, "freq_hz": 18.7e9}
+DRAW = {"elements": 4, "seed": 1, "tx_gain_dbi": 0.0, "ris_element_gain_dbi": 0.0, "rx_gain_dbi": 0.0}
+CONFIG_NUMBERS = [f.name for f in dataclasses.fields(SimConfig) if f.type in ("float", "int")]
+
+
+def with_true(values: dict, key: str) -> dict:
+    return {**values, key: True}
+
+
+# (entry point and argument, error class, text its message holds, call with True for that number)
+TRUE_FOR_A_NUMBER = [
+    ("Architecture.groups", ValueError, "group count", lambda: Architecture("gc", True)),
+    ("Architecture.block_size", InvalidInput, "elements",
+     lambda: Architecture("fc").block_size(True)),
+    ("FadingSpec.k_factor_db", ValueError, "k_factor_db", lambda: FadingSpec(k_factor_db=True)),
+    ("dbm_to_watts", InvalidInput, "p_dbm", lambda: dbm_to_watts(True)),
+    ("noise_power_watts.bandwidth_hz", InvalidInput, "bandwidth_hz",
+     lambda: noise_power_watts(SimpleNamespace(**with_true(RF, "bandwidth_hz")))),
+    *((f"link_columns.{key}", InvalidInput, text,
+       lambda key=key: link_columns(1.0, SimpleNamespace(**with_true(RF, key))))
+      for key, text in (("tx_power_dbm", "p_dbm"), ("bandwidth_hz", "bandwidth_hz"),
+                        ("static_power_w", "static_power_w"))),
+    *((f"{call.__name__}.{key}", InvalidInput, key, lambda call=call, key=key: call(**with_true(HOP, key)))
+      for call in (fspl_amplitude, path_loss_db) for key in HOP),
+    *((f"LinkGeometry.{key}", InvalidInput, key,
+       lambda key=key: LinkGeometry(**with_true(GEOMETRY, key))) for key in GEOMETRY),
+    *((f"build_geometry.{key}", InvalidInput, key,
+       lambda key=key: build_geometry(SimpleNamespace(**with_true(GEOMETRY, key)))) for key in GEOMETRY),
+    *((f"SimConfig.{key}", ConfigError, key, lambda key=key: SimConfig(**{key: True}))
+      for key in CONFIG_NUMBERS),
+    ("SimConfig.elements_sweep", ConfigError, "elements_sweep",
+     lambda: SimConfig(elements_sweep=(8, True))),
+    *((f"generate_channels.{key}", InvalidInput, key,
+       lambda key=key: generate_channels(LinkGeometry(**GEOMETRY), FadingSpec(), **with_true(DRAW, key)))
+      for key in DRAW),
+    ("derive_trial_seed.run_seed", InvalidInput, "run_seed", lambda: derive_trial_seed(True, 0)),
+    ("derive_trial_seed.trial", InvalidInput, "trial", lambda: derive_trial_seed(42, True)),
+]
+
+
+def test_every_config_number_is_covered():
+    assert len(CONFIG_NUMBERS) == 13
+
+
+@pytest.mark.parametrize("error, text, call", [case[1:] for case in TRUE_FOR_A_NUMBER],
+                         ids=[case[0] for case in TRUE_FOR_A_NUMBER])
+def test_true_is_refused_for_every_number(error, text, call):
+    # a bool is an int to Python, but never a count, a seed, a level or a length
+    assert issubclass(error, ValueError)
+    with pytest.raises(error, match=text):
+        call()
 
 
 def option_strings(parser: argparse.ArgumentParser) -> tuple:

@@ -1,6 +1,7 @@
 """Constraint validation and channel application."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,14 +12,13 @@ from ris_ntn_sim import (
     Architecture,
     ChannelSet,
     ConstraintViolated,
-    DimensionMismatch,
+    InvalidInput,
     PhaseShiftMatrix,
-    effective_channel,
     optimize,
     validate,
 )
 
-from _helpers import random_unitary, unit_channel
+from _helpers import effective_gain, random_unitary, unit_channel
 from _oracles import loop_validate
 
 SC, FC = Architecture("sc"), Architecture("fc")
@@ -47,13 +47,33 @@ class TestArchitecture:
     def test_group_count_must_divide_elements(self):
         arch = Architecture("gc", 3)
         assert arch.block_size(9) == 3
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput, match="^group count 3 does not divide element count 8$"):
             arch.block_size(8)
 
     @pytest.mark.parametrize("label", ["sc", "fc", "gc:2"])
     def test_block_size_needs_a_positive_element_count(self, label):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput, match="^element count must be positive, got 0$"):
             Architecture.from_label(label).block_size(0)
+
+    @pytest.mark.parametrize("label", ["sc", "fc", "gc:2"])
+    @pytest.mark.parametrize("elements", [True, 8.0, "8", None])
+    def test_block_size_needs_an_integer_element_count(self, label, elements):
+        with pytest.raises(InvalidInput, match="^elements must be an integer"):
+            Architecture.from_label(label).block_size(elements)
+
+    def test_block_size_takes_numpy_integers(self):
+        size = Architecture("gc", 4).block_size(np.int64(8))
+        assert size == 2 and type(size) is int
+
+    @pytest.mark.parametrize("groups", [True, 4.0, "4", None, 0, -4])
+    def test_group_count_must_be_a_positive_integer(self, groups):
+        with pytest.raises(ValueError, match="needs a positive integer group count"):
+            Architecture("gc", groups)
+
+    def test_numpy_group_count_is_stored_as_an_int(self):
+        arch = Architecture("gc", np.int64(4))
+        assert type(arch.groups) is int
+        assert arch == Architecture("gc", 4) and arch.label == "gc:4"
 
     def test_kind_checked(self):
         with pytest.raises(ValueError):
@@ -179,7 +199,7 @@ class TestValidate:
 
     def test_group_count_not_dividing_elements(self):
         phi = PhaseShiftMatrix(np.eye(4), Architecture("gc", 3))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput):
             validate(phi)
 
     def test_gc_with_unit_blocks_matches_sc(self):
@@ -203,13 +223,13 @@ class TestEffectiveChannel:
         phi = PhaseShiftMatrix(np.eye(2), FC)
         ch = ChannelSet(h=np.array([0.0, 1.0], dtype=complex),
                         g=np.array([1.0, 0.0], dtype=complex), h_d=0j)
-        assert effective_channel(phi, ch) == 0j
+        assert effective_gain(phi, ch) == 0j
 
     def test_direct_expansion(self):
         phi = PhaseShiftMatrix(np.diag([1.0, 1j]), SC)
         ch = ChannelSet(h=np.array([1.0, 1.0], dtype=complex),
                         g=np.array([1.0, 1.0], dtype=complex), h_d=1 + 0j)
-        assert effective_channel(phi, ch) == pytest.approx(2 + 1j)
+        assert effective_gain(phi, ch) == pytest.approx(2 + 1j)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_naive_summation(self, seed):
@@ -221,19 +241,15 @@ class TestEffectiveChannel:
             for i in range(5):
                 for j in range(5):
                     naive += ch.g[i] * phi.matrix[i, j] * ch.h[j]
-            fast = effective_channel(phi, ch)
+            fast = effective_gain(phi, ch)
             assert math.isclose(abs(fast - naive), 0.0, abs_tol=1e-12)
-
-    def test_dimension_mismatch(self):
-        phi = PhaseShiftMatrix(np.eye(3), FC)
-        with pytest.raises(DimensionMismatch):
-            effective_channel(phi, unit_channel(4, 0))
 
 
 class TestConstruction:
     @pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0)], ids=["oblong", "vector", "empty"])
     def test_matrix_must_be_square_and_non_empty(self, shape):
-        with pytest.raises(DimensionMismatch):
+        message = f"phase-shift matrix must be square and non-empty, got shape {shape}"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
             PhaseShiftMatrix(np.ones(shape), FC)
 
     def test_elements_is_the_side_of_the_matrix(self):
@@ -245,7 +261,8 @@ class TestConstruction:
             phi.matrix[0, 0] = 0.0
 
     def test_channel_set_checks(self):
-        with pytest.raises(DimensionMismatch):
+        message = "h and g must be 1-D vectors of equal positive length, got (3,) and (2,)"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
             ChannelSet(h=np.ones(3, dtype=complex), g=np.ones(2, dtype=complex), h_d=0j)
         with pytest.raises(ValueError):
             ChannelSet(h=np.array([np.inf + 0j]), g=np.ones(1, dtype=complex), h_d=0j)
@@ -261,8 +278,8 @@ class TestBounds:
         rng = np.random.default_rng(seed)
         for _ in range(10):
             phi = PhaseShiftMatrix(np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 6))), SC)
-            assert abs(effective_channel(phi, ch)) <= bound * (1 + 1e-12)
-        achieved = abs(effective_channel(optimize(ch, SC).phi, ch))
+            assert abs(effective_gain(phi, ch)) <= bound * (1 + 1e-12)
+        achieved = abs(effective_gain(optimize(ch, SC).phi, ch))
         assert achieved == pytest.approx(bound, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))

@@ -112,7 +112,8 @@ class TestRunSweep:
         cfg = SimConfig(trials=2, elements_sweep=(8, 9), architectures=("gc:3",), seed=1)
         with caplog.at_level(logging.WARNING, logger="ris_ntn_sim.sweep"):
             records = run_sweep(cfg)
-        assert any("does not divide" in rec.message for rec in caplog.records)
+        assert ("skipping arch=gc:3 elements=8: group count 3 does not divide element count 8"
+                in [rec.message for rec in caplog.records])
         assert {r.elements for r in records} == {9}
 
     def test_all_cells_skipped_gives_header_only(self, tmp_path):
