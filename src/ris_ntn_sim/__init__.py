@@ -1,6 +1,6 @@
 """Simulator and phase-shift optimizer for a relay-surface-assisted satellite downlink."""
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .channel_model import (
     KA_BAND_HZ,
@@ -13,7 +13,7 @@ from .channel_model import (
     path_loss_db,
 )
 from .config import SimConfig, format_config, parse_config
-from .errors import ConfigError, ConstraintViolated, InvalidInput, SimulatorError, SweepError
+from .errors import ConfigError, ConstraintViolated, InvalidInput, SimulatorError
 from .link_metrics import dbm_to_watts, link_columns, noise_power_watts
 from .phase_optimizer import (
     OptimizeResult,
@@ -32,5 +32,5 @@ __all__ = [
     "dbm_to_watts", "noise_power_watts", "link_columns",
     "SimConfig", "parse_config", "format_config", "ConfigError",
     "SweepRecord", "SweepRecords", "run_sweep", "emit_csv", "derive_trial_seed", "CSV_HEADER",
-    "SimulatorError", "ConstraintViolated", "InvalidInput", "SweepError",
+    "SimulatorError", "ConstraintViolated", "InvalidInput",
 ]

@@ -5,8 +5,9 @@ an optional Rician fade per element. A seed's fades come from one Philox
 stream keyed (seed, 0); any key gives an independent stream (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11). Its standard normals
 are laid out element-major, two per fade, so growing the element count
-extends the stream instead of reshuffling earlier draws. draw_fades draws a
-chunk of seeds with one Philox generator, reset to each seed's key; the sweep
+extends the stream instead of reshuffling earlier draws. The draws use one
+Philox generator per thread, made on the thread's first Rician draw:
+draw_fades resets it to each seed's key for a chunk of seeds. The sweep
 works on their powers and the real hop magnitudes (hop_magnitudes), and
 generate_channels, the one complex draw, multiplies one seed's fades by the
 complex hop amplitudes (channel_set). The first Rician draw of a process
@@ -18,6 +19,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -32,6 +34,9 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 KA_BAND_HZ = (17.7e9, 19.7e9)
 
 _MASK64 = (1 << 64) - 1
+
+# holds draw_fades' Philox generator, one per thread
+_local = threading.local()
 
 # The first four standard normals of Generator(Philox(key=key)), from numpy 2.4.6.
 _KNOWN_NORMALS = {
@@ -119,7 +124,7 @@ class FadingSpec:
     term, and the envelope's law does not either (Rice), so it is zero.
     k_factor_db is stored as a finite Python float; a bool, a non-real or a
     non-finite value, or one whose linear factor 10 ** (k / 10) overflows, is
-    a ValueError.
+    an InvalidInput, as is an unknown model.
     """
 
     model: str = "rician"
@@ -127,12 +132,10 @@ class FadingSpec:
 
     def __post_init__(self):
         if self.model not in FADING_MODELS:
-            raise ValueError(f"unknown fading model {self.model!r} (expected {FADING_MODELS})")
-        try:
-            linear_from_db(self.k_factor_db, 10.0)  # draw_fades' linear factor
-            object.__setattr__(self, "k_factor_db", finite_float(self.k_factor_db))
-        except ValueError as exc:
-            raise ValueError(f"k_factor_db {exc}") from None
+            raise InvalidInput(f"unknown fading model {self.model!r} (expected {FADING_MODELS})")
+        k = checked_args(finite_float, k_factor_db=self.k_factor_db)[0]
+        checked_args(lambda k: linear_from_db(k, 10.0), k_factor_db=k)  # draw_fades' linear factor
+        object.__setattr__(self, "k_factor_db", k)
 
 
 @functools.cache
@@ -173,8 +176,10 @@ def draw_fades(fading: FadingSpec, elements: int, seeds) -> np.ndarray:
     if fading.model == "pure_los":
         return np.tile((1.0, 0.0), (len(seeds), rows, 1))
     _check_known_normals()
-    # its seed is immaterial: every trial sets its own key and counter
-    generator = np.random.Generator(np.random.Philox(0))
+    generator = getattr(_local, "generator", None)
+    if generator is None:
+        # its seed is immaterial: every trial sets its own key and counter
+        generator = _local.generator = np.random.Generator(np.random.Philox(0))
     k_lin = 10.0 ** (fading.k_factor_db / 10.0)
     fades = np.empty((len(seeds), rows, 2))
     for seed, block in zip(np.asarray(seeds, dtype=np.uint64).tolist(), fades):

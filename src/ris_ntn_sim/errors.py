@@ -6,7 +6,7 @@ import operator
 
 
 class SimulatorError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package, and the class of a runtime fault."""
 
 
 class ConfigError(SimulatorError, ValueError):
@@ -39,13 +39,10 @@ class InvalidInput(SimulatorError, ValueError):
     """A bad argument: an input outside its domain, or shapes that do not agree.
 
     A non-positive distance, carrier, power or element count, altitudes that
-    do not put the satellite above the relay above ground, or array shapes
-    and element counts that disagree.
+    do not put the satellite above the relay above ground, an unknown
+    architecture or fading model, a bool where a number belongs, or array
+    shapes and element counts that disagree.
     """
-
-
-class SweepError(SimulatorError, RuntimeError):
-    """Failure inside a sweep, annotated with (arch, elements, trial) context."""
 
 
 def finite_float(value) -> float:

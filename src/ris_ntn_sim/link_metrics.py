@@ -19,10 +19,12 @@ def dbm_to_watts(p_dbm: float) -> float:
 def noise_power_watts(cfg) -> float:
     """Noise power in W: the density noise_psd_dbm_hz in dBm/Hz plus 10*log10(bandwidth_hz).
 
-    InvalidInput unless bandwidth_hz is a finite, positive real number.
+    InvalidInput unless bandwidth_hz is a finite, positive real number and
+    noise_psd_dbm_hz a finite real number.
     """
     bandwidth_hz = checked_args(positive_float, bandwidth_hz=cfg.bandwidth_hz)[0]
-    return dbm_to_watts(cfg.noise_psd_dbm_hz + 10.0 * math.log10(bandwidth_hz))
+    noise_psd_dbm_hz = checked_args(finite_float, noise_psd_dbm_hz=cfg.noise_psd_dbm_hz)[0]
+    return dbm_to_watts(noise_psd_dbm_hz + 10.0 * math.log10(bandwidth_hz))
 
 
 def link_columns(h_eff, cfg) -> np.ndarray:

@@ -24,6 +24,14 @@ from .errors import ConstraintViolated, InvalidInput, checked_args, exact_int
 UNIT_TOLERANCE = 1e-10
 
 
+def _numbers(name: str, value) -> np.ndarray:
+    """np.asarray(value); InvalidInput if its dtype is bool, as True is not a gain."""
+    array = np.asarray(value)
+    if array.dtype.kind == "b":
+        raise InvalidInput(f"{name} must hold numbers, not booleans")
+    return array
+
+
 @dataclass(frozen=True)
 class Architecture:
     """Element interconnection topology of the surface."""
@@ -33,17 +41,17 @@ class Architecture:
 
     def __post_init__(self):
         if self.kind not in ("sc", "fc", "gc"):
-            raise ValueError(f"unknown architecture kind {self.kind!r}")
+            raise InvalidInput(f"unknown architecture kind {self.kind!r}")
         if self.kind == "gc":
             try:
                 groups = exact_int(self.groups)
             except ValueError:
                 groups = 0
             if groups < 1:
-                raise ValueError("group-connected architecture needs a positive integer group count")
+                raise InvalidInput("group-connected architecture needs a positive integer group count")
             object.__setattr__(self, "groups", groups)
         elif self.groups is not None:
-            raise ValueError(f"architecture {self.kind!r} takes no group count")
+            raise InvalidInput(f"architecture {self.kind!r} takes no group count")
 
     @classmethod
     def from_label(cls, label: str) -> "Architecture":
@@ -55,9 +63,9 @@ class Architecture:
             count = text[3:]
             # no sign, space, underscore or leading zero: one spelling per architecture
             if not (count.isascii() and count.isdigit() and count == str(int(count))):
-                raise ValueError(f"bad group count in architecture label {label!r}")
+                raise InvalidInput(f"bad group count in architecture label {label!r}")
             return cls("gc", int(count))
-        raise ValueError(f"unknown architecture label {label!r} (expected sc, fc or gc:U)")
+        raise InvalidInput(f"unknown architecture label {label!r} (expected sc, fc or gc:U)")
 
     @property
     def label(self) -> str:
@@ -97,7 +105,7 @@ class PhaseShiftMatrix:
     arch: Architecture
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=np.complex128, copy=True, order="C")
+        mat = np.array(_numbers("matrix", self.matrix), dtype=np.complex128, copy=True, order="C")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
             raise InvalidInput(
                 f"phase-shift matrix must be square and non-empty, got shape {mat.shape}")
@@ -123,15 +131,16 @@ class ChannelSet:
     h_d: complex
 
     def __post_init__(self):
-        h = np.array(self.h, dtype=np.complex128, copy=True)
-        g = np.array(self.g, dtype=np.complex128, copy=True)
+        h = np.array(_numbers("h", self.h), dtype=np.complex128, copy=True)
+        g = np.array(_numbers("g", self.g), dtype=np.complex128, copy=True)
         if h.ndim != 1 or g.ndim != 1 or h.size != g.size or h.size < 1:
             raise InvalidInput(
                 f"h and g must be 1-D vectors of equal positive length, got {h.shape} and {g.shape}"
             )
+        _numbers("h_d", self.h_d)
         h_d = complex(self.h_d)
         if not (np.isfinite(h).all() and np.isfinite(g).all() and np.isfinite([h_d]).all()):
-            raise ValueError("channel entries must be finite")
+            raise InvalidInput("channel entries must be finite")
         h.setflags(write=False)
         g.setflags(write=False)
         object.__setattr__(self, "h", h)

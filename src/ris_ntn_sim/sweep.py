@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .channel_model import build_geometry, channel_set, draw_fades
 from .config import LINK_BUDGET_KEYS, MAX_TRIALS, SimConfig, format_config
-from .errors import InvalidInput, SimulatorError, SweepError, checked_args, exact_int
+from .errors import InvalidInput, SimulatorError, checked_args, exact_int
 from .link_metrics import link_columns
 from .phase_optimizer import certify_cells, closed_form_cells
 from .ris_core import UNIT_TOLERANCE, Architecture
@@ -66,7 +66,7 @@ def _trial_seeds(run_seed: int, trials: np.ndarray) -> np.ndarray:
     seed no two trials in [0, 2^31) share a channel stream.
     """
     if trials.size and not (trials.min() >= 0 and trials.max() <= MAX_TRIALS):
-        raise ValueError(f"trial indices must lie in [0, 2^31), got {trials.min()}..{trials.max()}")
+        raise InvalidInput(f"trial indices must lie in [0, 2^31), got {trials.min()}..{trials.max()}")
     return trials.astype(np.uint64) ^ np.uint64(_splitmix64(run_seed & _MASK64))
 
 
@@ -205,7 +205,7 @@ class _Moments:
 
 
 def _check_cells(cells, values: np.ndarray, certificates, trials: range) -> None:
-    """Raise SweepError naming the first cell, in canonical order, that fails a check.
+    """Raise SimulatorError naming the first cell, in canonical order, that fails a check.
 
     values are a chunk's (cells, n, 4) trial values; certificates, given for
     the chunk of trial 0, are certify_cells' (achieved, bound) arrays.
@@ -228,7 +228,7 @@ def _check_cells(cells, values: np.ndarray, certificates, trials: range) -> None
         else:
             reason = (f"trial 0: matrix reaches {float(achieved[c])!r}, "
                       f"closed form gives {float(objective[c])!r}")
-        raise SweepError(f"arch={cells[c][0]} elements={cells[c][2]}: {reason}")
+        raise SimulatorError(f"arch={cells[c][0]} elements={cells[c][2]}: {reason}")
 
 
 def run_sweep(cfg: SimConfig) -> SweepRecords:
@@ -253,7 +253,7 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     factors, without any M x M matrix (phase_optimizer.certify_cells): its
     unitarity bound must be within UNIT_TOLERANCE, and |g^T Phi h + h_d|
     must match the closed form. All cells of a chunk are checked at once;
-    SweepError names the first faulty cell in canonical order, its
+    SimulatorError names the first faulty cell in canonical order, its
     non-finite values before its certificate.
     """
     geom = build_geometry(cfg)
@@ -284,7 +284,7 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
                                 if start == 0 else None)
                 values = link_columns(h_eff, cfg)
             except (SimulatorError, ValueError, ArithmeticError) as exc:
-                raise SweepError(f"trials {trials.start}..{trials.stop - 1}: {exc}") from exc
+                raise SimulatorError(f"trials {trials.start}..{trials.stop - 1}: {exc}") from exc
             if one_row:
                 # a real array, not a broadcast view: the moments reduce the layout they always have
                 values = np.repeat(values, len(trials), axis=1)

@@ -2,6 +2,8 @@
 
 import logging
 import math
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
@@ -318,6 +320,40 @@ class TestDrawFades:
         assert fades.dtype == np.float64
         assert fades.tolist() == [[[1.0, 0.0]] * 7] * 2
 
+    def test_threads_drawing_at_once_get_the_serial_fades(self):
+        # each thread resets its own generator, so draws at once never share a stream
+        fading = FadingSpec()
+        seed_lists = [_trial_seeds(run_seed, np.arange(32)) for run_seed in range(3, 7)]
+        serial = [draw_fades(fading, 40, seeds).tobytes() for seeds in seed_lists]
+        barrier = threading.Barrier(len(seed_lists), timeout=30)
+
+        def draw(seeds):
+            barrier.wait()
+            return [draw_fades(fading, 40, seeds).tobytes() for _ in range(10)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between a few trials' resets
+        try:
+            with ThreadPoolExecutor(max_workers=len(seed_lists)) as pool:
+                drawn = list(pool.map(draw, seed_lists, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(serial, drawn):
+            assert got == [want] * 10
+
+    def test_a_thread_makes_one_generator(self, monkeypatch):
+        channel_model._check_known_normals()  # the once-per-process guard makes its own
+        made, philox = [], np.random.Philox
+
+        def counting(*args):
+            made.append(args)
+            return philox(*args)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(lambda: [draw_fades(FadingSpec(), 4, [seed]) for seed in range(3)]).result(60)
+        assert len(made) == 1
+
     @pytest.mark.parametrize("model", ["pure_los", "rician"])
     def test_element_count_must_be_positive(self, model):
         with pytest.raises(InvalidInput):
@@ -349,7 +385,7 @@ class TestFadingSpec:
         if stored is None:
             with pytest.raises(ValueError, match="^k_factor_db must be") as exc:
                 FadingSpec("rician", value)
-            assert type(exc.value) is ValueError
+            assert type(exc.value) is InvalidInput
         else:
             k = FadingSpec("rician", value).k_factor_db
             assert type(k) is float and k == stored

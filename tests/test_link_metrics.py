@@ -127,7 +127,9 @@ class TestLinkColumns:
         # SimConfig refuses these levels itself; any other object reaches the equations with them
         fields = {"tx_power_dbm": 50.0, "bandwidth_hz": 2e7, "noise_psd_dbm_hz": -170.0,
                   "static_power_w": 0.0, field: value}
-        with pytest.raises(InvalidInput, match="^p_dbm must be"):
+        # a non-finite noise density is refused by name; a finite one whose watts overflow, as p_dbm
+        named = field if field == "noise_psd_dbm_hz" and not math.isfinite(value) else "p_dbm"
+        with pytest.raises(InvalidInput, match=f"^{named} must be"):
             link_columns(1.0, SimpleNamespace(**fields))
 
     @pytest.mark.parametrize("value", [0, -1.0, float("inf"), float("nan"), True, "2e7", None])

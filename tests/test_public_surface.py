@@ -12,10 +12,12 @@ import pytest
 import ris_ntn_sim
 from ris_ntn_sim import (
     Architecture,
+    ChannelSet,
     ConfigError,
     FadingSpec,
     InvalidInput,
     LinkGeometry,
+    PhaseShiftMatrix,
     SimConfig,
     build_geometry,
     cli,
@@ -34,7 +36,7 @@ PUBLIC_NAMES = [
     "Architecture", "CSV_HEADER", "ChannelSet", "ConfigError", "ConstraintViolated",
     "FadingSpec", "InvalidInput", "KA_BAND_HZ", "LinkGeometry",
     "OptimizeResult", "PhaseShiftMatrix", "SPEED_OF_LIGHT", "SimConfig",
-    "SimulatorError", "SweepError", "SweepRecord", "SweepRecords", "UNIT_TOLERANCE",
+    "SimulatorError", "SweepRecord", "SweepRecords", "UNIT_TOLERANCE",
     "__version__", "build_geometry", "closed_form_objective", "dbm_to_watts",
     "derive_trial_seed", "emit_csv", "format_config", "fspl_amplitude",
     "generate_channels", "link_columns", "noise_power_watts", "optimize", "parse_config",
@@ -68,7 +70,7 @@ CLI_OPTIONS = {
 
 
 def test_all_is_the_pinned_list():
-    assert len(PUBLIC_NAMES) == 34
+    assert len(PUBLIC_NAMES) == 33
     assert sorted(ris_ntn_sim.__all__) == PUBLIC_NAMES
 
 
@@ -76,7 +78,7 @@ def test_every_public_exception_is_a_simulator_error():
     errors = [getattr(ris_ntn_sim, name) for name in PUBLIC_NAMES
               if isinstance(getattr(ris_ntn_sim, name), type)
               and issubclass(getattr(ris_ntn_sim, name), Exception)]
-    assert len(errors) == 5
+    assert len(errors) == 4
     assert all(issubclass(e, ris_ntn_sim.SimulatorError) for e in errors)
     assert issubclass(ris_ntn_sim.ConfigError, ValueError)
 
@@ -101,17 +103,23 @@ def with_true(values: dict, key: str) -> dict:
 
 # (entry point and argument, error class, text its message holds, call with True for that number)
 TRUE_FOR_A_NUMBER = [
-    ("Architecture.groups", ValueError, "group count", lambda: Architecture("gc", True)),
+    ("Architecture.groups", InvalidInput, "group count", lambda: Architecture("gc", True)),
     ("Architecture.block_size", InvalidInput, "elements",
      lambda: Architecture("fc").block_size(True)),
-    ("FadingSpec.k_factor_db", ValueError, "k_factor_db", lambda: FadingSpec(k_factor_db=True)),
+    ("FadingSpec.k_factor_db", InvalidInput, "k_factor_db", lambda: FadingSpec(k_factor_db=True)),
+    *((f"ChannelSet.{key}", InvalidInput, f"^{key} must hold numbers",
+       lambda key=key: ChannelSet(**{"h": [1.0], "g": [1.0], "h_d": 0.0, key: True}))
+      for key in ("h", "g", "h_d")),
+    ("PhaseShiftMatrix.matrix", InvalidInput, "^matrix must hold numbers",
+     lambda: PhaseShiftMatrix([[True]], Architecture("sc"))),
     ("dbm_to_watts", InvalidInput, "p_dbm", lambda: dbm_to_watts(True)),
-    ("noise_power_watts.bandwidth_hz", InvalidInput, "bandwidth_hz",
-     lambda: noise_power_watts(SimpleNamespace(**with_true(RF, "bandwidth_hz")))),
+    *((f"noise_power_watts.{key}", InvalidInput, key,
+       lambda key=key: noise_power_watts(SimpleNamespace(**with_true(RF, key))))
+      for key in ("bandwidth_hz", "noise_psd_dbm_hz")),
     *((f"link_columns.{key}", InvalidInput, text,
        lambda key=key: link_columns(1.0, SimpleNamespace(**with_true(RF, key))))
       for key, text in (("tx_power_dbm", "p_dbm"), ("bandwidth_hz", "bandwidth_hz"),
-                        ("static_power_w", "static_power_w"))),
+                        ("noise_psd_dbm_hz", "noise_psd_dbm_hz"), ("static_power_w", "static_power_w"))),
     *((f"{call.__name__}.{key}", InvalidInput, key, lambda call=call, key=key: call(**with_true(HOP, key)))
       for call in (fspl_amplitude, path_loss_db) for key in HOP),
     *((f"LinkGeometry.{key}", InvalidInput, key,
@@ -134,13 +142,41 @@ def test_every_config_number_is_covered():
     assert len(CONFIG_NUMBERS) == 13
 
 
+def test_a_bad_argument_outside_a_config_is_an_invalid_input():
+    assert {case[1] for case in TRUE_FOR_A_NUMBER if not case[0].startswith("SimConfig.")} == {InvalidInput}
+
+
 @pytest.mark.parametrize("error, text, call", [case[1:] for case in TRUE_FOR_A_NUMBER],
                          ids=[case[0] for case in TRUE_FOR_A_NUMBER])
 def test_true_is_refused_for_every_number(error, text, call):
     # a bool is an int to Python, but never a count, a seed, a level or a length
     assert issubclass(error, ValueError)
-    with pytest.raises(error, match=text):
+    with pytest.raises(error, match=text) as info:
         call()
+    assert type(info.value) is error
+
+
+# (check, text its message starts with, call that fails it)
+BAD_ARGUMENTS = [
+    ("Architecture.kind", "unknown architecture kind", lambda: Architecture("xc")),
+    ("Architecture.groups", "group-connected architecture needs", lambda: Architecture("gc", 0)),
+    ("Architecture.groups.unused", "architecture 'fc' takes no group count", lambda: Architecture("fc", 2)),
+    ("Architecture.from_label.groups", "bad group count", lambda: Architecture.from_label("gc:04")),
+    ("Architecture.from_label", "unknown architecture label", lambda: Architecture.from_label("xc")),
+    ("ChannelSet.finite", "channel entries must be finite",
+     lambda: ChannelSet(h=[float("nan")], g=[1.0], h_d=0.0)),
+    ("FadingSpec.model", "unknown fading model", lambda: FadingSpec(model="rayleigh")),
+    ("FadingSpec.k_factor_db", "k_factor_db must be finite", lambda: FadingSpec(k_factor_db=float("nan"))),
+    ("derive_trial_seed.range", "trial indices must lie in", lambda: derive_trial_seed(42, 2**31)),
+]
+
+
+@pytest.mark.parametrize("text, call", [case[1:] for case in BAD_ARGUMENTS],
+                         ids=[case[0] for case in BAD_ARGUMENTS])
+def test_every_bad_argument_is_an_invalid_input(text, call):
+    with pytest.raises(InvalidInput, match=f"^{text}") as info:
+        call()
+    assert type(info.value) is InvalidInput
 
 
 def option_strings(parser: argparse.ArgumentParser) -> tuple:

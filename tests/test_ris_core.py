@@ -269,6 +269,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ChannelSet(h=np.ones(1, dtype=complex), g=np.ones(1, dtype=complex), h_d=complex("nan"))
 
+    @pytest.mark.parametrize("field, value", [
+        ("h", np.array([True, False])), ("g", [np.True_, np.False_]),
+        ("h_d", True), ("h_d", np.True_), ("h_d", np.array(False))])
+    def test_channel_set_refuses_booleans(self, field, value):
+        # True is not a gain, though numpy would convert it to 1 + 0j
+        values = {"h": [1.0, 0.5j], "g": [1.0, 2.0], "h_d": 0j, field: value}
+        with pytest.raises(InvalidInput, match=f"^{field} must hold numbers, not booleans$"):
+            ChannelSet(**values)
+
+    @pytest.mark.parametrize("matrix", [np.eye(2, dtype=bool), [[np.True_]]])
+    def test_phase_shift_matrix_refuses_booleans(self, matrix):
+        with pytest.raises(InvalidInput, match="^matrix must hold numbers, not booleans$"):
+            PhaseShiftMatrix(matrix, SC)
+
+    def test_numbers_of_any_dtype_pass(self):
+        ch = ChannelSet(h=np.array([1, 2], dtype=np.int8), g=[1.0, np.float32(2)], h_d=np.int64(3))
+        assert ch.h.tolist() == [1, 2] and ch.g.tolist() == [1, 2] and ch.h_d == 3
+        assert PhaseShiftMatrix(np.eye(2, dtype=np.int64), FC).matrix.tolist() == [[1, 0], [0, 1]]
+
 
 class TestBounds:
     @pytest.mark.parametrize("seed", range(8))

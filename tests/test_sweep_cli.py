@@ -21,7 +21,6 @@ from ris_ntn_sim import (
     InvalidInput,
     SimConfig,
     SimulatorError,
-    SweepError,
     build_geometry,
     derive_trial_seed,
     emit_csv,
@@ -196,8 +195,9 @@ class TestRunSweep:
             return d._replace(w_u=d.w_v, w_v=d.w_u)
 
         monkeypatch.setattr(phase_optimizer, "_design", swapped)
-        with pytest.raises(SweepError) as info:
+        with pytest.raises(SimulatorError) as info:
             run_sweep(SMALL)
+        assert type(info.value) is SimulatorError
         # both values print as plain floats, not as numpy scalar reprs
         number = r"-?\d+(?:\.\d+)?(?:e[-+]\d+)?"
         assert re.fullmatch(f"arch=fc elements=4: trial 0: matrix reaches {number}, "
@@ -218,7 +218,7 @@ class TestRunSweep:
             return (corrupt(w) if next(calls) % 2 == reflector else w), beta
 
         monkeypatch.setattr(phase_optimizer, "_reflectors", corrupted)
-        with pytest.raises(SweepError, match="arch=fc elements=4: trial 0: matrix is not unitary"):
+        with pytest.raises(SimulatorError, match="^arch=fc elements=4: trial 0: matrix is not unitary"):
             run_sweep(SMALL)
 
     @pytest.mark.parametrize("fault, message", [
@@ -242,7 +242,7 @@ class TestRunSweep:
             return d._replace(w_u=w_u, w_v=w_v)
 
         monkeypatch.setattr(phase_optimizer, "_design", corrupted)
-        with pytest.raises(SweepError, match=f"^arch=gc:2 elements=8: trial 0: {message}"):
+        with pytest.raises(SimulatorError, match=f"^arch=gc:2 elements=8: trial 0: {message}"):
             run_sweep(cfg)
 
     @pytest.mark.parametrize("nan_cell, swapped_cell, message", [
@@ -272,7 +272,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep, "closed_form_cells", nan_objectives)
         monkeypatch.setattr(phase_optimizer, "_design", swapped)
-        with pytest.raises(SweepError, match=f"^arch=fc elements=8: {message}"):
+        with pytest.raises(SimulatorError, match=f"^arch=fc elements=8: {message}"):
             run_sweep(cfg)
 
     @pytest.mark.parametrize("fading_model, direct_link, resets_per_trial", [
@@ -485,7 +485,7 @@ class TestKnownNormalsGuard:
         assert main(["sweep", "--config", str(cfg_file), "--out", str(out_csv)]) == 3
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("ris-ntn-sim: error: runtime: SweepError")
+        assert lines[0].startswith("ris-ntn-sim: error: runtime: SimulatorError: trials 0..")
         assert f"key {(2**64 - 1, 0)} differ from their known values" in lines[0]
         assert list(out_csv.parent.iterdir()) == []
 
@@ -792,8 +792,9 @@ class TestCli:
         out_csv.parent.mkdir()
         assert main(["sweep", "--config", str(cfg_file), "--out", str(out_csv)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("ris-ntn-sim: error: runtime: SweepError")
-        assert "arch=fc elements=4" in err and "non-finite" in err
+        assert err.startswith("ris-ntn-sim: error: runtime: SimulatorError: arch=fc elements=4: "
+                              "non-finite link metrics in trials 0..2; ")
+        assert err.count("\n") == 1
         assert f"check {LINK_BUDGET_KEYS}" in err
         # neither a partial CSV nor a sidecar nor a temporary file is left behind
         assert list(out_csv.parent.iterdir()) == []
