@@ -1,6 +1,6 @@
 """Simulator and phase-shift optimizer for a relay-surface-assisted satellite downlink."""
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .channel_model import (
     KA_BAND_HZ,
@@ -21,7 +21,7 @@ from .phase_optimizer import (
     optimize,
 )
 from .ris_core import UNIT_TOLERANCE, Architecture, ChannelSet, PhaseShiftMatrix, validate
-from .sweep import CSV_HEADER, SweepRecord, SweepRecords, derive_trial_seed, emit_csv, run_sweep
+from .sweep import CSV_HEADER, SweepRecord, SweepRecords, emit_csv, run_sweep
 
 __all__ = [
     "__version__",
@@ -31,6 +31,6 @@ __all__ = [
     "OptimizeResult", "optimize", "closed_form_objective",
     "dbm_to_watts", "noise_power_watts", "link_columns",
     "SimConfig", "parse_config", "format_config", "ConfigError",
-    "SweepRecord", "SweepRecords", "run_sweep", "emit_csv", "derive_trial_seed", "CSV_HEADER",
+    "SweepRecord", "SweepRecords", "run_sweep", "emit_csv", "CSV_HEADER",
     "SimulatorError", "ConstraintViolated", "InvalidInput",
 ]

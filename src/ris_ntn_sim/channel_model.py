@@ -10,13 +10,12 @@ Philox generator per thread, made on the thread's first Rician draw:
 draw_fades resets it to each seed's key for a chunk of seeds. The sweep
 works on their powers and the real hop magnitudes (hop_magnitudes), and
 generate_channels, the one complex draw, multiplies one seed's fades by the
-complex hop amplitudes (channel_set). The first Rician draw of a process
-checks the first normals of two keys against known values and fails closed
-on any difference.
+complex hop amplitudes (channel_set). Once per thread, when the generator
+is made, the first normals of two keys are checked against known values;
+any difference fails that draw and every later one closed.
 """
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import threading
@@ -138,13 +137,17 @@ class FadingSpec:
         object.__setattr__(self, "k_factor_db", k)
 
 
-@functools.cache
-def _check_known_normals() -> None:
-    """Fail closed unless the reset Philox streams still give their known normals; checked once per process."""
-    generator = np.random.Generator(np.random.Philox(0))
-    for key, expected in _KNOWN_NORMALS.items():
-        if _restart(generator, list(key)).standard_normal(4).tolist() != list(expected):
-            raise SimulatorError(f"Philox normals under key {key} differ from their known values")
+def _generator() -> np.random.Generator:
+    """This thread's Philox generator, made on first use and kept only if it gives _KNOWN_NORMALS."""
+    generator = getattr(_local, "generator", None)
+    if generator is None:
+        # its seed is immaterial: every trial sets its own key and counter
+        generator = np.random.Generator(np.random.Philox(0))
+        for key, expected in _KNOWN_NORMALS.items():
+            if _restart(generator, list(key)).standard_normal(4).tolist() != list(expected):
+                raise SimulatorError(f"Philox normals under key {key} differ from their known values")
+        _local.generator = generator
+    return generator
 
 
 def _restart(generator: np.random.Generator, key) -> np.random.Generator:
@@ -175,11 +178,7 @@ def draw_fades(fading: FadingSpec, elements: int, seeds) -> np.ndarray:
     rows = 1 + 2 * elements
     if fading.model == "pure_los":
         return np.tile((1.0, 0.0), (len(seeds), rows, 1))
-    _check_known_normals()
-    generator = getattr(_local, "generator", None)
-    if generator is None:
-        # its seed is immaterial: every trial sets its own key and counter
-        generator = _local.generator = np.random.Generator(np.random.Philox(0))
+    generator = _generator()
     k_lin = 10.0 ** (fading.k_factor_db / 10.0)
     fades = np.empty((len(seeds), rows, 2))
     for seed, block in zip(np.asarray(seeds, dtype=np.uint64).tolist(), fades):

@@ -4,6 +4,8 @@ import math
 import numbers
 import operator
 
+import numpy as np
+
 
 class SimulatorError(Exception):
     """Base class for every error raised by this package, and the class of a runtime fault."""
@@ -40,8 +42,8 @@ class InvalidInput(SimulatorError, ValueError):
 
     A non-positive distance, carrier, power or element count, altitudes that
     do not put the satellite above the relay above ground, an unknown
-    architecture or fading model, a bool where a number belongs, or array
-    shapes and element counts that disagree.
+    architecture or fading model, a bool or text where a number belongs, or
+    array shapes and element counts that disagree.
     """
 
 
@@ -59,6 +61,19 @@ def finite_float(value) -> float:
     if not math.isfinite(value):
         raise ValueError("must be finite")
     return value
+
+
+def number_array(value) -> np.ndarray:
+    """np.asarray(value) if it holds integers, floats or complex numbers.
+
+    A bool, text or object array raises ValueError, whose message follows the field's name.
+    """
+    array = np.asarray(value)
+    if array.dtype.kind == "b":  # True is not a gain
+        raise ValueError("must hold numbers, not booleans")
+    if array.dtype.kind not in "iufc":
+        raise ValueError(f"must hold numbers, got dtype {array.dtype}")
+    return array
 
 
 def positive_float(value) -> float:

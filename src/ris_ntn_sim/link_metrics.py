@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInput, checked_args, finite_float, linear_from_db, positive_float
+from .errors import InvalidInput, checked_args, finite_float, linear_from_db, number_array, positive_float
 
 _LN2 = math.log(2.0)
 
@@ -30,8 +30,9 @@ def noise_power_watts(cfg) -> float:
 def link_columns(h_eff, cfg) -> np.ndarray:
     """(h_eff_mag, snr_db, rate_bps, ee_bits_per_joule) along a new last axis.
 
-    h_eff is a channel gain or an array of them; the columns are the value
-    columns of the sweep CSV. cfg is a SimConfig, or anything with its
+    h_eff is a channel gain or an array of them, which must hold numbers
+    (number_array), else InvalidInput; the columns are the value columns of
+    the sweep CSV. cfg is a SimConfig, or anything with its
     tx_power_dbm, bandwidth_hz, noise_psd_dbm_hz and static_power_w. The SNR
     is P_tx |h_eff|^2 / N, the rate B log2(1 + SNR), and the energy
     efficiency the rate divided by the consumed power P_tx + static_power_w,
@@ -44,7 +45,7 @@ def link_columns(h_eff, cfg) -> np.ndarray:
     power_w = tx_w + static_w
     if not power_w > 0:
         raise InvalidInput(f"total power must be positive, got {power_w} W")
-    magnitude = np.abs(h_eff)
+    magnitude = np.abs(checked_args(number_array, h_eff=h_eff)[0])
     snr = tx_w * magnitude ** 2 / noise_power_watts(cfg)
     # log1p keeps precision in the deep-noise regime where SNR << eps
     rate = cfg.bandwidth_hz * np.log1p(snr) / _LN2

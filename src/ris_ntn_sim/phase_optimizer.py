@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, checked_args, number_array
 from .ris_core import Architecture, ChannelSet, PhaseShiftMatrix, diagonal_blocks, validate
 
 _EPS = np.finfo(np.float64).eps
@@ -79,10 +79,12 @@ def closed_form_objective(g, h, h_d, arch: Architecture) -> np.ndarray:
     the leading shape of g and h. Each row is reduced on its own along the
     last axis, so a row's result does not depend on the rows batched with it,
     and optimize reports exactly this value: |h_d| plus the one-cell
-    closed_form_cells of the squared magnitudes.
+    closed_form_cells of the squared magnitudes. g, h and h_d must hold
+    numbers (number_array), else InvalidInput.
     """
-    g = np.asarray(g, dtype=np.complex128)
-    h = np.asarray(h, dtype=np.complex128)
+    g, h, h_d = checked_args(number_array, g=g, h=h, h_d=h_d)
+    g = g.astype(np.complex128, copy=False)
+    h = h.astype(np.complex128, copy=False)
     gain = closed_form_cells(_power(g), _power(h), [(arch, g.shape[-1] if g.ndim else 0)])[0]
     return np.abs(h_d) + gain
 

@@ -17,19 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolated, InvalidInput, checked_args, exact_int
+from .errors import ConstraintViolated, InvalidInput, checked_args, exact_int, number_array
 
 # Feasibility tolerance in max-norm. Double-precision construction lands
 # around 1e-15; the headroom absorbs accumulated rounding.
 UNIT_TOLERANCE = 1e-10
-
-
-def _numbers(name: str, value) -> np.ndarray:
-    """np.asarray(value); InvalidInput if its dtype is bool, as True is not a gain."""
-    array = np.asarray(value)
-    if array.dtype.kind == "b":
-        raise InvalidInput(f"{name} must hold numbers, not booleans")
-    return array
 
 
 @dataclass(frozen=True)
@@ -56,6 +48,8 @@ class Architecture:
     @classmethod
     def from_label(cls, label: str) -> "Architecture":
         """Parse a textual label: "sc", "fc" or "gc:U", spelled as label gives it back."""
+        if not isinstance(label, str):
+            raise InvalidInput(f"architecture label must be a string, got {type(label).__name__}")
         text = label.strip()
         if text in ("sc", "fc"):
             return cls(text)
@@ -96,7 +90,8 @@ class Architecture:
 class PhaseShiftMatrix:
     """An M x M phase-shift matrix tagged with its architecture; M is its element count.
 
-    Construction only checks shapes; feasibility is checked by ``validate``.
+    Construction only checks that matrix holds numbers (number_array) and its
+    shape; feasibility is checked by ``validate``.
     The stored array is a read-only copy, so instances are immutable and safe
     to share across threads.
     """
@@ -105,7 +100,8 @@ class PhaseShiftMatrix:
     arch: Architecture
 
     def __post_init__(self):
-        mat = np.array(_numbers("matrix", self.matrix), dtype=np.complex128, copy=True, order="C")
+        mat = np.array(checked_args(number_array, matrix=self.matrix)[0], dtype=np.complex128,
+                       copy=True, order="C")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
             raise InvalidInput(
                 f"phase-shift matrix must be square and non-empty, got shape {mat.shape}")
@@ -123,7 +119,8 @@ class ChannelSet:
 
     h holds the satellite-to-surface amplitude gains, g the surface-to-terminal
     amplitude gains, and h_d the direct satellite-to-terminal gain. All values
-    are dimensionless complex amplitude ratios.
+    are dimensionless complex amplitude ratios; each must hold numbers
+    (number_array), else InvalidInput.
     """
 
     h: np.ndarray
@@ -131,13 +128,13 @@ class ChannelSet:
     h_d: complex
 
     def __post_init__(self):
-        h = np.array(_numbers("h", self.h), dtype=np.complex128, copy=True)
-        g = np.array(_numbers("g", self.g), dtype=np.complex128, copy=True)
+        h, g, _ = checked_args(number_array, h=self.h, g=self.g, h_d=self.h_d)
+        h = np.array(h, dtype=np.complex128, copy=True)
+        g = np.array(g, dtype=np.complex128, copy=True)
         if h.ndim != 1 or g.ndim != 1 or h.size != g.size or h.size < 1:
             raise InvalidInput(
                 f"h and g must be 1-D vectors of equal positive length, got {h.shape} and {g.shape}"
             )
-        _numbers("h_d", self.h_d)
         h_d = complex(self.h_d)
         if not (np.isfinite(h).all() and np.isfinite(g).all() and np.isfinite([h_d]).all()):
             raise InvalidInput("channel entries must be finite")

@@ -25,9 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .channel_model import build_geometry, channel_set, draw_fades
+from .channel_model import _MASK64, build_geometry, channel_set, draw_fades
 from .config import LINK_BUDGET_KEYS, MAX_TRIALS, SimConfig, format_config
-from .errors import InvalidInput, SimulatorError, checked_args, exact_int
+from .errors import InvalidInput, SimulatorError
 from .link_metrics import link_columns
 from .phase_optimizer import certify_cells, closed_form_cells
 from .ris_core import UNIT_TOLERANCE, Architecture
@@ -48,8 +48,6 @@ CERTIFICATE_RTOL = 1e-9
 # A spool of at most this many bytes is held in memory, a larger one in a temporary file.
 _SPOOL_MEMORY_BYTES = 1 << 24
 
-_MASK64 = (1 << 64) - 1
-
 
 def _splitmix64(x: int) -> int:
     """One splitmix64 output step; decorrelates the trial seeds of different run seeds."""
@@ -60,20 +58,14 @@ def _splitmix64(x: int) -> int:
 
 
 def _trial_seeds(run_seed: int, trials: np.ndarray) -> np.ndarray:
-    """The seeds of an int64 array of trial indices, as one uint64 array.
+    """The seeds of an int64 array of trial indices, as one uint64 array: the CSV's seed column.
 
     Each trial index is XORed with splitmix64(run seed), so for a fixed run
-    seed no two trials in [0, 2^31) share a channel stream.
+    seed no two trials in [0, 2^31) share a channel stream; an index outside it is an InvalidInput.
     """
     if trials.size and not (trials.min() >= 0 and trials.max() <= MAX_TRIALS):
         raise InvalidInput(f"trial indices must lie in [0, 2^31), got {trials.min()}..{trials.max()}")
     return trials.astype(np.uint64) ^ np.uint64(_splitmix64(run_seed & _MASK64))
-
-
-def derive_trial_seed(run_seed: int, trial: int) -> int:
-    """Seed of one trial, shared by every cell of the sweep; InvalidInput unless both are integers."""
-    run_seed, trial = checked_args(exact_int, run_seed=run_seed, trial=trial)
-    return int(_trial_seeds(run_seed, np.array([trial]))[0])
 
 
 class SweepRecord(NamedTuple):

@@ -12,7 +12,8 @@ cascade gain of one cell computed on its own prefix arrays, the reference for
 the shared per-chunk terms of phase_optimizer.closed_form_cells.
 trial_by_trial_csv is a sweep's CSV with every trial drawn and evaluated on
 its own, the reference for run_sweep's chunks and for its single evaluated
-row of a pure line-of-sight chunk.
+row of a pure line-of-sight chunk. splitmix64 is the published generator's
+output step, the reference for the trial seeds t ^ splitmix64(run seed).
 """
 
 import math
@@ -29,7 +30,6 @@ from ris_ntn_sim import (
     OptimizeResult,
     PhaseShiftMatrix,
     build_geometry,
-    derive_trial_seed,
     fspl_amplitude,
     link_columns,
     validate,
@@ -42,6 +42,17 @@ from ris_ntn_sim.ris_core import UNIT_TOLERANCE
 ROW_FORMAT = "%s,%d,%s,%.17g,%.17g,%.17g,%.17g,%d\n"
 
 _MASK64 = (1 << 64) - 1
+
+
+def splitmix64(state: int) -> int:
+    """First output of Vigna's splitmix64.c from a state of state mod 2^64, its uint64_t.
+
+    Steele, Lea and Flood, "Fast splittable pseudorandom number generators", OOPSLA'14.
+    """
+    z = (state + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def loop_validate(phi: PhaseShiftMatrix) -> None:
@@ -245,7 +256,7 @@ def trial_by_trial_csv(cfg, chunk_trials: int) -> bytes:
     cells = sweep._cells(cfg)
     designs = [(arch, m) for _, arch, m in cells]
     m_max = max(m for _, m in designs)
-    seeds = [derive_trial_seed(cfg.seed, t) for t in range(cfg.trials)]
+    seeds = [t ^ splitmix64(cfg.seed) for t in range(cfg.trials)]
     rows = []
     for seed in seeds:
         fades = per_trial_fades(cfg.fading_spec, 1 + 2 * m_max, seed)

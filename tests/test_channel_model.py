@@ -342,7 +342,6 @@ class TestDrawFades:
             assert got == [want] * 10
 
     def test_a_thread_makes_one_generator(self, monkeypatch):
-        channel_model._check_known_normals()  # the once-per-process guard makes its own
         made, philox = [], np.random.Philox
 
         def counting(*args):

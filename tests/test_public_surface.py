@@ -4,6 +4,7 @@ import argparse
 import ast
 import dataclasses
 import inspect
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,8 +22,8 @@ from ris_ntn_sim import (
     SimConfig,
     build_geometry,
     cli,
+    closed_form_objective,
     dbm_to_watts,
-    derive_trial_seed,
     fspl_amplitude,
     generate_channels,
     link_columns,
@@ -38,8 +39,8 @@ PUBLIC_NAMES = [
     "OptimizeResult", "PhaseShiftMatrix", "SPEED_OF_LIGHT", "SimConfig",
     "SimulatorError", "SweepRecord", "SweepRecords", "UNIT_TOLERANCE",
     "__version__", "build_geometry", "closed_form_objective", "dbm_to_watts",
-    "derive_trial_seed", "emit_csv", "format_config", "fspl_amplitude",
-    "generate_channels", "link_columns", "noise_power_watts", "optimize", "parse_config",
+    "emit_csv", "format_config", "fspl_amplitude", "generate_channels",
+    "link_columns", "noise_power_watts", "optimize", "parse_config",
     "path_loss_db", "run_sweep", "validate",
 ]
 
@@ -70,7 +71,7 @@ CLI_OPTIONS = {
 
 
 def test_all_is_the_pinned_list():
-    assert len(PUBLIC_NAMES) == 33
+    assert len(PUBLIC_NAMES) == 32
     assert sorted(ris_ntn_sim.__all__) == PUBLIC_NAMES
 
 
@@ -112,6 +113,12 @@ TRUE_FOR_A_NUMBER = [
       for key in ("h", "g", "h_d")),
     ("PhaseShiftMatrix.matrix", InvalidInput, "^matrix must hold numbers",
      lambda: PhaseShiftMatrix([[True]], Architecture("sc"))),
+    *((f"closed_form_objective.{key}", InvalidInput, f"^{key} must hold numbers",
+       lambda key=key: closed_form_objective(**{"g": [1.0], "h": [1.0], "h_d": 0.0, key: True},
+                                             arch=Architecture("sc")))
+      for key in ("g", "h", "h_d")),
+    ("link_columns.h_eff", InvalidInput, "^h_eff must hold numbers",
+     lambda: link_columns(True, SimpleNamespace(**RF))),
     ("dbm_to_watts", InvalidInput, "p_dbm", lambda: dbm_to_watts(True)),
     *((f"noise_power_watts.{key}", InvalidInput, key,
        lambda key=key: noise_power_watts(SimpleNamespace(**with_true(RF, key))))
@@ -133,8 +140,6 @@ TRUE_FOR_A_NUMBER = [
     *((f"generate_channels.{key}", InvalidInput, key,
        lambda key=key: generate_channels(LinkGeometry(**GEOMETRY), FadingSpec(), **with_true(DRAW, key)))
       for key in DRAW),
-    ("derive_trial_seed.run_seed", InvalidInput, "run_seed", lambda: derive_trial_seed(True, 0)),
-    ("derive_trial_seed.trial", InvalidInput, "trial", lambda: derive_trial_seed(42, True)),
 ]
 
 
@@ -163,11 +168,25 @@ BAD_ARGUMENTS = [
     ("Architecture.groups.unused", "architecture 'fc' takes no group count", lambda: Architecture("fc", 2)),
     ("Architecture.from_label.groups", "bad group count", lambda: Architecture.from_label("gc:04")),
     ("Architecture.from_label", "unknown architecture label", lambda: Architecture.from_label("xc")),
+    *((f"Architecture.from_label.{type(label).__name__}", "architecture label must be a string",
+       lambda label=label: Architecture.from_label(label)) for label in (3, b"sc")),
     ("ChannelSet.finite", "channel entries must be finite",
      lambda: ChannelSet(h=[float("nan")], g=[1.0], h_d=0.0)),
+    *((f"ChannelSet.{key}.{name}", f"{key} must hold numbers, got dtype",
+       lambda key=key, value=value: ChannelSet(**{"h": [1.0], "g": [1.0], "h_d": 0.0, key: value}))
+      for key, name, value in (("h_d", "text", "1+2j"), ("h", "text", ["1"]), ("g", "bytes", [b"1"]),
+                               ("h", "none", [None]), ("h_d", "none", None), ("g", "dict", [{}]),
+                               ("h", "fraction", [Fraction(1, 2)]), ("h", "int_past_int64", [2**70]))),
+    *((f"PhaseShiftMatrix.matrix.{name}", "matrix must hold numbers, got dtype",
+       lambda value=value: PhaseShiftMatrix(value, Architecture("sc")))
+      for name, value in (("text", [["1"]]), ("none", [[None]]))),
+    ("closed_form_objective.text", "g must hold numbers, got dtype",
+     lambda: closed_form_objective(["1"], ["2"], 0, Architecture("sc"))),
+    ("closed_form_objective.booleans", "g must hold numbers, not booleans",
+     lambda: closed_form_objective([True, True], [True, True], True, Architecture("fc"))),
+    ("link_columns.h_eff", "h_eff must hold numbers, not booleans", lambda: link_columns(True, SimConfig())),
     ("FadingSpec.model", "unknown fading model", lambda: FadingSpec(model="rayleigh")),
     ("FadingSpec.k_factor_db", "k_factor_db must be finite", lambda: FadingSpec(k_factor_db=float("nan"))),
-    ("derive_trial_seed.range", "trial indices must lie in", lambda: derive_trial_seed(42, 2**31)),
 ]
 
 

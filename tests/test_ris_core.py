@@ -287,6 +287,9 @@ class TestConstruction:
         ch = ChannelSet(h=np.array([1, 2], dtype=np.int8), g=[1.0, np.float32(2)], h_d=np.int64(3))
         assert ch.h.tolist() == [1, 2] and ch.g.tolist() == [1, 2] and ch.h_d == 3
         assert PhaseShiftMatrix(np.eye(2, dtype=np.int64), FC).matrix.tolist() == [[1, 0], [0, 1]]
+        ch = ChannelSet(h=np.array([1, 2], dtype=np.uint64), g=np.ones(2, dtype=np.complex64),
+                        h_d=np.float16(0.5))
+        assert ch.h.tolist() == [1, 2] and ch.g.tolist() == [1, 1] and ch.h_d == 0.5
 
 
 class TestBounds:

@@ -6,8 +6,10 @@ import itertools
 import logging
 import math
 import re
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from ris_ntn_sim import (
     SimConfig,
     SimulatorError,
     build_geometry,
-    derive_trial_seed,
     emit_csv,
     format_config,
     generate_channels,
@@ -34,7 +35,7 @@ from ris_ntn_sim.cli import main
 from ris_ntn_sim.config import LINK_BUDGET_KEYS
 from ris_ntn_sim.sweep import _metadata_path
 
-from _oracles import trial_by_trial_csv
+from _oracles import splitmix64, trial_by_trial_csv
 
 SMALL = SimConfig(trials=6, elements_sweep=(4, 8), architectures=("sc", "fc"), seed=3)
 
@@ -45,10 +46,9 @@ def csv_bytes(tmp_path, records, name="out.csv"):
     return path.read_bytes()
 
 
-def fresh_known_normals_guard(monkeypatch):
-    """Give the once-per-process known-answer guard an empty cache, so its next call checks again."""
-    monkeypatch.setattr(channel_model, "_check_known_normals",
-                        functools.cache(channel_model._check_known_normals.__wrapped__))
+def fresh_generators(monkeypatch):
+    """Forget every thread's generator, so each thread's next Rician draw makes and checks a new one."""
+    monkeypatch.setattr(channel_model, "_local", threading.local())
 
 
 def count_resets(monkeypatch):
@@ -155,11 +155,11 @@ class TestRunSweep:
         cfg = SimConfig(trials=4, elements_sweep=(4, 8), architectures=("sc", "fc", "gc:2"), seed=5)
         records = run_sweep(cfg)
         geom = build_geometry(cfg)
-        full = {t: generate_channels(geom, cfg.fading_spec, 8, derive_trial_seed(5, t),
+        full = {t: generate_channels(geom, cfg.fading_spec, 8, t ^ splitmix64(5),
                                      direct_blocked=True) for t in range(4)}
         for r in records:
             if isinstance(r.trial, int):
-                assert r.seed == derive_trial_seed(5, r.trial)
+                assert r.seed == r.trial ^ splitmix64(5)
                 ch = full[r.trial]
                 prefix = ChannelSet(h=ch.h[:r.elements], g=ch.g[:r.elements], h_d=ch.h_d)
                 objective = optimize(prefix, Architecture.from_label(r.arch)).objective
@@ -282,7 +282,7 @@ class TestRunSweep:
     ])
     def test_philox_resets_once_per_stream_and_trial(self, monkeypatch, fading_model,
                                                      direct_link, resets_per_trial):
-        channel_model._check_known_normals()  # the once-per-process guard's resets are not per trial
+        channel_model._generator()  # the once-per-thread check's resets are not per trial
         resets = count_resets(monkeypatch)
         monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", 7 * 8)  # 30 trials in 5 chunks
         phase_mode = "iid_uniform" if fading_model == "rician" else "common_los"
@@ -424,37 +424,31 @@ class TestPureLineOfSight:
 
 
 class TestTrialSeeds:
+    def test_oracle_gives_the_published_first_output(self):
+        assert splitmix64(0) == 0xE220A8397B1DCDAF
+
     def test_injective_over_trials(self):
         trials = list(range(1000)) + [2**20, 2**31 - 2, 2**31 - 1]
-        seeds = {derive_trial_seed(42, trial) for trial in trials}
-        assert len(seeds) == len(trials)
+        seeds = sweep._trial_seeds(42, np.array(trials)).tolist()
+        assert seeds == [t ^ splitmix64(42) for t in trials]
+        assert len(set(seeds)) == len(trials)
 
     def test_depends_on_run_seed(self):
-        assert derive_trial_seed(1, 0) != derive_trial_seed(2, 0)
-        assert derive_trial_seed(1, 2**31 - 1) != derive_trial_seed(2, 2**31 - 1)
+        trials = np.array([0, 2**31 - 1])
+        for one, two in zip(sweep._trial_seeds(1, trials).tolist(), sweep._trial_seeds(2, trials).tolist()):
+            assert one != two
 
-    def test_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            derive_trial_seed(1, -1)
-        with pytest.raises(ValueError):
-            derive_trial_seed(1, 2**31)
-
-    @pytest.mark.parametrize("run_seed, trial", [
-        (42, 1.5), (42, True), (42, "3"), (42, None), (1.5, 0), (True, 0)])
-    def test_non_integers_rejected(self, run_seed, trial):
-        # none is truncated to a neighbouring trial's seed
-        with pytest.raises(InvalidInput, match="must be an integer"):
-            derive_trial_seed(run_seed, trial)
-
-    def test_numpy_integers_accepted(self):
-        assert derive_trial_seed(np.uint64(42), np.int64(3)) == derive_trial_seed(42, 3)
+    @pytest.mark.parametrize("trial", [-1, 2**31])
+    def test_bounds_enforced(self, trial):
+        with pytest.raises(InvalidInput, match="^trial indices must lie in"):
+            sweep._trial_seeds(1, np.array([trial]))
 
     @pytest.mark.parametrize("run_seed", [0, 42, -1, 2**64 - 1, 2**70 + 3])
     @pytest.mark.parametrize("start, stop", [(0, 7), (7, 14), (2**31 - 5, 2**31)])
     def test_chunk_seeds_equal_per_trial_seeds(self, run_seed, start, stop):
         seeds = sweep._trial_seeds(run_seed, np.arange(start, stop))
         assert seeds.dtype == np.uint64
-        assert seeds.tolist() == [derive_trial_seed(run_seed, t) for t in range(start, stop)]
+        assert seeds.tolist() == [t ^ splitmix64(run_seed) for t in range(start, stop)]
 
     def test_chunks_tile_the_trial_range(self):
         tiled = np.concatenate([sweep._trial_seeds(9, np.arange(0, 7)),
@@ -474,7 +468,7 @@ class TestKnownNormalsGuard:
         key = max(known)
         known[key] = (*known[key][:3], float(np.nextafter(known[key][3], 0.0)))  # one ulp off
         monkeypatch.setattr(channel_model, "_KNOWN_NORMALS", known)
-        fresh_known_normals_guard(monkeypatch)
+        fresh_generators(monkeypatch)
 
     def test_corrupt_known_answer_fails_closed(self, tmp_path, capsys, monkeypatch):
         self.corrupt_known_answer(monkeypatch)
@@ -492,28 +486,41 @@ class TestKnownNormalsGuard:
     def test_corrupt_known_answer_fails_every_rician_draw(self, monkeypatch):
         self.corrupt_known_answer(monkeypatch)
         geom = build_geometry(SimConfig())
-        with pytest.raises(SimulatorError, match="differ from their known values"):
-            generate_channels(geom, FadingSpec(), 4, 1)
 
-    def test_guard_runs_once_per_process(self, monkeypatch):
+        def draws():
+            for seed in range(3):  # a failed check keeps no generator, so every draw checks again
+                with pytest.raises(SimulatorError, match="differ from their known values"):
+                    generate_channels(geom, FadingSpec(), 4, seed)
+
+        draws()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(draws).result(60)
+        assert not hasattr(channel_model._local, "generator")
+
+    def test_guard_runs_once_per_thread(self, monkeypatch):
         # a few trials per chunk, so 300 trials span many chunks
         monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", 7 * 8)
-        fresh_known_normals_guard(monkeypatch)
+        channel_model._generator()  # this thread's generator is made and checked
         resets = count_resets(monkeypatch)
         guard_keys = [list(key) for key in channel_model._KNOWN_NORMALS]
-        per_sweep = []
-        for _ in range(2):
-            resets.clear()
-            run_sweep(SimConfig(trials=300, elements_sweep=(4, 8), seed=5)).close()
-            per_sweep.append([key for key in resets if key in guard_keys])
-        assert per_sweep == [guard_keys, []]
+
+        def guard_resets_per_sweep():
+            per_sweep = []
+            for _ in range(2):
+                resets.clear()
+                run_sweep(SimConfig(trials=300, elements_sweep=(4, 8), seed=5)).close()
+                per_sweep.append([key for key in resets if key in guard_keys])
+            return per_sweep
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(guard_resets_per_sweep).result(60) == [guard_keys, []]
+        assert guard_resets_per_sweep() == [[], []]
 
     def test_pure_los_draw_runs_no_guard(self, monkeypatch):
-        guard_calls = []
-        monkeypatch.setattr(channel_model, "_check_known_normals", lambda: guard_calls.append(1))
+        fresh_generators(monkeypatch)
         resets = count_resets(monkeypatch)
         channel_model.draw_fades(FadingSpec("pure_los"), 8, np.arange(3, dtype=np.uint64))
-        assert guard_calls == [] and resets == []
+        assert resets == [] and not hasattr(channel_model._local, "generator")
 
 
 class TestEmitCsv:
