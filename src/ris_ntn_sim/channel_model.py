@@ -16,7 +16,6 @@ any difference fails that draw and every later one closed.
 """
 from __future__ import annotations
 
-import logging
 import math
 import threading
 from dataclasses import dataclass, fields
@@ -26,8 +25,6 @@ import numpy as np
 from .errors import (InvalidInput, SimulatorError, checked_args, exact_int, finite_float, linear_from_db,
                      positive_float)
 from .ris_core import ChannelSet
-
-logger = logging.getLogger(__name__)
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 KA_BAND_HZ = (17.7e9, 19.7e9)
@@ -86,11 +83,6 @@ class LinkGeometry:
                                f"got {self.leo_altitude_m} and {self.haps_altitude_m}")
         if not self.carrier_hz > 0:
             raise InvalidInput(f"carrier_hz must be positive, got {self.carrier_hz}")
-        if not KA_BAND_HZ[0] <= self.carrier_hz <= KA_BAND_HZ[1]:
-            logger.warning(
-                "carrier %.6g Hz is outside the Ka band %.4g-%.4g Hz",
-                self.carrier_hz, KA_BAND_HZ[0], KA_BAND_HZ[1],
-            )
 
     @property
     def d_direct_m(self) -> float:
@@ -199,8 +191,12 @@ def hop_magnitudes(geom: LinkGeometry, *, tx_gain_dbi: float = 0.0,
     """
     tx, ris, rx = checked_args(lambda dbi: linear_from_db(dbi, 20.0), tx_gain_dbi=tx_gain_dbi,
                                ris_element_gain_dbi=ris_element_gain_dbi, rx_gain_dbi=rx_gain_dbi)
-    if not all(math.isfinite(gain) for gain in (tx * rx, tx * ris, ris * rx)):
-        raise InvalidInput("a hop's product of two linear antenna gains overflows a float")
+    for a, b, product in (("tx_gain_dbi", "ris_element_gain_dbi", tx * ris),
+                          ("ris_element_gain_dbi", "rx_gain_dbi", ris * rx),
+                          ("tx_gain_dbi", "rx_gain_dbi", tx * rx)):
+        if not math.isfinite(product):
+            raise InvalidInput(f"{a} and {b}: 10 ** ({a} / 20) * 10 ** ({b} / 20), a hop's gain, "
+                               "overflows a float")
     f = geom.carrier_hz
     a_d = 0.0 if direct_blocked else tx * rx * fspl_amplitude(geom.d_direct_m, f)
     return (a_d, tx * ris * fspl_amplitude(geom.d_leo_ris_m, f),

@@ -8,7 +8,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .channel_model import build_geometry, path_loss_db
+from .channel_model import path_loss_db
 from .config import SimConfig, format_config, parse_config
 from .errors import ConfigError, SimulatorError
 from .sweep import emit_csv, run_sweep
@@ -43,7 +43,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = _load_config(args.config)
-    cfg.link_budget(build_geometry(cfg))
+    cfg.link_budget()
     print("config ok")
     print(format_config(cfg))
     return 0

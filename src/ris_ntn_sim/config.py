@@ -6,15 +6,17 @@ are hard errors so typos never silently fall back to defaults.
 
 from __future__ import annotations
 
-import math
+import logging
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel_model import FADING_MODELS, FadingSpec, LinkGeometry, fspl_amplitude, hop_magnitudes
-from .errors import ConfigError, InvalidInput, exact_int, finite_float, linear_from_db
+from .channel_model import KA_BAND_HZ, FadingSpec, LinkGeometry, fspl_amplitude, hop_magnitudes
+from .errors import ConfigError, exact_int, finite_float
 from .link_metrics import dbm_to_watts, link_columns, noise_power_watts
 from .ris_core import Architecture
+
+logger = logging.getLogger(__name__)
 
 # The sweep itself needs O(M) memory per trial, but any swept cell can be
 # inspected with phase_optimizer.optimize, which builds and validates the
@@ -38,12 +40,22 @@ def _key_error(key: str, reason: str) -> ConfigError:
     return ConfigError(f"key {key!r}: {reason}", key)
 
 
-def _checked(key: str, check, *args):
-    """check(*args), one of the errors module's checks, its ValueError a ConfigError on key."""
+# The config key of a library argument whose name is not one.
+_ARGUMENT_KEYS = {"k_factor_db": "rician_k_db"}
+
+
+def _checked(key: str, check, *args, **kwargs):
+    """check(*args, **kwargs), its ValueError a ConfigError on the key its message begins with.
+
+    A library InvalidInput begins with the argument it names. A message that
+    begins with no key, as an errors-module check's does, is on key.
+    """
     try:
-        return check(*args)
+        return check(*args, **kwargs)
     except ValueError as exc:
-        raise _key_error(key, str(exc)) from None
+        name = str(exc).partition(" ")[0]
+        name = _ARGUMENT_KEYS.get(name, name)
+        raise _key_error(name if name in SimConfig.__dataclass_fields__ else key, str(exc)) from None
 
 
 def _as_tuple(key: str, value) -> tuple:
@@ -56,13 +68,6 @@ def _as_tuple(key: str, value) -> tuple:
     raise _key_error(key, f"must be a sequence of values, got {type(value).__name__}")
 
 
-_DECIBEL_KEYS = (("tx_gain_dbi", 20.0), ("ris_element_gain_dbi", 20.0),
-                 ("rx_gain_dbi", 20.0), ("rician_k_db", 10.0))
-# The antenna gains hop_magnitudes multiplies for each hop: sat -> RIS, RIS -> UT and direct.
-_HOP_GAIN_KEYS = (("tx_gain_dbi", "ris_element_gain_dbi"), ("ris_element_gain_dbi", "rx_gain_dbi"),
-                  ("tx_gain_dbi", "rx_gain_dbi"))
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Full description of one element-sweep experiment.
@@ -71,7 +76,8 @@ class SimConfig:
     directly ("clear") or only through the relay surface ("blocked"). The
     default is "blocked": at the default geometry the clear direct path is
     ~141 dB stronger than the two-hop path, which buries every element-count
-    effect the sweep is designed to show.
+    effect the sweep is designed to show. Construction builds cfg.geometry
+    and cfg.fading_spec once; they are attributes, not fields.
     """
 
     carrier_hz: float = 18.7e9
@@ -104,35 +110,6 @@ class SimConfig:
             check = {"float": finite_float, "int": exact_int}.get(f.type)
             if check:
                 object.__setattr__(self, f.name, _checked(f.name, check, getattr(self, f.name)))
-        # the channel model scales amplitudes by 10^(gain/20) and the Rician factor is 10^(k/10)
-        linear = {key: _checked(key, linear_from_db, getattr(self, key), per_decade)
-                  for key, per_decade in _DECIBEL_KEYS}
-        for a, b in _HOP_GAIN_KEYS:
-            if not math.isfinite(linear[a] * linear[b]):
-                raise _key_error(
-                    a, f"10 ** ({a} / 20) * 10 ** ({b} / 20), a hop's gain, overflows a float")
-        if self.carrier_hz <= 0:
-            raise _key_error("carrier_hz", "must be positive")
-        if self.bandwidth_hz <= 0:
-            raise _key_error("bandwidth_hz", "must be positive")
-        # the link budget divides by both powers, so neither may overflow or round to zero
-        for key, watts in (("tx_power_dbm", lambda: dbm_to_watts(self.tx_power_dbm)),
-                           ("noise_psd_dbm_hz", lambda: noise_power_watts(self))):
-            try:
-                power_w = watts()
-            except InvalidInput:  # watts that overflow a float
-                power_w = math.inf
-            if not 0 < power_w < math.inf:
-                raise _key_error(key, f"power in watts is {power_w!r}; it must be finite and positive")
-        if not self.leo_altitude_m > self.haps_altitude_m > 0:
-            raise _key_error(
-                "leo_altitude_m", "satellite must sit above the relay platform, which must sit above ground"
-            )
-        # the free-space gains of the nadir stack's hops (channel_model.build_geometry)
-        for key, distance_m in (("leo_altitude_m", self.leo_altitude_m),
-                                ("leo_altitude_m", self.leo_altitude_m - self.haps_altitude_m),
-                                ("haps_altitude_m", self.haps_altitude_m)):
-            _checked(key, fspl_amplitude, distance_m, self.carrier_hz)
         if self.static_power_w < 0:
             raise _key_error("static_power_w", "must be nonnegative")
 
@@ -149,13 +126,8 @@ class SimConfig:
         if len(set(self.architectures)) != len(self.architectures):
             raise _key_error("architectures", "architecture labels must be unique")
         for label in self.architectures:
-            try:
-                Architecture.from_label(label)
-            except ValueError as exc:
-                raise _key_error("architectures", str(exc)) from None
+            _checked("architectures", Architecture.from_label, label)
 
-        if self.fading_model not in FADING_MODELS:
-            raise _key_error("fading_model", f"must be one of {FADING_MODELS}")
         # deprecated: it selects nothing since 0.6.0, as no output depends on the LOS phase
         if self.fading_phase_mode not in ("common_los", "iid_uniform"):
             raise _key_error("fading_phase_mode", "must be 'common_los' or 'iid_uniform'")
@@ -168,23 +140,40 @@ class SimConfig:
         if not 0 <= self.seed < 2**64:
             raise _key_error("seed", "must be an integer in [0, 2^64)")
 
-    @property
-    def fading_spec(self) -> FadingSpec:
-        return FadingSpec(model=self.fading_model, k_factor_db=self.rician_k_db)
+        # built once, through the library's checks: plain attributes, not fields
+        geometry = _checked("leo_altitude_m", LinkGeometry, self.leo_altitude_m,
+                            self.haps_altitude_m, self.carrier_hz)
+        # the free-space gain of every hop, the direct one's even when it is blocked
+        for key, distance_m in (("leo_altitude_m", geometry.d_direct_m),
+                                ("leo_altitude_m", geometry.d_leo_ris_m),
+                                ("haps_altitude_m", geometry.d_ris_ut_m)):
+            _checked(key, fspl_amplitude, distance_m, self.carrier_hz)
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "fading_spec", _checked(
+            "fading_model", FadingSpec, self.fading_model, self.rician_k_db))
+        object.__setattr__(self, "_magnitudes", _checked(
+            "tx_gain_dbi", hop_magnitudes, geometry, tx_gain_dbi=self.tx_gain_dbi,
+            ris_element_gain_dbi=self.ris_element_gain_dbi, rx_gain_dbi=self.rx_gain_dbi,
+            direct_blocked=self.direct_link == "blocked"))
+        # the link budget divides by both powers, so neither may round to zero
+        for key, watts in (("tx_power_dbm", _checked("tx_power_dbm", dbm_to_watts, self.tx_power_dbm)),
+                           ("noise_psd_dbm_hz", _checked("noise_psd_dbm_hz", noise_power_watts, self))):
+            if not watts > 0:
+                raise _key_error(key, f"power in watts is {watts!r}; it must be positive")
 
-    def link_budget(self, geom: LinkGeometry) -> tuple[float, float, float]:
-        """The hop magnitudes (a_d, a_h, a_g) on geom = build_geometry(self), a_d = 0 if blocked.
+    def link_budget(self) -> tuple[float, float, float]:
+        """The hop magnitudes (a_d, a_h, a_g) on self.geometry, a_d = 0 if blocked.
 
-        Raises ConfigError unless every row can be finite: the unfaded |h_eff|
-        = M a_g a_h + a_d at the smallest and largest swept M, divided and
-        multiplied by FADE_HEADROOM, must give finite link metrics (its SNR
+        Logs a warning for a carrier outside the Ka band. Raises ConfigError
+        unless every row can be finite: the unfaded |h_eff| = M a_g a_h + a_d
+        at the smallest and largest swept M, divided and multiplied by
+        FADE_HEADROOM, must give finite link metrics (its SNR
         P_tx |h_eff|^2 / N positive), and those grow with |h_eff|.
         """
-        magnitudes = hop_magnitudes(geom, tx_gain_dbi=self.tx_gain_dbi,
-                                    ris_element_gain_dbi=self.ris_element_gain_dbi,
-                                    rx_gain_dbi=self.rx_gain_dbi,
-                                    direct_blocked=self.direct_link == "blocked")
-        a_d, a_h, a_g = magnitudes
+        if not KA_BAND_HZ[0] <= self.carrier_hz <= KA_BAND_HZ[1]:
+            logger.warning("carrier %.6g Hz is outside the Ka band %.4g-%.4g Hz",
+                           self.carrier_hz, *KA_BAND_HZ)
+        a_d, a_h, a_g = magnitudes = self._magnitudes
         swept = (min(self.elements_sweep), max(self.elements_sweep))
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             unfaded = np.array(swept) * a_g * a_h + a_d

@@ -64,11 +64,14 @@ def finite_float(value) -> float:
 
 
 def number_array(value) -> np.ndarray:
-    """np.asarray(value) if it holds integers, floats or complex numbers.
+    """np.asarray(value) if it is a rectangular array of integers, floats or complex numbers.
 
-    A bool, text or object array raises ValueError, whose message follows the field's name.
+    A ragged, bool, text or object array raises ValueError, whose message follows the field's name.
     """
-    array = np.asarray(value)
+    try:
+        array = np.asarray(value)
+    except ValueError:  # numpy's inhomogeneous-shape error
+        raise ValueError("must be a rectangular array of numbers") from None
     if array.dtype.kind == "b":  # True is not a gain
         raise ValueError("must hold numbers, not booleans")
     if array.dtype.kind not in "iufc":

@@ -61,11 +61,11 @@ def closed_form_cells(power_g, power_h, cells: Sequence[tuple[Architecture, int]
     cascade = np.sqrt(power_g * power_h) if any(a.kind == "sc" for a, _ in cells) else None
     out = np.empty((len(cells),) + power_g.shape[:-1])
     for c, (arch, m) in enumerate(cells):
+        size = arch.block_size(m)  # raises InvalidInput unless m is positive and groups | m
         if arch.kind == "sc":
             out[c] = cascade[..., :m].sum(axis=-1)
         else:
-            # raises InvalidInput unless groups | M
-            blocks = power_g.shape[:-1] + (-1, arch.block_size(m))
+            blocks = power_g.shape[:-1] + (-1, size)
             out[c] = (np.sqrt(power_g[..., :m].reshape(blocks).sum(axis=-1))
                       * np.sqrt(power_h[..., :m].reshape(blocks).sum(axis=-1))).sum(axis=-1)
     return out
@@ -75,18 +75,22 @@ def closed_form_objective(g, h, h_d, arch: Architecture) -> np.ndarray:
     """Optimal |g^T Phi h + h_d| for every channel row of (..., M) arrays.
 
     sc gives |h_d| + sum_m |g_m h_m|, gc:U gives |h_d| + sum_u ||g_u|| ||h_u||
-    and fc is the one-group case |h_d| + ||g|| ||h||. h_d is a scalar or has
-    the leading shape of g and h. Each row is reduced on its own along the
-    last axis, so a row's result does not depend on the rows batched with it,
-    and optimize reports exactly this value: |h_d| plus the one-cell
+    and fc is the one-group case |h_d| + ||g|| ||h||. h_d must broadcast
+    against the leading shape of g and h. Each row is reduced on its own along
+    the last axis, so a row's result does not depend on the rows batched with
+    it, and optimize reports exactly this value: |h_d| plus the one-cell
     closed_form_cells of the squared magnitudes. g, h and h_d must hold
-    numbers (number_array), else InvalidInput.
+    numbers (number_array), and g and h at least one element, else InvalidInput.
     """
     g, h, h_d = checked_args(number_array, g=g, h=h, h_d=h_d)
     g = g.astype(np.complex128, copy=False)
     h = h.astype(np.complex128, copy=False)
     gain = closed_form_cells(_power(g), _power(h), [(arch, g.shape[-1] if g.ndim else 0)])[0]
-    return np.abs(h_d) + gain
+    try:
+        return np.abs(h_d) + gain
+    except ValueError:
+        raise InvalidInput(f"h_d of shape {h_d.shape} does not broadcast against "
+                           f"the rows of shape {gain.shape}") from None
 
 
 # Laid-out entries certified in one pass. A pass holds about 115 bytes per

@@ -120,7 +120,7 @@ class ChannelSet:
     h holds the satellite-to-surface amplitude gains, g the surface-to-terminal
     amplitude gains, and h_d the direct satellite-to-terminal gain. All values
     are dimensionless complex amplitude ratios; each must hold numbers
-    (number_array), else InvalidInput.
+    (number_array), and h_d be a scalar, else InvalidInput.
     """
 
     h: np.ndarray
@@ -128,14 +128,16 @@ class ChannelSet:
     h_d: complex
 
     def __post_init__(self):
-        h, g, _ = checked_args(number_array, h=self.h, g=self.g, h_d=self.h_d)
+        h, g, h_d = checked_args(number_array, h=self.h, g=self.g, h_d=self.h_d)
+        if h_d.ndim:
+            raise InvalidInput(f"h_d must be a scalar, got shape {h_d.shape}")
         h = np.array(h, dtype=np.complex128, copy=True)
         g = np.array(g, dtype=np.complex128, copy=True)
         if h.ndim != 1 or g.ndim != 1 or h.size != g.size or h.size < 1:
             raise InvalidInput(
                 f"h and g must be 1-D vectors of equal positive length, got {h.shape} and {g.shape}"
             )
-        h_d = complex(self.h_d)
+        h_d = complex(h_d)
         if not (np.isfinite(h).all() and np.isfinite(g).all() and np.isfinite([h_d]).all()):
             raise InvalidInput("channel entries must be finite")
         h.setflags(write=False)

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .channel_model import _MASK64, build_geometry, channel_set, draw_fades
+from .channel_model import _MASK64, channel_set, draw_fades
 from .config import LINK_BUDGET_KEYS, MAX_TRIALS, SimConfig, format_config
 from .errors import InvalidInput, SimulatorError
 from .link_metrics import link_columns
@@ -234,7 +234,7 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     Each chunk of trials is one array step in real arithmetic: one fade draw
     at the largest element count, every cell's cascade gain on its element
     prefix of the fade powers (phase_optimizer.closed_form_cells), scaled
-    once by the hop magnitudes of cfg.link_budget to |h_eff| = a_d |f_d| +
+    once by the hop magnitudes of cfg.link_budget() to |h_eff| = a_d |f_d| +
     a_g a_h gain, as one (cells, n) array, and one link_columns call giving
     the (cells, n, 4) trial values that go to the records' spool. A pure
     line-of-sight draw ignores its seed, so such a chunk draws and evaluates
@@ -248,8 +248,7 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     SimulatorError names the first faulty cell in canonical order, its
     non-finite values before its certificate.
     """
-    geom = build_geometry(cfg)
-    a_d, a_h, a_g = magnitudes = cfg.link_budget(geom)  # raises ConfigError before any draw
+    a_d, a_h, a_g = magnitudes = cfg.link_budget()  # raises ConfigError before any draw
     fading = cfg.fading_spec
     cells = _cells(cfg)
     designs = [(arch, m) for _, arch, m in cells]
@@ -272,7 +271,7 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
                 power = re * re + im * im
                 h_eff = a_g * a_h * closed_form_cells(power[:, 2::2], power[:, 1::2], designs)
                 h_eff += a_d * np.sqrt(power[:, 0])
-                certificates = (certify_cells(channel_set(geom, fades[0], magnitudes), designs)
+                certificates = (certify_cells(channel_set(cfg.geometry, fades[0], magnitudes), designs)
                                 if start == 0 else None)
                 values = link_columns(h_eff, cfg)
             except (SimulatorError, ValueError, ArithmeticError) as exc:

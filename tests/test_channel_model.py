@@ -136,18 +136,18 @@ class TestGeometry:
             build_geometry(cfg)
 
     def test_out_of_band_carrier_warns(self, caplog):
-        class Cfg:
-            leo_altitude_m = 600e3
-            haps_altitude_m = 15e3
-            carrier_hz = 10e9
-
-        with caplog.at_level(logging.WARNING, logger="ris_ntn_sim.channel_model"):
-            build_geometry(Cfg())
-        assert any("Ka band" in rec.message for rec in caplog.records)
+        # the geometry is a pure value: the config's link budget warns, once per call
+        cfg = SimConfig(carrier_hz=10e9)
+        with caplog.at_level(logging.WARNING, logger="ris_ntn_sim"):
+            build_geometry(cfg)
+            assert not caplog.records
+            cfg.link_budget()
+        assert [rec.message for rec in caplog.records] == [
+            "carrier 1e+10 Hz is outside the Ka band 1.77e+10-1.97e+10 Hz"]
 
     def test_in_band_carrier_is_silent(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="ris_ntn_sim.channel_model"):
-            build_geometry(SimConfig())
+        with caplog.at_level(logging.WARNING, logger="ris_ntn_sim"):
+            SimConfig().link_budget()
         assert not caplog.records
 
 

@@ -292,24 +292,24 @@ class TestLinkBudget:
         geom = build_geometry(cfg)
         expected = hop_magnitudes(geom, tx_gain_dbi=3.3, ris_element_gain_dbi=0.5,
                                   rx_gain_dbi=-1.7, direct_blocked=direct_link == "blocked")
-        assert cfg.link_budget(geom) == expected
+        assert cfg.link_budget() == expected
         assert (expected[0] == 0.0) == (direct_link == "blocked")
 
     def test_checks_the_largest_swept_element_count(self):
         # 2838 dBi is just inside the headroom at 4 elements, not at 4096
         inside = SimConfig(tx_gain_dbi=2838.0, elements_sweep=(4,))
-        inside.link_budget(build_geometry(inside))
+        inside.link_budget()
         outside = SimConfig(tx_gain_dbi=2838.0, elements_sweep=(4096, 4))
         with pytest.raises(ConfigError, match="at \\[4, 4096\\] elements"):
-            outside.link_budget(build_geometry(outside))
+            outside.link_budget()
 
     def test_checks_the_smallest_swept_element_count(self):
         # -1266 dBi is just inside the headroom at 4 elements, not at 1
         inside = SimConfig(ris_element_gain_dbi=-1266.0, elements_sweep=(4,))
-        inside.link_budget(build_geometry(inside))
+        inside.link_budget()
         outside = SimConfig(ris_element_gain_dbi=-1266.0, elements_sweep=(4, 1))
         with pytest.raises(ConfigError, match="at \\[1, 4\\] elements"):
-            outside.link_budget(build_geometry(outside))
+            outside.link_budget()
 
 
 class TestEcho:

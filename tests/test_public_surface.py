@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import ris_ntn_sim
@@ -184,6 +185,15 @@ BAD_ARGUMENTS = [
      lambda: closed_form_objective(["1"], ["2"], 0, Architecture("sc"))),
     ("closed_form_objective.booleans", "g must hold numbers, not booleans",
      lambda: closed_form_objective([True, True], [True, True], True, Architecture("fc"))),
+    ("closed_form_objective.empty", "element count must be positive, got 0",
+     lambda: closed_form_objective([], [], 0, Architecture("sc"))),
+    ("closed_form_objective.h_d.shape", r"h_d of shape \(3,\) does not broadcast",
+     lambda: closed_form_objective([[1, 2], [3, 4]], [[1, 2], [3, 4]], [1, 2, 3], Architecture("sc"))),
+    *((f"ChannelSet.h_d.{name}", r"h_d must be a scalar, got shape \(1,\)",
+       lambda value=value: ChannelSet(h=[1.0], g=[1.0], h_d=value))
+      for name, value in (("list", [1.0]), ("array", np.array([1.0])))),
+    ("ChannelSet.h.ragged", "h must be a rectangular array of numbers$",
+     lambda: ChannelSet(h=[[1], [1, 2]], g=[1.0], h_d=0.0)),
     ("link_columns.h_eff", "h_eff must hold numbers, not booleans", lambda: link_columns(True, SimConfig())),
     ("FadingSpec.model", "unknown fading model", lambda: FadingSpec(model="rayleigh")),
     ("FadingSpec.k_factor_db", "k_factor_db must be finite", lambda: FadingSpec(k_factor_db=float("nan"))),

@@ -28,6 +28,7 @@ from ris_ntn_sim import (
     format_config,
     generate_channels,
     optimize,
+    parse_config,
     run_sweep,
 )
 from ris_ntn_sim import _csv, channel_model, cli, phase_optimizer, sweep
@@ -676,7 +677,7 @@ class TestCli:
         message = message.format(path=cfg_file)
         with pytest.raises(ConfigError) as err:
             cfg = cli._load_config(cfg_file)
-            cfg.link_budget(build_geometry(cfg))
+            cfg.link_budget()
         assert (err.value.key, str(err.value)) == (key, message)
         out = ["--out", str(tmp_path / "out.csv")] if command == "sweep" else []
         assert main([command, "--config", str(cfg_file), *out]) == 2
@@ -684,6 +685,26 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"ris-ntn-sim: error: config: ConfigError: {message}\n"
         assert list(tmp_path.iterdir()) == ([] if text is None else [cfg_file])
+
+    @pytest.mark.parametrize("args", [["validate"], ["sweep"],
+                                      ["sweep", "--trials", "2", "--seed", "3", "--arch", "sc"]],
+                             ids=["validate", "sweep", "sweep-overrides"])
+    def test_out_of_band_carrier_is_logged_once_per_command(self, tmp_path, caplog, args):
+        # the flag overrides rebuild the config, which must not warn a second time
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("carrier_hz = 1e10\n")
+        out = ["--out", str(tmp_path / "out.csv")] if args[0] == "sweep" else []
+        with caplog.at_level(logging.WARNING, logger="ris_ntn_sim"):
+            assert main([args[0], "--config", str(cfg_file), *out, *args[1:]]) == 0
+        assert [rec.message for rec in caplog.records] == [
+            "carrier 1e+10 Hz is outside the Ka band 1.77e+10-1.97e+10 Hz"]
+
+    def test_building_a_config_logs_nothing(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="ris_ntn_sim"):
+            parse_config("carrier_hz = 18.7e9\ntrials = 2\n")
+            SimConfig()
+            SimConfig(carrier_hz=1e10)  # out of band: only its link budget warns
+        assert caplog.records == []
 
     def test_validate_rejects_typo(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
