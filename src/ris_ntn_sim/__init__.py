@@ -1,6 +1,6 @@
 """Simulator and phase-shift optimizer for a relay-surface-assisted satellite downlink."""
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .channel_model import (
     KA_BAND_HZ,
@@ -14,12 +14,8 @@ from .channel_model import (
 )
 from .config import SimConfig, format_config, parse_config
 from .errors import ConfigError, ConstraintViolated, InvalidInput, SimulatorError
-from .link_metrics import dbm_to_watts, link_columns, noise_power_watts
-from .phase_optimizer import (
-    OptimizeResult,
-    closed_form_objective,
-    optimize,
-)
+from .link_metrics import dbm_to_watts, link_columns
+from .phase_optimizer import OptimizeResult, optimize
 from .ris_core import UNIT_TOLERANCE, Architecture, ChannelSet, PhaseShiftMatrix, validate
 from .sweep import CSV_HEADER, SweepRecord, SweepRecords, emit_csv, run_sweep
 
@@ -28,8 +24,8 @@ __all__ = [
     "Architecture", "PhaseShiftMatrix", "ChannelSet", "UNIT_TOLERANCE", "validate",
     "SPEED_OF_LIGHT", "KA_BAND_HZ", "LinkGeometry", "FadingSpec",
     "fspl_amplitude", "path_loss_db", "build_geometry", "generate_channels",
-    "OptimizeResult", "optimize", "closed_form_objective",
-    "dbm_to_watts", "noise_power_watts", "link_columns",
+    "OptimizeResult", "optimize",
+    "dbm_to_watts", "link_columns",
     "SimConfig", "parse_config", "format_config", "ConfigError",
     "SweepRecord", "SweepRecords", "run_sweep", "emit_csv", "CSV_HEADER",
     "SimulatorError", "ConstraintViolated", "InvalidInput",

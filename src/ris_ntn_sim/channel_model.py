@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (InvalidInput, SimulatorError, checked_args, exact_int, finite_float, linear_from_db,
-                     positive_float)
+                     positive_float, sim_config)
 from .ris_core import ChannelSet
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -98,8 +98,8 @@ class LinkGeometry:
 
 
 def build_geometry(cfg) -> LinkGeometry:
-    """Nadir-stack geometry of cfg, anything with leo_altitude_m, haps_altitude_m and carrier_hz."""
-    return LinkGeometry(cfg.leo_altitude_m, cfg.haps_altitude_m, cfg.carrier_hz)
+    """cfg.geometry, the nadir-stack geometry a SimConfig builds once; InvalidInput for any other cfg."""
+    return sim_config(cfg).geometry
 
 
 FADING_MODELS = ("pure_los", "rician")
@@ -230,9 +230,12 @@ def generate_channels(
     the complex hop amplitudes (channel_set). The result is a pure function
     of the arguments, and draws for element i never move when the element
     count grows. With direct_blocked the direct path gain is exactly zero.
-    elements and seed must be exact_int integers, else InvalidInput.
+    elements and seed must be exact_int integers, and direct_blocked a bool,
+    Python's or numpy's, else InvalidInput.
     """
     elements, seed = checked_args(exact_int, elements=elements, seed=seed)
+    if not isinstance(direct_blocked, (bool, np.bool_)):
+        raise InvalidInput(f"direct_blocked must be a bool, got {type(direct_blocked).__name__}")
     magnitudes = hop_magnitudes(geom, tx_gain_dbi=tx_gain_dbi,
                                 ris_element_gain_dbi=ris_element_gain_dbi,
                                 rx_gain_dbi=rx_gain_dbi, direct_blocked=direct_blocked)

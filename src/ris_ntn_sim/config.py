@@ -7,13 +7,14 @@ are hard errors so typos never silently fall back to defaults.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .channel_model import KA_BAND_HZ, FadingSpec, LinkGeometry, fspl_amplitude, hop_magnitudes
-from .errors import ConfigError, exact_int, finite_float
-from .link_metrics import dbm_to_watts, link_columns, noise_power_watts
+from .errors import ConfigError, exact_int, finite_float, positive_float
+from .link_metrics import dbm_to_watts, link_columns
 from .ris_core import Architecture
 
 logger = logging.getLogger(__name__)
@@ -76,8 +77,9 @@ class SimConfig:
     directly ("clear") or only through the relay surface ("blocked"). The
     default is "blocked": at the default geometry the clear direct path is
     ~141 dB stronger than the two-hop path, which buries every element-count
-    effect the sweep is designed to show. Construction builds cfg.geometry
-    and cfg.fading_spec once; they are attributes, not fields.
+    effect the sweep is designed to show. Construction checks every value
+    once and builds the attributes geometry, fading_spec, and tx_power_w and
+    noise_power_w in watts, which are not fields.
     """
 
     carrier_hz: float = 18.7e9
@@ -112,6 +114,7 @@ class SimConfig:
                 object.__setattr__(self, f.name, _checked(f.name, check, getattr(self, f.name)))
         if self.static_power_w < 0:
             raise _key_error("static_power_w", "must be nonnegative")
+        _checked("bandwidth_hz", positive_float, self.bandwidth_hz)
 
         if not self.elements_sweep:
             raise _key_error("elements_sweep", "must not be empty")
@@ -156,10 +159,13 @@ class SimConfig:
             ris_element_gain_dbi=self.ris_element_gain_dbi, rx_gain_dbi=self.rx_gain_dbi,
             direct_blocked=self.direct_link == "blocked"))
         # the link budget divides by both powers, so neither may round to zero
-        for key, watts in (("tx_power_dbm", _checked("tx_power_dbm", dbm_to_watts, self.tx_power_dbm)),
-                           ("noise_psd_dbm_hz", _checked("noise_psd_dbm_hz", noise_power_watts, self))):
+        for key, name, p_dbm in (("tx_power_dbm", "tx_power_w", self.tx_power_dbm),
+                                 ("noise_psd_dbm_hz", "noise_power_w",
+                                  self.noise_psd_dbm_hz + 10.0 * math.log10(self.bandwidth_hz))):
+            watts = _checked(key, dbm_to_watts, p_dbm)
             if not watts > 0:
                 raise _key_error(key, f"power in watts is {watts!r}; it must be positive")
+            object.__setattr__(self, name, watts)
 
     def link_budget(self) -> tuple[float, float, float]:
         """The hop magnitudes (a_d, a_h, a_g) on self.geometry, a_d = 0 if blocked.

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, checked_args, number_array
+from .errors import InvalidInput
 from .ris_core import Architecture, ChannelSet, PhaseShiftMatrix, diagonal_blocks, validate
 
 _EPS = np.finfo(np.float64).eps
@@ -69,28 +69,6 @@ def closed_form_cells(power_g, power_h, cells: Sequence[tuple[Architecture, int]
             out[c] = (np.sqrt(power_g[..., :m].reshape(blocks).sum(axis=-1))
                       * np.sqrt(power_h[..., :m].reshape(blocks).sum(axis=-1))).sum(axis=-1)
     return out
-
-
-def closed_form_objective(g, h, h_d, arch: Architecture) -> np.ndarray:
-    """Optimal |g^T Phi h + h_d| for every channel row of (..., M) arrays.
-
-    sc gives |h_d| + sum_m |g_m h_m|, gc:U gives |h_d| + sum_u ||g_u|| ||h_u||
-    and fc is the one-group case |h_d| + ||g|| ||h||. h_d must broadcast
-    against the leading shape of g and h. Each row is reduced on its own along
-    the last axis, so a row's result does not depend on the rows batched with
-    it, and optimize reports exactly this value: |h_d| plus the one-cell
-    closed_form_cells of the squared magnitudes. g, h and h_d must hold
-    numbers (number_array), and g and h at least one element, else InvalidInput.
-    """
-    g, h, h_d = checked_args(number_array, g=g, h=h, h_d=h_d)
-    g = g.astype(np.complex128, copy=False)
-    h = h.astype(np.complex128, copy=False)
-    gain = closed_form_cells(_power(g), _power(h), [(arch, g.shape[-1] if g.ndim else 0)])[0]
-    try:
-        return np.abs(h_d) + gain
-    except ValueError:
-        raise InvalidInput(f"h_d of shape {h_d.shape} does not broadcast against "
-                           f"the rows of shape {gain.shape}") from None
 
 
 # Laid-out entries certified in one pass. A pass holds about 115 bytes per
@@ -202,13 +180,14 @@ def optimize(ch: ChannelSet, arch: Architecture) -> OptimizeResult:
     A block whose g or h is zero is the identity; degenerate marks a channel
     where every block is, so the objective collapses to |h_d|.
     """
-    w_u, w_v, corner, live = _design(ch, _layout(ch, [(arch, ch.elements)]))
+    cells = [(arch, ch.elements)]
+    w_u, w_v, corner, live = _design(ch, _layout(ch, cells))
     groups = corner.size
     # the build buffers are gone before validate runs: only phi's copy stays
     phi = PhaseShiftMatrix(_block_matrix(w_u.reshape(groups, -1), w_v.reshape(groups, -1),
                                          corner, live), arch)
     validate(phi)
-    objective = float(closed_form_objective(ch.g, ch.h, ch.h_d, arch))
+    objective = float(np.abs(ch.h_d) + closed_form_cells(_power(ch.g), _power(ch.h), cells)[0])
     return OptimizeResult(phi, objective, degenerate=not live.any())
 
 

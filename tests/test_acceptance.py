@@ -17,7 +17,6 @@ from ris_ntn_sim import (
     build_geometry,
     emit_csv,
     generate_channels,
-    noise_power_watts,
     optimize,
     path_loss_db,
     run_sweep,
@@ -165,7 +164,7 @@ def test_criterion_6_link_budget_goldens():
     loss_b = path_loss_db(15e3, 18.7e9)
     assert loss_b == pytest.approx(oracle_db(15e3, 18.7e9), rel=1e-12)
     assert abs(loss_b - 141.4) <= 0.1
-    noise = 10.0 * math.log10(noise_power_watts(SimConfig(bandwidth_hz=2e7, noise_psd_dbm_hz=-170.0))) + 30.0
+    noise = 10.0 * math.log10(SimConfig(bandwidth_hz=2e7, noise_psd_dbm_hz=-170.0).noise_power_w) + 30.0
     assert abs(noise - (-96.99)) <= 0.01
     print(f"criterion 6 PASS: {loss_a:.2f} dB, {loss_b:.2f} dB, noise {noise:.2f} dBm")
 

@@ -167,8 +167,10 @@ class TestConstraints:
     @pytest.mark.parametrize("key, value", [
         ("tx_power_dbm", 3300.0),
         ("tx_power_dbm", -3300.0),
+        ("tx_power_dbm", 3400.0),
         ("noise_psd_dbm_hz", 3300.0),
         ("noise_psd_dbm_hz", -3300.0),
+        ("noise_psd_dbm_hz", 3400.0),
     ])
     def test_powers_whose_watts_overflow_or_vanish_are_rejected(self, key, value):
         with pytest.raises(ConfigError) as err:
@@ -233,6 +235,10 @@ class TestConstraints:
         ("tx_gain_dbi", -(10**400)),
         ("rx_gain_dbi", np.float64("nan")),
         ("static_power_w", float("inf")),
+        *(("bandwidth_hz", value) for value in (float("inf"), float("nan"), True, None)),
+        *(("static_power_w", value) for value in (float("nan"), True, "1", None)),
+        *((key, value) for key in ("tx_power_dbm", "noise_psd_dbm_hz")
+          for value in (float("nan"), float("inf"))),
     ])
     def test_non_numbers_and_non_finite_values_rejected_for_float_keys(self, key, value):
         with pytest.raises(ConfigError) as err:
@@ -270,10 +276,13 @@ class TestConstraints:
     @pytest.mark.parametrize("key, value", [
         ("carrier_hz", 0.0),
         ("carrier_hz", -1.0),
+        ("bandwidth_hz", 0),
+        ("bandwidth_hz", -1.0),
+        ("static_power_w", -1.0),
         ("elements_sweep", ()),
         ("architectures", ()),
     ])
-    def test_non_positive_carrier_and_empty_sweeps_rejected(self, key, value):
+    def test_out_of_range_values_and_empty_sweeps_rejected(self, key, value):
         with pytest.raises(ConfigError) as err:
             SimConfig(**{key: value})
         assert err.value.key == key

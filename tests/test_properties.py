@@ -19,7 +19,7 @@ from ris_ntn_sim import (
     run_sweep,
 )
 from ris_ntn_sim import phase_optimizer
-from ris_ntn_sim.phase_optimizer import certify_cells, closed_form_cells, closed_form_objective
+from ris_ntn_sim.phase_optimizer import _power, certify_cells, closed_form_cells
 
 from _helpers import effective_gain
 from _oracles import prefix_closed_form
@@ -87,11 +87,13 @@ def _at_most(a, b):
 @given(st.data(), st.integers(1, 4))
 def test_batched_objective_equals_optimize_bit_for_bit(data, groups):
     g, h, h_d = data.draw(channel_batches(divisible_by=groups))
-    for arch in (SC, FC, Architecture("gc", groups)):
-        batched = closed_form_objective(g, h, h_d, arch)
+    archs = (SC, FC, Architecture("gc", groups))
+    # every cell of every trial row at once, plus |h_d|
+    batched = np.abs(h_d) + closed_form_cells(_power(g), _power(h), [(a, g.shape[-1]) for a in archs])
+    for arch, objectives in zip(archs, batched):
         for t in range(g.shape[0]):
             ch = ChannelSet(h=h[t], g=g[t], h_d=h_d[t])
-            assert optimize(ch, arch).objective == batched[t]
+            assert optimize(ch, arch).objective == objectives[t]
 
 
 @settings(max_examples=100, deadline=None)
@@ -122,25 +124,23 @@ def test_closed_form_cells_need_equal_shapes_of_at_least_one_axis(power_g, power
         closed_form_cells(power_g, power_h, [(SC, 1)])
 
 
-def test_closed_form_broadcasts_h_d_over_the_channel_rows():
-    # one channel row against three direct links gives three objectives
+def test_direct_link_adds_its_magnitude_to_the_cascade_gain():
+    # one channel against three direct links: the cascade gain does not depend on h_d
     rng = np.random.default_rng(5)
     g, h = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
-    h_d = np.array([0.0, 0.5 - 2j, 3.0])
     for arch in (SC, FC, Architecture("gc", 4)):
-        objective = closed_form_objective(g, h, h_d, arch)
-        gain = closed_form_objective(g, h, 0.0, arch)
-        assert objective.shape == (3,)
-        assert np.array_equal(objective.view(np.uint64), (np.abs(h_d) + gain).view(np.uint64))
+        gain = closed_form_cells(_power(g), _power(h), [(arch, 8)])[0]
+        for h_d in (0.0, 0.5 - 2j, 3.0):
+            assert optimize(ChannelSet(h=h, g=g, h_d=h_d), arch).objective == np.abs(h_d) + gain
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data(), st.integers(1, 6))
 def test_sc_below_gc_below_fc(data, groups):
     g, h, h_d = data.draw(channel_batches(divisible_by=groups))
-    sc = closed_form_objective(g, h, h_d, SC)
-    gc = closed_form_objective(g, h, h_d, Architecture("gc", groups))
-    fc = closed_form_objective(g, h, h_d, FC)
+    m = g.shape[-1]
+    sc, gc, fc = np.abs(h_d) + closed_form_cells(_power(g), _power(h),
+                                                 [(SC, m), (Architecture("gc", groups), m), (FC, m)])
     assert _at_most(sc, gc)
     assert _at_most(gc, fc)
 
@@ -149,8 +149,9 @@ def test_sc_below_gc_below_fc(data, groups):
 @given(st.data(), st.integers(1, 4), st.integers(1, 4))
 def test_coarser_grouping_never_loses(data, groups, factor):
     g, h, h_d = data.draw(channel_batches(divisible_by=groups * factor))
-    coarse = closed_form_objective(g, h, h_d, Architecture("gc", groups))
-    fine = closed_form_objective(g, h, h_d, Architecture("gc", groups * factor))
+    m = g.shape[-1]
+    coarse, fine = np.abs(h_d) + closed_form_cells(
+        _power(g), _power(h), [(Architecture("gc", groups), m), (Architecture("gc", groups * factor), m)])
     assert _at_most(fine, coarse)
 
 

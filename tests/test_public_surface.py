@@ -23,12 +23,10 @@ from ris_ntn_sim import (
     SimConfig,
     build_geometry,
     cli,
-    closed_form_objective,
     dbm_to_watts,
     fspl_amplitude,
     generate_channels,
     link_columns,
-    noise_power_watts,
     path_loss_db,
 )
 
@@ -39,10 +37,9 @@ PUBLIC_NAMES = [
     "FadingSpec", "InvalidInput", "KA_BAND_HZ", "LinkGeometry",
     "OptimizeResult", "PhaseShiftMatrix", "SPEED_OF_LIGHT", "SimConfig",
     "SimulatorError", "SweepRecord", "SweepRecords", "UNIT_TOLERANCE",
-    "__version__", "build_geometry", "closed_form_objective", "dbm_to_watts",
-    "emit_csv", "format_config", "fspl_amplitude", "generate_channels",
-    "link_columns", "noise_power_watts", "optimize", "parse_config",
-    "path_loss_db", "run_sweep", "validate",
+    "__version__", "build_geometry", "dbm_to_watts", "emit_csv",
+    "format_config", "fspl_amplitude", "generate_channels", "link_columns",
+    "optimize", "parse_config", "path_loss_db", "run_sweep", "validate",
 ]
 
 # constructor parameters of every public class that is not an exception
@@ -72,7 +69,7 @@ CLI_OPTIONS = {
 
 
 def test_all_is_the_pinned_list():
-    assert len(PUBLIC_NAMES) == 32
+    assert len(PUBLIC_NAMES) == 30
     assert sorted(ris_ntn_sim.__all__) == PUBLIC_NAMES
 
 
@@ -92,7 +89,6 @@ def test_constructor_fields_are_the_pinned_ones():
     assert fields == CONSTRUCTOR_FIELDS
 
 
-RF = {"tx_power_dbm": 50.0, "bandwidth_hz": 2e7, "noise_psd_dbm_hz": -170.0, "static_power_w": 0.0}
 GEOMETRY = {"leo_altitude_m": 600e3, "haps_altitude_m": 15e3, "carrier_hz": 18.7e9}
 HOP = {"distance_m": 600e3, "freq_hz": 18.7e9}
 DRAW = {"elements": 4, "seed": 1, "tx_gain_dbi": 0.0, "ris_element_gain_dbi": 0.0, "rx_gain_dbi": 0.0}
@@ -114,26 +110,12 @@ TRUE_FOR_A_NUMBER = [
       for key in ("h", "g", "h_d")),
     ("PhaseShiftMatrix.matrix", InvalidInput, "^matrix must hold numbers",
      lambda: PhaseShiftMatrix([[True]], Architecture("sc"))),
-    *((f"closed_form_objective.{key}", InvalidInput, f"^{key} must hold numbers",
-       lambda key=key: closed_form_objective(**{"g": [1.0], "h": [1.0], "h_d": 0.0, key: True},
-                                             arch=Architecture("sc")))
-      for key in ("g", "h", "h_d")),
-    ("link_columns.h_eff", InvalidInput, "^h_eff must hold numbers",
-     lambda: link_columns(True, SimpleNamespace(**RF))),
+    ("link_columns.h_eff", InvalidInput, "^h_eff must hold numbers", lambda: link_columns(True, SimConfig())),
     ("dbm_to_watts", InvalidInput, "p_dbm", lambda: dbm_to_watts(True)),
-    *((f"noise_power_watts.{key}", InvalidInput, key,
-       lambda key=key: noise_power_watts(SimpleNamespace(**with_true(RF, key))))
-      for key in ("bandwidth_hz", "noise_psd_dbm_hz")),
-    *((f"link_columns.{key}", InvalidInput, text,
-       lambda key=key: link_columns(1.0, SimpleNamespace(**with_true(RF, key))))
-      for key, text in (("tx_power_dbm", "p_dbm"), ("bandwidth_hz", "bandwidth_hz"),
-                        ("noise_psd_dbm_hz", "noise_psd_dbm_hz"), ("static_power_w", "static_power_w"))),
     *((f"{call.__name__}.{key}", InvalidInput, key, lambda call=call, key=key: call(**with_true(HOP, key)))
       for call in (fspl_amplitude, path_loss_db) for key in HOP),
     *((f"LinkGeometry.{key}", InvalidInput, key,
        lambda key=key: LinkGeometry(**with_true(GEOMETRY, key))) for key in GEOMETRY),
-    *((f"build_geometry.{key}", InvalidInput, key,
-       lambda key=key: build_geometry(SimpleNamespace(**with_true(GEOMETRY, key)))) for key in GEOMETRY),
     *((f"SimConfig.{key}", ConfigError, key, lambda key=key: SimConfig(**{key: True}))
       for key in CONFIG_NUMBERS),
     ("SimConfig.elements_sweep", ConfigError, "elements_sweep",
@@ -181,20 +163,22 @@ BAD_ARGUMENTS = [
     *((f"PhaseShiftMatrix.matrix.{name}", "matrix must hold numbers, got dtype",
        lambda value=value: PhaseShiftMatrix(value, Architecture("sc")))
       for name, value in (("text", [["1"]]), ("none", [[None]]))),
-    ("closed_form_objective.text", "g must hold numbers, got dtype",
-     lambda: closed_form_objective(["1"], ["2"], 0, Architecture("sc"))),
-    ("closed_form_objective.booleans", "g must hold numbers, not booleans",
-     lambda: closed_form_objective([True, True], [True, True], True, Architecture("fc"))),
-    ("closed_form_objective.empty", "element count must be positive, got 0",
-     lambda: closed_form_objective([], [], 0, Architecture("sc"))),
-    ("closed_form_objective.h_d.shape", r"h_d of shape \(3,\) does not broadcast",
-     lambda: closed_form_objective([[1, 2], [3, 4]], [[1, 2], [3, 4]], [1, 2, 3], Architecture("sc"))),
     *((f"ChannelSet.h_d.{name}", r"h_d must be a scalar, got shape \(1,\)",
        lambda value=value: ChannelSet(h=[1.0], g=[1.0], h_d=value))
       for name, value in (("list", [1.0]), ("array", np.array([1.0])))),
     ("ChannelSet.h.ragged", "h must be a rectangular array of numbers$",
      lambda: ChannelSet(h=[[1], [1, 2]], g=[1.0], h_d=0.0)),
     ("link_columns.h_eff", "h_eff must hold numbers, not booleans", lambda: link_columns(True, SimConfig())),
+    # an object with every attribute of a SimConfig is not one: its values were never checked
+    ("link_columns.cfg", "cfg must be a SimConfig, got SimpleNamespace",
+     lambda: link_columns(1.0, SimpleNamespace(**vars(SimConfig())))),
+    ("build_geometry.cfg", "cfg must be a SimConfig, got SimpleNamespace",
+     lambda: build_geometry(SimpleNamespace(**vars(SimConfig())))),
+    # a truthy non-bool must not pick the direct link: "False" would block it
+    *((f"generate_channels.direct_blocked.{name}", f"direct_blocked must be a bool, got {name}",
+       lambda value=value: generate_channels(LinkGeometry(**GEOMETRY), FadingSpec(), **DRAW,
+                                             direct_blocked=value))
+      for name, value in (("str", "False"), ("NoneType", None))),
     ("FadingSpec.model", "unknown fading model", lambda: FadingSpec(model="rayleigh")),
     ("FadingSpec.k_factor_db", "k_factor_db must be finite", lambda: FadingSpec(k_factor_db=float("nan"))),
 ]
