@@ -222,6 +222,14 @@ class TestGenerateChannels:
         assert np.array_equal(blocked.h, clear.h)
         assert np.array_equal(blocked.g, clear.g)
 
+    @pytest.mark.parametrize("blocked", [True, False])
+    def test_numpy_bools_block_as_python_bools(self, blocked):
+        got = generate_channels(self.geom, FadingSpec(), 4, 8, direct_blocked=np.bool_(blocked))
+        want = generate_channels(self.geom, FadingSpec(), 4, 8, direct_blocked=blocked)
+        assert (got.h_d == 0j) is blocked
+        assert got.h_d == want.h_d
+        assert np.array_equal(got.h, want.h) and np.array_equal(got.g, want.g)
+
     @pytest.mark.parametrize("elements, seed", [
         (0, 1), (-3, 1), (True, 1), (2.5, 1), ("8", 1), (None, 1),
         (4, 1.5), (4, True), (4, "3"), (4, None)])

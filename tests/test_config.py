@@ -1,13 +1,14 @@
 """Config parsing: defaults, overrides, and typo rejection."""
 
-from dataclasses import fields
+import math
+from dataclasses import FrozenInstanceError, fields, replace
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ris_ntn_sim import ConfigError, SimConfig, build_geometry, format_config, parse_config
+from ris_ntn_sim import ConfigError, SimConfig, build_geometry, dbm_to_watts, format_config, parse_config
 from ris_ntn_sim.channel_model import hop_magnitudes
 
 
@@ -231,6 +232,10 @@ class TestConstraints:
         ("noise_psd_dbm_hz", None),
         ("rician_k_db", 1 + 0j),
         ("leo_altitude_m", Decimal("600e3")),
+        # the constructor parses no text: only parse_config reads "6e5" as a number
+        ("leo_altitude_m", "6e5"),
+        ("haps_altitude_m", "1.5e4"),
+        ("carrier_hz", "18.7e9"),
         ("static_power_w", 10**400),
         ("tx_gain_dbi", -(10**400)),
         ("rx_gain_dbi", np.float64("nan")),
@@ -319,6 +324,30 @@ class TestLinkBudget:
         outside = SimConfig(ris_element_gain_dbi=-1266.0, elements_sweep=(4, 1))
         with pytest.raises(ConfigError, match="at \\[1, 4\\] elements"):
             outside.link_budget()
+
+
+class TestBuiltAttributes:
+    # link_columns and build_geometry read these without checking them again
+
+    @pytest.mark.parametrize("name", ["geometry", "fading_spec", "tx_power_w", "noise_power_w"])
+    def test_built_attributes_are_frozen(self, name):
+        cfg = SimConfig()
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, getattr(SimConfig(leo_altitude_m=500e3, rician_k_db=3.0,
+                                                 tx_power_dbm=40.0, bandwidth_hz=1e8), name))
+
+    @pytest.mark.parametrize("key, value", [
+        ("tx_power_dbm", 40.0), ("noise_psd_dbm_hz", -160.0), ("bandwidth_hz", 1e8)])
+    def test_replace_rebuilds_the_watts(self, key, value):
+        cfg = replace(SimConfig(), **{key: value})
+        assert cfg.tx_power_w == dbm_to_watts(cfg.tx_power_dbm)
+        assert cfg.noise_power_w == dbm_to_watts(cfg.noise_psd_dbm_hz + 10.0 * math.log10(cfg.bandwidth_hz))
+        assert (cfg.tx_power_w, cfg.noise_power_w) != (SimConfig().tx_power_w, SimConfig().noise_power_w)
+
+    def test_parsed_config_builds_the_same_watts(self):
+        cfg = SimConfig(tx_power_dbm=43.25, bandwidth_hz=3e7, noise_psd_dbm_hz=-171.5)
+        parsed = parse_config(format_config(cfg))
+        assert (parsed.tx_power_w, parsed.noise_power_w) == (cfg.tx_power_w, cfg.noise_power_w)
 
 
 class TestEcho:

@@ -104,6 +104,13 @@ class TestLinkColumns:
         for column, want in enumerate(expected):
             np.testing.assert_array_equal(got[..., column], want)
 
+    def test_numpy_bandwidth_and_static_power_accepted(self):
+        rf = SimConfig(tx_power_dbm=43.0, bandwidth_hz=np.float32(3e7), noise_psd_dbm_hz=-171.5,
+                       static_power_w=np.int64(2))
+        cfg = SimConfig(tx_power_dbm=43.0, bandwidth_hz=float(np.float32(3e7)),
+                        noise_psd_dbm_hz=-171.5, static_power_w=2.0)
+        np.testing.assert_array_equal(link_columns(3e-8, rf), link_columns(3e-8, cfg))
+
     def test_complex_gains_use_their_magnitude(self):
         h_eff = np.array([5e-8j, -5e-8])
         got = link_columns(h_eff, DEFAULT_CFG)

@@ -166,6 +166,9 @@ BAD_ARGUMENTS = [
     *((f"ChannelSet.h_d.{name}", r"h_d must be a scalar, got shape \(1,\)",
        lambda value=value: ChannelSet(h=[1.0], g=[1.0], h_d=value))
       for name, value in (("list", [1.0]), ("array", np.array([1.0])))),
+    # optimize reads its objective from a ChannelSet, so an empty surface stops here
+    ("ChannelSet.empty", r"h and g must be 1-D vectors of equal positive length, got \(0,\) and \(0,\)",
+     lambda: ChannelSet(h=[], g=[], h_d=0.0)),
     ("ChannelSet.h.ragged", "h must be a rectangular array of numbers$",
      lambda: ChannelSet(h=[[1], [1, 2]], g=[1.0], h_d=0.0)),
     ("link_columns.h_eff", "h_eff must hold numbers, not booleans", lambda: link_columns(True, SimConfig())),
@@ -174,11 +177,16 @@ BAD_ARGUMENTS = [
      lambda: link_columns(1.0, SimpleNamespace(**vars(SimConfig())))),
     ("build_geometry.cfg", "cfg must be a SimConfig, got SimpleNamespace",
      lambda: build_geometry(SimpleNamespace(**vars(SimConfig())))),
+    *((f"{name}.cfg.{type(cfg).__name__}", f"cfg must be a SimConfig, got {type(cfg).__name__}",
+       lambda call=call, cfg=cfg: call(cfg))
+      for name, call in (("link_columns", lambda cfg: link_columns(1.0, cfg)), ("build_geometry", build_geometry))
+      for cfg in (vars(SimConfig()), None)),
     # a truthy non-bool must not pick the direct link: "False" would block it
     *((f"generate_channels.direct_blocked.{name}", f"direct_blocked must be a bool, got {name}",
        lambda value=value: generate_channels(LinkGeometry(**GEOMETRY), FadingSpec(), **DRAW,
                                              direct_blocked=value))
-      for name, value in (("str", "False"), ("NoneType", None))),
+      for name, value in (("str", "False"), ("NoneType", None), ("int", 1), ("int64", np.int64(0)),
+                          ("float", 1.0))),
     ("FadingSpec.model", "unknown fading model", lambda: FadingSpec(model="rayleigh")),
     ("FadingSpec.k_factor_db", "k_factor_db must be finite", lambda: FadingSpec(k_factor_db=float("nan"))),
 ]
