@@ -1,20 +1,18 @@
 """Simulator and phase-shift optimizer for a relay-surface-assisted satellite downlink."""
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 from .channel_model import (
     KA_BAND_HZ,
     SPEED_OF_LIGHT,
     FadingSpec,
     LinkGeometry,
-    build_geometry,
     fspl_amplitude,
     generate_channels,
     path_loss_db,
 )
-from .config import SimConfig, format_config, parse_config
+from .config import SimConfig, build_geometry, dbm_to_watts, format_config, link_columns, parse_config
 from .errors import ConfigError, ConstraintViolated, InvalidInput, SimulatorError
-from .link_metrics import dbm_to_watts, link_columns
 from .phase_optimizer import OptimizeResult, optimize
 from .ris_core import UNIT_TOLERANCE, Architecture, ChannelSet, PhaseShiftMatrix, validate
 from .sweep import CSV_HEADER, SweepRecord, SweepRecords, emit_csv, run_sweep

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (InvalidInput, SimulatorError, checked_args, exact_int, finite_float, linear_from_db,
-                     positive_float, sim_config)
+                     positive_float)
 from .ris_core import ChannelSet
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -95,11 +95,6 @@ class LinkGeometry:
     @property
     def d_ris_ut_m(self) -> float:
         return self.haps_altitude_m
-
-
-def build_geometry(cfg) -> LinkGeometry:
-    """cfg.geometry, the nadir-stack geometry a SimConfig builds once; InvalidInput for any other cfg."""
-    return sim_config(cfg).geometry
 
 
 FADING_MODELS = ("pure_los", "rician")

@@ -1,7 +1,9 @@
-"""Experiment configuration: defaults, plain-text parsing and echoing.
+"""Experiment configuration and the link budget it fixes.
 
 Config files are UTF-8 "key = value" lines with '#' comments. Unknown keys
-are hard errors so typos never silently fall back to defaults.
+are hard errors so typos never silently fall back to defaults. A SimConfig
+checks its values once and builds the geometry and both powers in watts, which
+build_geometry and link_columns (SNR, Shannon rate, energy efficiency) read.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .channel_model import KA_BAND_HZ, FadingSpec, LinkGeometry, fspl_amplitude, hop_magnitudes
-from .errors import ConfigError, exact_int, finite_float, positive_float
-from .link_metrics import dbm_to_watts, link_columns
+from .errors import (ConfigError, InvalidInput, checked_args, exact_int, finite_float, linear_from_db,
+                     number_array, positive_float)
 from .ris_core import Architecture
 
 logger = logging.getLogger(__name__)
@@ -35,6 +37,13 @@ FADE_HEADROOM = 1e20
 LINK_BUDGET_KEYS = ("tx_power_dbm, bandwidth_hz, noise_psd_dbm_hz, static_power_w, carrier_hz, "
                     "leo_altitude_m, haps_altitude_m, tx_gain_dbi, ris_element_gain_dbi, "
                     "rx_gain_dbi, direct_link and elements_sweep")
+
+_LN2 = math.log(2.0)
+
+
+def dbm_to_watts(p_dbm: float) -> float:
+    """p_dbm in W; InvalidInput unless p_dbm is a finite real number whose watts fit in a float."""
+    return checked_args(lambda p: linear_from_db(finite_float(p) - 30.0, 10.0), p_dbm=p_dbm)[0]
 
 
 def _key_error(key: str, reason: str) -> ConfigError:
@@ -164,6 +173,9 @@ class SimConfig:
                                   self.noise_psd_dbm_hz + 10.0 * math.log10(self.bandwidth_hz))):
             watts = _checked(key, dbm_to_watts, p_dbm)
             if not watts > 0:
+                # a density with positive watts of its own is made zero by a tiny bandwidth
+                if key == "noise_psd_dbm_hz" and dbm_to_watts(self.noise_psd_dbm_hz) > 0:
+                    key = "bandwidth_hz"
                 raise _key_error(key, f"power in watts is {watts!r}; it must be positive")
             object.__setattr__(self, name, watts)
 
@@ -189,6 +201,40 @@ class SimConfig:
                               f"and fades may scale it by {FADE_HEADROOM:g} either way: link "
                               f"metrics would not be finite; check {LINK_BUDGET_KEYS}")
         return magnitudes
+
+
+def _sim_config(cfg) -> SimConfig:
+    """cfg if it is a SimConfig, which checked its values when it was built, else InvalidInput."""
+    if not isinstance(cfg, SimConfig):
+        raise InvalidInput(f"cfg must be a SimConfig, got {type(cfg).__name__}")
+    return cfg
+
+
+def build_geometry(cfg) -> LinkGeometry:
+    """cfg.geometry, the nadir-stack geometry a SimConfig builds once; InvalidInput for any other cfg."""
+    return _sim_config(cfg).geometry
+
+
+def link_columns(h_eff, cfg) -> np.ndarray:
+    """(h_eff_mag, snr_db, rate_bps, ee_bits_per_joule) along a new last axis, in float64.
+
+    h_eff is a channel gain or an array of them, which must hold numbers
+    (number_array), and cfg a SimConfig, else InvalidInput; the columns are
+    the value columns of the sweep CSV. The SNR is P_tx |h_eff|^2 / N with
+    P_tx = cfg.tx_power_w and N = cfg.noise_power_w, the rate B log2(1 + SNR),
+    and the energy efficiency the rate divided by the consumed power
+    P_tx + static_power_w.
+    """
+    power_w = _sim_config(cfg).tx_power_w + cfg.static_power_w
+    h_eff = checked_args(number_array, h_eff=h_eff)[0]
+    # in float64: an integer or narrow float would overflow or wrap in the square
+    magnitude = np.abs(h_eff.astype(complex if h_eff.dtype.kind == "c" else float, copy=False))
+    snr = cfg.tx_power_w * magnitude ** 2 / cfg.noise_power_w
+    # log1p keeps precision in the deep-noise regime where SNR << eps
+    rate = cfg.bandwidth_hz * np.log1p(snr) / _LN2
+    # a zero channel gives -inf dB, without numpy's divide-by-zero warning
+    with np.errstate(divide="ignore"):
+        return np.stack([magnitude, 10.0 * np.log10(snr), rate, rate / power_w], axis=-1)
 
 
 def _parse_int(key: str, value: str) -> int:

@@ -115,15 +115,6 @@ def linear_from_db(value, per_decade: float) -> float:
                          f"{per_decade:g}) overflows a float") from None
 
 
-def sim_config(cfg):
-    """cfg if it is a SimConfig, which checked its values when it was built, else InvalidInput."""
-    from .config import SimConfig  # config imports this module
-
-    if not isinstance(cfg, SimConfig):
-        raise InvalidInput(f"cfg must be a SimConfig, got {type(cfg).__name__}")
-    return cfg
-
-
 def checked_args(check, **args) -> list:
     """check(value) of each keyword argument in order; a ValueError is an InvalidInput naming it."""
     values = []

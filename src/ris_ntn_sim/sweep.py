@@ -26,9 +26,8 @@ import numpy as np
 
 from . import __version__
 from .channel_model import _MASK64, channel_set, draw_fades
-from .config import LINK_BUDGET_KEYS, MAX_TRIALS, SimConfig, format_config
+from .config import LINK_BUDGET_KEYS, MAX_TRIALS, SimConfig, format_config, link_columns
 from .errors import InvalidInput, SimulatorError
-from .link_metrics import link_columns
 from .phase_optimizer import certify_cells, closed_form_cells
 from .ris_core import UNIT_TOLERANCE, Architecture
 

@@ -172,6 +172,7 @@ class TestConstraints:
         ("noise_psd_dbm_hz", 3300.0),
         ("noise_psd_dbm_hz", -3300.0),
         ("noise_psd_dbm_hz", 3400.0),
+        ("bandwidth_hz", 1e-320),  # the default density alone has positive watts
     ])
     def test_powers_whose_watts_overflow_or_vanish_are_rejected(self, key, value):
         with pytest.raises(ConfigError) as err:

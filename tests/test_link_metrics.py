@@ -116,6 +116,21 @@ class TestLinkColumns:
         got = link_columns(h_eff, DEFAULT_CFG)
         np.testing.assert_array_equal(got[0], got[1])
 
+    @pytest.mark.parametrize("h_eff, plain", [
+        (np.array([2**40]), [float(2**40)]),
+        (np.array([2**62], dtype=np.uint64), [float(2**62)]),
+        (np.int8(-128), -128.0),
+        (np.float32(1e20), float(np.float32(1e20))),
+        (np.float16(3.0), 3.0),
+        (np.float32(1e-30), float(np.float32(1e-30))),
+        (np.complex64(3e-8 - 4e-8j), complex(np.complex64(3e-8 - 4e-8j))),
+    ], ids=["int64", "uint64", "int8", "float32-large", "float16", "float32-small", "complex64"])
+    def test_computes_in_float64_whatever_the_dtype(self, h_eff, plain):
+        # squared in its own dtype, the gain would overflow, wrap or underflow
+        got, want = link_columns(h_eff, DEFAULT_CFG), link_columns(plain, DEFAULT_CFG)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
 
 class TestUnits:
     @pytest.mark.parametrize("p_dbm", [-120.0, -30.0, 0.0, 17.5, 50.0])

@@ -4,6 +4,7 @@ import argparse
 import ast
 import dataclasses
 import inspect
+import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -216,7 +217,9 @@ def test_no_source_file_reads_the_environment():
     # a setting that only an environment variable reaches would bypass the config and its echo
     names = {"environ", "environb", "getenv", "getenvb"}
     files = sorted(SOURCE.glob("*.py"))
-    assert len(files) >= 10
+    loaded = {name.partition(".")[2] or "__init__" for name in sys.modules
+              if name.partition(".")[0] == "ris_ntn_sim"}
+    assert loaded | {"_csv"} <= {path.stem for path in files}
     reads = []
     for path in files:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -230,3 +233,39 @@ def test_no_source_file_reads_the_environment():
                 continue
             reads += [f"{path.name}:{node.lineno}: {name}" for name in sorted(used & names)]
     assert reads == []
+
+
+def package_imports(name: str) -> list:
+    """(enclosing function or None, module) of each package module that module name imports."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("ris_ntn_sim")):
+            found.extend((function, node.module or alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.extend((function, alias.name) for alias in node.names
+                         if alias.name.startswith("ris_ntn_sim"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse((SOURCE / f"{name}.py").read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_errors_is_a_leaf_module():
+    assert package_imports("errors") == []
+
+
+def test_channel_model_does_not_know_the_config():
+    assert "SimConfig" not in (SOURCE / "channel_model.py").read_text(encoding="utf-8")
+
+
+def test_only_the_csv_formatter_is_imported_inside_a_function():
+    # an import inside a function can hide a cycle; _csv waits for its first use to keep
+    # the package's import fast
+    late = [(path.stem, function, module) for path in sorted(SOURCE.glob("*.py"))
+            for function, module in package_imports(path.stem)
+            if function is not None and module != "_csv"]
+    assert late == []
