@@ -5,36 +5,26 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .channel_model import path_loss_db
-from .config import SimConfig, format_config, parse_config
+from .config import SimConfig, _parse_keys, format_config
 from .errors import ConfigError, SimulatorError
 from .sweep import emit_csv, run_sweep
 
 
-def _load_config(path: Path | None) -> SimConfig:
-    if path is None:
-        return SimConfig()
+def _load_config(path: Path | None, **overrides) -> SimConfig:
+    """The one SimConfig of a command: the file's keys, those of the given overrides replaced."""
     try:
-        text = path.read_text(encoding="utf-8-sig")  # a leading BOM is not part of the first key
+        # no file is an empty document; a leading BOM is not part of the first key
+        text = "" if path is None else path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config(text)
+    return SimConfig(**{**_parse_keys(text), **{k: v for k, v in overrides.items() if v is not None}})
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.arch is not None:
-        overrides["architectures"] = tuple(tok.strip() for tok in args.arch.split(","))
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    cfg = _load_config(args.config, trials=args.trials, seed=args.seed, architectures=args.arch)
     with run_sweep(cfg) as records:
         count = emit_csv(records, args.out)
     print(f"wrote {count} records to {args.out}")
@@ -43,7 +33,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = _load_config(args.config)
-    cfg.link_budget()
     print("config ok")
     print(format_config(cfg))
     return 0
@@ -68,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", type=Path, required=True, help="output CSV path")
     sweep.add_argument("--trials", type=int, help="override trial count")
     sweep.add_argument("--seed", type=int, help="override run seed")
-    sweep.add_argument("--arch", help="override architectures, e.g. sc,fc,gc:4")
+    sweep.add_argument("--arch", type=lambda text: tuple(tok.strip() for tok in text.split(",")),
+                       help="override architectures, e.g. sc,fc,gc:4")
     sweep.set_defaults(func=_cmd_sweep)
 
     validate = sub.add_parser("validate", help="parse and constraint-check a config file")

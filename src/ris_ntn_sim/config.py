@@ -2,8 +2,8 @@
 
 Config files are UTF-8 "key = value" lines with '#' comments. Unknown keys
 are hard errors so typos never silently fall back to defaults. A SimConfig
-checks its values once and builds the geometry and both powers in watts, which
-build_geometry and link_columns (SNR, Shannon rate, energy efficiency) read.
+checks its values and link budget once, so one that exists can be swept, and
+builds what run_sweep and link_columns (SNR, Shannon rate, energy efficiency) read.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ class SimConfig:
     default is "blocked": at the default geometry the clear direct path is
     ~141 dB stronger than the two-hop path, which buries every element-count
     effect the sweep is designed to show. Construction checks every value
-    once and builds the attributes geometry, fading_spec, and tx_power_w and
-    noise_power_w in watts, which are not fields.
+    once and builds the attributes geometry, fading_spec, magnitudes (a_d, a_h,
+    a_g; a_d = 0 if blocked), and tx_power_w and noise_power_w in watts, none a field.
     """
 
     carrier_hz: float = 18.7e9
@@ -163,7 +163,7 @@ class SimConfig:
         object.__setattr__(self, "geometry", geometry)
         object.__setattr__(self, "fading_spec", _checked(
             "fading_model", FadingSpec, self.fading_model, self.rician_k_db))
-        object.__setattr__(self, "_magnitudes", _checked(
+        object.__setattr__(self, "magnitudes", _checked(
             "tx_gain_dbi", hop_magnitudes, geometry, tx_gain_dbi=self.tx_gain_dbi,
             ris_element_gain_dbi=self.ris_element_gain_dbi, rx_gain_dbi=self.rx_gain_dbi,
             direct_blocked=self.direct_link == "blocked"))
@@ -179,19 +179,12 @@ class SimConfig:
                 raise _key_error(key, f"power in watts is {watts!r}; it must be positive")
             object.__setattr__(self, name, watts)
 
-    def link_budget(self) -> tuple[float, float, float]:
-        """The hop magnitudes (a_d, a_h, a_g) on self.geometry, a_d = 0 if blocked.
-
-        Logs a warning for a carrier outside the Ka band. Raises ConfigError
-        unless every row can be finite: the unfaded |h_eff| = M a_g a_h + a_d
-        at the smallest and largest swept M, divided and multiplied by
-        FADE_HEADROOM, must give finite link metrics (its SNR
-        P_tx |h_eff|^2 / N positive), and those grow with |h_eff|.
-        """
         if not KA_BAND_HZ[0] <= self.carrier_hz <= KA_BAND_HZ[1]:
             logger.warning("carrier %.6g Hz is outside the Ka band %.4g-%.4g Hz",
                            self.carrier_hz, *KA_BAND_HZ)
-        a_d, a_h, a_g = magnitudes = self._magnitudes
+        # the unfaded |h_eff| = M a_g a_h + a_d at the smallest and largest swept M, divided and
+        # multiplied by FADE_HEADROOM, must give finite link metrics, which grow with it, and SNR > 0
+        a_d, a_h, a_g = self.magnitudes
         swept = (min(self.elements_sweep), max(self.elements_sweep))
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             unfaded = np.array(swept) * a_g * a_h + a_d
@@ -200,7 +193,14 @@ class SimConfig:
             raise ConfigError(f"unfaded |h_eff| is {unfaded.tolist()} at {list(swept)} elements, "
                               f"and fades may scale it by {FADE_HEADROOM:g} either way: link "
                               f"metrics would not be finite; check {LINK_BUDGET_KEYS}")
-        return magnitudes
+        # trial 0's certificate sums up to M squared entries of a_h and a_g, and squares a_d if
+        # clear; the moments' squared deviations sum to at most 4 trials times the largest squared
+        squares = [a * a for a in self.magnitudes[self.direct_link == "blocked":]]
+        largest = float(np.abs(values).max())
+        if not (all(np.finfo(float).tiny <= s / FADE_HEADROOM <= s * FADE_HEADROOM * swept[1] < math.inf
+                    for s in squares) and 4.0 * self.trials * largest * largest < math.inf):
+            raise ConfigError(f"squares of hop magnitudes {squares} or of link metrics up to {largest:g} "
+                              f"would leave the normal floats; check {LINK_BUDGET_KEYS}")
 
 
 def _sim_config(cfg) -> SimConfig:
@@ -276,13 +276,9 @@ _PARSERS = {
 }
 
 
-def parse_config(text: str) -> SimConfig:
-    """Parse a plain-text config document into a fully resolved SimConfig.
-
-    Missing keys take their defaults; unknown or duplicated keys and
-    malformed lines raise. '#' starts a comment anywhere on a line.
-    """
-    overrides: dict = {}
+def _parse_keys(text: str) -> dict:
+    """A config document's keys and unchecked values; '#' starts a comment, and a bad line raises."""
+    keys: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -294,10 +290,15 @@ def parse_config(text: str) -> SimConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         if key not in _PARSERS:
             raise ConfigError(f"unknown config key {key!r}", key)
-        if key in overrides:
+        if key in keys:
             raise _key_error(key, "duplicate key")
-        overrides[key] = _PARSERS[key](key, value)
-    return SimConfig(**overrides)
+        keys[key] = _PARSERS[key](key, value)
+    return keys
+
+
+def parse_config(text: str) -> SimConfig:
+    """Parse a config document (_parse_keys) into a SimConfig; missing keys take their defaults."""
+    return SimConfig(**_parse_keys(text))
 
 
 def format_config(cfg: SimConfig) -> str:

@@ -233,7 +233,7 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     Each chunk of trials is one array step in real arithmetic: one fade draw
     at the largest element count, every cell's cascade gain on its element
     prefix of the fade powers (phase_optimizer.closed_form_cells), scaled
-    once by the hop magnitudes of cfg.link_budget() to |h_eff| = a_d |f_d| +
+    once by the hop magnitudes cfg.magnitudes to |h_eff| = a_d |f_d| +
     a_g a_h gain, as one (cells, n) array, and one link_columns call giving
     the (cells, n, 4) trial values that go to the records' spool. A pure
     line-of-sight draw ignores its seed, so such a chunk draws and evaluates
@@ -247,7 +247,7 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     SimulatorError names the first faulty cell in canonical order, its
     non-finite values before its certificate.
     """
-    a_d, a_h, a_g = magnitudes = cfg.link_budget()  # raises ConfigError before any draw
+    a_d, a_h, a_g = magnitudes = cfg.magnitudes  # cfg checked its link budget when it was built
     fading = cfg.fading_spec
     cells = _cells(cfg)
     designs = [(arch, m) for _, arch, m in cells]

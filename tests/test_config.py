@@ -10,6 +10,7 @@ import pytest
 
 from ris_ntn_sim import ConfigError, SimConfig, build_geometry, dbm_to_watts, format_config, parse_config
 from ris_ntn_sim.channel_model import hop_magnitudes
+from ris_ntn_sim.config import LINK_BUDGET_KEYS, MAX_TRIALS
 
 
 class TestDefaults:
@@ -145,13 +146,30 @@ class TestConstraints:
         assert "overflows" in str(err.value)
 
     @pytest.mark.parametrize("key, value", [
-        ("tx_gain_dbi", 6000.0),
-        ("rx_gain_dbi", -7000.0),
         ("rician_k_db", 3000.0),
         ("rician_k_db", -4000.0),
     ])
     def test_large_representable_decibel_values_accepted(self, key, value):
         assert getattr(SimConfig(**{key: value}), key) == value
+
+    @pytest.mark.parametrize("keys", [
+        {"tx_gain_dbi": 6000.0},
+        {"rx_gain_dbi": -7000.0},
+        {"tx_power_dbm": 3000.0},
+        # 10^(3080/20) squared is about 1e308, just below the largest float
+        {"tx_gain_dbi": 3080.0, "ris_element_gain_dbi": 3080.0, "rx_gain_dbi": 3080.0},
+    ], ids=["tx-gain", "rx-gain", "transmit-power", "hop-gain-products"])
+    def test_large_representable_values_fail_only_the_link_budget(self, keys):
+        # each value is a float in linear terms, and so is every hop's gain product:
+        # what refuses it is the link budget, not an overflow
+        gains = {key: value for key, value in keys.items() if key != "tx_power_dbm"}
+        hop_magnitudes(build_geometry(SimConfig()), **gains)
+        dbm_to_watts(keys.get("tx_power_dbm", 50.0))
+        with pytest.raises(ConfigError) as err:
+            SimConfig(**keys)
+        assert err.value.key is None
+        assert str(err.value).endswith(f"check {LINK_BUDGET_KEYS}")
+        assert "overflows" not in str(err.value)
 
     @pytest.mark.parametrize("a, b", [
         ("tx_gain_dbi", "ris_element_gain_dbi"),
@@ -179,15 +197,10 @@ class TestConstraints:
             SimConfig(**{key: value})
         assert err.value.key == key
 
-    def test_large_representable_transmit_power_accepted(self):
-        assert SimConfig(tx_power_dbm=3000.0).tx_power_dbm == 3000.0
-
-    def test_largest_representable_hop_gain_products_accepted(self):
-        # 10^(3080/20) squared is about 1e308, just below the largest float
-        cfg = SimConfig(tx_gain_dbi=3080.0, ris_element_gain_dbi=3080.0, rx_gain_dbi=3080.0)
-        assert cfg.tx_gain_dbi == 3080.0
-        with pytest.raises(ConfigError):
+    def test_hop_gain_product_just_past_the_largest_float_overflows(self):
+        with pytest.raises(ConfigError, match="overflows") as err:
             SimConfig(tx_gain_dbi=3080.0, ris_element_gain_dbi=3090.0)
+        assert err.value.key == "tx_gain_dbi"
 
     def test_seeds_are_the_uint64_range(self):
         # the sweep draws from seed mod 2^64: -1 and 2^64 + 42 would alias 2^64 - 1 and 42
@@ -307,30 +320,63 @@ class TestLinkBudget:
         geom = build_geometry(cfg)
         expected = hop_magnitudes(geom, tx_gain_dbi=3.3, ris_element_gain_dbi=0.5,
                                   rx_gain_dbi=-1.7, direct_blocked=direct_link == "blocked")
-        assert cfg.link_budget() == expected
+        assert cfg.magnitudes == expected
         assert (expected[0] == 0.0) == (direct_link == "blocked")
+        assert not hasattr(cfg, "link_budget")
 
     def test_checks_the_largest_swept_element_count(self):
         # 2838 dBi is just inside the headroom at 4 elements, not at 4096
-        inside = SimConfig(tx_gain_dbi=2838.0, elements_sweep=(4,))
-        inside.link_budget()
-        outside = SimConfig(tx_gain_dbi=2838.0, elements_sweep=(4096, 4))
+        SimConfig(tx_gain_dbi=2838.0, elements_sweep=(4,))
         with pytest.raises(ConfigError, match="at \\[4, 4096\\] elements"):
-            outside.link_budget()
+            SimConfig(tx_gain_dbi=2838.0, elements_sweep=(4096, 4))
 
     def test_checks_the_smallest_swept_element_count(self):
         # -1266 dBi is just inside the headroom at 4 elements, not at 1
-        inside = SimConfig(ris_element_gain_dbi=-1266.0, elements_sweep=(4,))
-        inside.link_budget()
-        outside = SimConfig(ris_element_gain_dbi=-1266.0, elements_sweep=(4, 1))
+        SimConfig(ris_element_gain_dbi=-1266.0, elements_sweep=(4,))
         with pytest.raises(ConfigError, match="at \\[1, 4\\] elements"):
-            outside.link_budget()
+            SimConfig(ris_element_gain_dbi=-1266.0, elements_sweep=(4, 1))
+
+    @pytest.mark.parametrize("keys", [
+        # a_h's square underflows and a_g's overflows, faded or not; the cascade a_g a_h is fine
+        {"tx_gain_dbi": -3200.0, "rx_gain_dbi": 3200.0},
+        {"tx_gain_dbi": 3200.0, "rx_gain_dbi": -3200.0},
+        # a_h's square is subnormal
+        {"tx_gain_dbi": -3000.0, "rx_gain_dbi": 3000.0},
+        # a clear direct link's a_d is squared as well
+        {"tx_gain_dbi": -1400.0, "ris_element_gain_dbi": 1400.0, "rx_gain_dbi": -1400.0,
+         "direct_link": "clear"},
+    ], ids=["a_h-underflows", "a_g-underflows", "a_h-subnormal", "a_d-subnormal"])
+    def test_hop_magnitude_squares_must_stay_normal_floats(self, keys):
+        # each gain and hop product is a float, so hop_magnitudes accepts them
+        hop_magnitudes(SimConfig().geometry, **{k: v for k, v in keys.items() if k != "direct_link"})
+        with pytest.raises(ConfigError, match="^squares of hop magnitudes .* would leave the "
+                                              "normal floats") as err:
+            SimConfig(elements_sweep=(4,), trials=2, **keys)
+        assert err.value.key is None
+        assert str(err.value).endswith(f"check {LINK_BUDGET_KEYS}")
+
+    def test_a_blocked_direct_link_is_not_squared(self):
+        keys = {"tx_gain_dbi": -1400.0, "ris_element_gain_dbi": 1400.0, "rx_gain_dbi": -1400.0}
+        assert SimConfig(**keys).magnitudes[0] == 0.0
+
+    def test_link_metric_squares_must_stay_finite_over_the_trials(self):
+        # the energy efficiency is about 3e162 bits/J: its square, times 4 trials, overflows
+        keys = {"rx_gain_dbi": 1800.0, "tx_power_dbm": -1500.0, "elements_sweep": (4,)}
+        with pytest.raises(ConfigError, match="or of link metrics up to 3.2847e\\+162 ") as err:
+            SimConfig(trials=2, **keys)
+        assert err.value.key is None
+        # about 1e149 bits/J: finite over one trial, not over the most trials
+        keys["tx_power_dbm"] = -1370.0
+        SimConfig(trials=1, **keys)
+        with pytest.raises(ConfigError, match="or of link metrics up to 4.1484e\\+149 "):
+            SimConfig(trials=MAX_TRIALS, **keys)
 
 
 class TestBuiltAttributes:
     # link_columns and build_geometry read these without checking them again
 
-    @pytest.mark.parametrize("name", ["geometry", "fading_spec", "tx_power_w", "noise_power_w"])
+    @pytest.mark.parametrize("name", ["geometry", "fading_spec", "magnitudes", "tx_power_w",
+                                      "noise_power_w"])
     def test_built_attributes_are_frozen(self, name):
         cfg = SimConfig()
         with pytest.raises(FrozenInstanceError):

@@ -13,6 +13,7 @@ from ris_ntn_sim import (
     UNIT_TOLERANCE,
     Architecture,
     ChannelSet,
+    ConfigError,
     InvalidInput,
     SimConfig,
     optimize,
@@ -170,6 +171,34 @@ def test_shared_draws_never_lose_gain_as_the_surface_grows(seed, elements, direc
             series.setdefault((r.arch, r.trial), []).append(r.h_eff_mag)
     for gains in series.values():
         assert gains == sorted(gains)
+
+
+_GAIN_DBI = st.floats(-3300.0, 3300.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tx_gain_dbi=_GAIN_DBI, ris_element_gain_dbi=_GAIN_DBI, rx_gain_dbi=_GAIN_DBI,
+       tx_power_dbm=st.floats(-3200.0, 3200.0),
+       fading_model=st.sampled_from(["rician", "pure_los"]),
+       direct_link=st.sampled_from(["blocked", "clear"]),
+       elements_sweep=st.sampled_from([(4,), (1, 64)]))
+# a_h underflows or overflows in its square, and a_g the other way: the certificate's norms did too
+@example(tx_gain_dbi=-3200.0, ris_element_gain_dbi=0.0, rx_gain_dbi=3200.0, tx_power_dbm=50.0,
+         fading_model="rician", direct_link="blocked", elements_sweep=(4,))
+@example(tx_gain_dbi=3200.0, ris_element_gain_dbi=0.0, rx_gain_dbi=-3200.0, tx_power_dbm=50.0,
+         fading_model="rician", direct_link="blocked", elements_sweep=(4,))
+# about 3e162 bits/J: the squared deviations of the stderr row overflowed
+@example(tx_gain_dbi=0.0, ris_element_gain_dbi=0.0, rx_gain_dbi=1800.0, tx_power_dbm=-1500.0,
+         fading_model="rician", direct_link="blocked", elements_sweep=(4,))
+def test_a_config_that_builds_sweeps_finite_rows(**keys):
+    # every accepted config gives finite rows: the link budget is checked when the config is built
+    try:
+        cfg = SimConfig(trials=2, **keys)
+    except ConfigError:
+        return
+    with run_sweep(cfg) as records:
+        values = np.array([record[3:7] for record in records])
+    assert np.isfinite(values).all()
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,7 +3,11 @@
 import argparse
 import ast
 import dataclasses
+import importlib
 import inspect
+import os
+import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -269,3 +273,26 @@ def test_only_the_csv_formatter_is_imported_inside_a_function():
             for function, module in package_imports(path.stem)
             if function is not None and module != "_csv"]
     assert late == []
+
+
+def test_the_module_entry_point_validates_and_warns_once(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("carrier_hz = 1e10\n")
+    paths = [str(SOURCE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    done = subprocess.run([sys.executable, "-m", "ris_ntn_sim.cli", "validate", "--config", str(cfg_file)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
+    assert done.returncode == 0
+    assert done.stdout.startswith("config ok\ncarrier_hz = 10000000000.0\n")
+    assert done.stderr == "carrier 1e+10 Hz is outside the Ka band 1.77e+10-1.97e+10 Hz\n"
+
+
+def test_the_console_script_is_cli_main():
+    # a regex, not tomllib, which Python 3.10 lacks
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n((?:[^\[\n].*\n)*)", pyproject, re.MULTILINE)
+    assert scripts is not None
+    entries = re.findall(r'^(\S+) = "([^"]+)"$', scripts.group(1), re.MULTILINE)
+    assert entries == [("ris-ntn-sim", "ris_ntn_sim.cli:main")]
+    module, _, attribute = entries[0][1].partition(":")
+    assert getattr(importlib.import_module(module), attribute) is cli.main

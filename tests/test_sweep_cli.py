@@ -676,8 +676,7 @@ class TestCli:
             cfg_file.write_text(text)
         message = message.format(path=cfg_file)
         with pytest.raises(ConfigError) as err:
-            cfg = cli._load_config(cfg_file)
-            cfg.link_budget()
+            cli._load_config(cfg_file)
         assert (err.value.key, str(err.value)) == (key, message)
         out = ["--out", str(tmp_path / "out.csv")] if command == "sweep" else []
         assert main([command, "--config", str(cfg_file), *out]) == 2
@@ -690,7 +689,7 @@ class TestCli:
                                       ["sweep", "--trials", "2", "--seed", "3", "--arch", "sc"]],
                              ids=["validate", "sweep", "sweep-overrides"])
     def test_out_of_band_carrier_is_logged_once_per_command(self, tmp_path, caplog, args):
-        # the flag overrides rebuild the config, which must not warn a second time
+        # the flags replace file keys before the one config of the command is built
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("carrier_hz = 1e10\n")
         out = ["--out", str(tmp_path / "out.csv")] if args[0] == "sweep" else []
@@ -699,12 +698,48 @@ class TestCli:
         assert [rec.message for rec in caplog.records] == [
             "carrier 1e+10 Hz is outside the Ka band 1.77e+10-1.97e+10 Hz"]
 
-    def test_building_a_config_logs_nothing(self, caplog):
+    @pytest.mark.parametrize("args", [["validate"], ["sweep"],
+                                      ["sweep", "--trials", "2", "--seed", "3", "--arch", "sc"]],
+                             ids=["validate", "sweep", "sweep-overrides"])
+    def test_one_config_is_built_per_command(self, tmp_path, monkeypatch, args):
+        built, post_init = [], SimConfig.__post_init__
+
+        def counting(cfg):
+            built.append(cfg.trials)
+            post_init(cfg)
+
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("trials = 3\nelements_sweep = 4\n")
+        out = ["--out", str(tmp_path / "out.csv")] if args[0] == "sweep" else []
+        monkeypatch.setattr(SimConfig, "__post_init__", counting)
+        assert main([args[0], "--config", str(cfg_file), *out, *args[1:]]) == 0
+        assert built == [2 if "--trials" in args else 3]
+
+    def test_a_file_key_replaced_by_a_flag_is_not_checked(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("trials = 0\nelements_sweep = 4\n")
+        out_csv = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out_csv), "--trials", "2"]) == 0
+        assert capsys.readouterr().out == f"wrote 8 records to {out_csv}\n"
+        assert main(["validate", "--config", str(cfg_file)]) == 2
+
+    def test_a_bad_flag_fails_on_its_own_key(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("trials = 3\nelements_sweep = 4\n")
+        out = ["--out", str(tmp_path / "out.csv")]
+        assert main(["sweep", "--config", str(cfg_file), *out, "--trials", "0"]) == 2
+        assert capsys.readouterr().err == ("ris-ntn-sim: error: config: ConfigError: key 'trials': "
+                                           "must be an integer in [1, 2147483647]\n")
+        assert list(tmp_path.iterdir()) == [cfg_file]
+
+    def test_building_a_config_logs_only_its_carrier_warning(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="ris_ntn_sim"):
             parse_config("carrier_hz = 18.7e9\ntrials = 2\n")
             SimConfig()
-            SimConfig(carrier_hz=1e10)  # out of band: only its link budget warns
-        assert caplog.records == []
+            assert caplog.records == []
+            SimConfig(carrier_hz=1e10)  # out of band: building it warns, once
+        assert [(rec.levelname, rec.message) for rec in caplog.records] == [
+            ("WARNING", "carrier 1e+10 Hz is outside the Ka band 1.77e+10-1.97e+10 Hz")]
 
     def test_validate_rejects_typo(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
