@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .channel_model import path_loss_db
-from .config import SimConfig, _parse_keys, format_config
+from .config import _PARSERS, SimConfig, _parse_keys, format_config
 from .errors import ConfigError, SimulatorError
 from .sweep import emit_csv, run_sweep
 
@@ -24,7 +24,9 @@ def _load_config(path: Path | None, **overrides) -> SimConfig:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config, trials=args.trials, seed=args.seed, architectures=args.arch)
+    # --arch is spelled as the file's value, and parsed by the same parser
+    arch = None if args.arch is None else _PARSERS["architectures"]("architectures", args.arch)
+    cfg = _load_config(args.config, trials=args.trials, seed=args.seed, architectures=arch)
     with run_sweep(cfg) as records:
         count = emit_csv(records, args.out)
     print(f"wrote {count} records to {args.out}")
@@ -57,8 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", type=Path, required=True, help="output CSV path")
     sweep.add_argument("--trials", type=int, help="override trial count")
     sweep.add_argument("--seed", type=int, help="override run seed")
-    sweep.add_argument("--arch", type=lambda text: tuple(tok.strip() for tok in text.split(",")),
-                       help="override architectures, e.g. sc,fc,gc:4")
+    sweep.add_argument("--arch", help="override architectures, e.g. sc,fc,gc:4")
     sweep.set_defaults(func=_cmd_sweep)
 
     validate = sub.add_parser("validate", help="parse and constraint-check a config file")

@@ -87,8 +87,9 @@ class SimConfig:
     default is "blocked": at the default geometry the clear direct path is
     ~141 dB stronger than the two-hop path, which buries every element-count
     effect the sweep is designed to show. Construction checks every value
-    once and builds the attributes geometry, fading_spec, magnitudes (a_d, a_h,
-    a_g; a_d = 0 if blocked), and tx_power_w and noise_power_w in watts, none a field.
+    once and builds the attributes cells (the swept (label, Architecture, M)
+    in canonical order), geometry, fading_spec, magnitudes (a_d, a_h, a_g;
+    a_d = 0 if blocked), and tx_power_w and noise_power_w in watts, none a field.
     """
 
     carrier_hz: float = 18.7e9
@@ -137,8 +138,20 @@ class SimConfig:
             raise _key_error("architectures", "must not be empty")
         if len(set(self.architectures)) != len(self.architectures):
             raise _key_error("architectures", "architecture labels must be unique")
-        for label in self.architectures:
-            _checked("architectures", Architecture.from_label, label)
+        # the swept cells, by label then element count; a gc:U cell exists only where U divides M
+        cells = []
+        for label in sorted(self.architectures):
+            arch = _checked("architectures", Architecture.from_label, label)
+            for m in sorted(self.elements_sweep):
+                try:
+                    arch.block_size(m)
+                except InvalidInput as exc:
+                    logger.warning("skipping arch=%s elements=%d: %s", label, m, exc)
+                    continue
+                cells.append((label, arch, m))
+        if not cells:
+            raise _key_error("architectures", "no cell to sweep: no group count divides an element count")
+        object.__setattr__(self, "cells", tuple(cells))
 
         # deprecated: it selects nothing since 0.6.0, as no output depends on the LOS phase
         if self.fading_phase_mode not in ("common_los", "iid_uniform"):

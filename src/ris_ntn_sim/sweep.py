@@ -29,7 +29,7 @@ from .channel_model import _MASK64, channel_set, draw_fades
 from .config import LINK_BUDGET_KEYS, MAX_TRIALS, SimConfig, format_config, link_columns
 from .errors import InvalidInput, SimulatorError
 from .phase_optimizer import certify_cells, closed_form_cells
-from .ris_core import UNIT_TOLERANCE, Architecture
+from .ris_core import UNIT_TOLERANCE
 
 logger = logging.getLogger(__name__)
 
@@ -91,18 +91,18 @@ class SweepRecords:
     seeds are derived again on read. The records can be iterated front to
     back any number of times, _csv.BATCH_ROWS rows read at a time, as
     emit_csv reads them; close() releases the spool, and they cannot be read
-    after it. cfg is the config the sweep ran, which emit_csv echoes.
+    after it. cfg is the config the sweep ran, whose cells the records hold
+    and which emit_csv echoes.
     """
 
-    def __init__(self, cfg: SimConfig, cells: list[tuple[str, Architecture, int]]):
+    def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        self._labels = [(label, m) for label, _, m in cells]
         self._spool = (io.BytesIO() if 32 * len(self) <= _SPOOL_MEMORY_BYTES
                        else tempfile.TemporaryFile())
         self._release = weakref.finalize(self, self._spool.close)
 
     def __len__(self) -> int:
-        return len(self._labels) * (self.cfg.trials + 2)
+        return len(self.cfg.cells) * (self.cfg.trials + 2)
 
     def __iter__(self):
         from . import _csv  # imported on use, as in emit_csv
@@ -110,7 +110,7 @@ class SweepRecords:
         for cells, trials, values, seeds in self._rows(_csv.BATCH_ROWS):
             for c, trial, row, seed in zip(cells.tolist(), trials.tolist(), values.tolist(),
                                            seeds.tolist()):
-                label, m = self._labels[c]
+                label, _, m = self.cfg.cells[c]
                 trial = trial if trial >= 0 else ("mean", "stderr")[trial]
                 yield SweepRecord(label, m, trial, *row, seed)
 
@@ -149,21 +149,6 @@ class SweepRecords:
         for c, block in enumerate(values):
             self._spool.seek(32 * (c * (self.cfg.trials + 2) + position))
             self._spool.write(block)
-
-
-def _cells(cfg: SimConfig) -> list[tuple[str, Architecture, int]]:
-    """(label, architecture, element count) of every evaluated cell, in canonical order."""
-    cells = []
-    for label in sorted(cfg.architectures):
-        arch = Architecture.from_label(label)
-        for elements in sorted(cfg.elements_sweep):
-            try:
-                arch.block_size(elements)
-            except InvalidInput as exc:
-                logger.warning("skipping arch=%s elements=%d: %s", label, elements, exc)
-                continue
-            cells.append((label, arch, elements))
-    return cells
 
 
 class _Moments:
@@ -227,8 +212,8 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
 
     Canonical order is architecture label (lexicographic), then element
     count, then trial index, with the 'mean' and 'stderr' aggregates after
-    each cell's trials. Group-connected cells whose group count does not
-    divide the element count are skipped with a warning.
+    each cell's trials. The cells are cfg.cells, which skip the
+    group-connected ones whose group count does not divide the element count.
 
     Each chunk of trials is one array step in real arithmetic: one fade draw
     at the largest element count, every cell's cascade gain on its element
@@ -249,14 +234,11 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     """
     a_d, a_h, a_g = magnitudes = cfg.magnitudes  # cfg checked its link budget when it was built
     fading = cfg.fading_spec
-    cells = _cells(cfg)
-    designs = [(arch, m) for _, arch, m in cells]
-    m_max = max((m for _, m in designs), default=1)
+    designs = [(arch, m) for _, arch, m in cfg.cells]
+    m_max = max(m for _, m in designs)
     chunk_trials = max(1, CHUNK_ELEMENTS // m_max)
-    records = SweepRecords(cfg, cells)
-    if not cells:
-        return records
-    moments = _Moments(len(cells))
+    records = SweepRecords(cfg)
+    moments = _Moments(len(designs))
     # a pure line-of-sight draw ignores its seed, so one row stands for every trial
     one_row = fading.model == "pure_los"
 
@@ -278,7 +260,7 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
             if one_row:
                 # a real array, not a broadcast view: the moments reduce the layout they always have
                 values = np.repeat(values, len(trials), axis=1)
-            _check_cells(cells, values, certificates, trials)
+            _check_cells(cfg.cells, values, certificates, trials)
             moments.add(values)
             records._write(values, start)
         records._write(np.stack([moments.mean, moments.stderr()], axis=1), cfg.trials)
@@ -328,7 +310,7 @@ def emit_csv(records: SweepRecords, destination) -> int:
     try:
         with open(csv_tmp, "wb") as out:
             out.write(CSV_HEADER.encode() + b"\n")
-            heads = [f"{label},{m},".encode() for label, m in records._labels]
+            heads = [f"{label},{m},".encode() for label, _, m in records.cfg.cells]
             period = records.cfg.trials + 2
             # a row's trial and seed texts depend only on its position in its cell:
             # where a cell fits in a batch, those of cell 0 serve the whole sweep

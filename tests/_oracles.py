@@ -253,7 +253,7 @@ def trial_by_trial_csv(cfg, chunk_trials: int) -> bytes:
     geom = build_geometry(cfg)
     a_d, a_h, a_g = _hop_magnitudes(geom, cfg.tx_gain_dbi, cfg.ris_element_gain_dbi,
                                     cfg.rx_gain_dbi, cfg.direct_link == "blocked")
-    cells = sweep._cells(cfg)
+    cells = cfg.cells
     designs = [(arch, m) for _, arch, m in cells]
     m_max = max(m for _, m in designs)
     seeds = [t ^ splitmix64(cfg.seed) for t in range(cfg.trials)]

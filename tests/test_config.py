@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ris_ntn_sim import ConfigError, SimConfig, build_geometry, dbm_to_watts, format_config, parse_config
+from ris_ntn_sim import (Architecture, ConfigError, SimConfig, build_geometry, dbm_to_watts, emit_csv,
+                         format_config, parse_config, run_sweep)
 from ris_ntn_sim.channel_model import hop_magnitudes
 from ris_ntn_sim.config import LINK_BUDGET_KEYS, MAX_TRIALS
 
@@ -307,9 +308,10 @@ class TestConstraints:
         assert err.value.key == key
 
     def test_gc_divisibility_is_not_a_config_error(self):
-        # mismatched (gc:U, M) pairs are skipped at sweep time, not rejected here
-        cfg = parse_config("architectures = gc:3\nelements_sweep = 8")
+        # a (gc:U, M) pair that U does not divide is skipped while the config has a cell left
+        cfg = parse_config("architectures = gc:3\nelements_sweep = 8, 9")
         assert cfg.architectures == ("gc:3",)
+        assert [(label, m) for label, _, m in cfg.cells] == [("gc:3", 9)]
 
 
 class TestLinkBudget:
@@ -375,7 +377,7 @@ class TestLinkBudget:
 class TestBuiltAttributes:
     # link_columns and build_geometry read these without checking them again
 
-    @pytest.mark.parametrize("name", ["geometry", "fading_spec", "magnitudes", "tx_power_w",
+    @pytest.mark.parametrize("name", ["cells", "geometry", "fading_spec", "magnitudes", "tx_power_w",
                                       "noise_power_w"])
     def test_built_attributes_are_frozen(self, name):
         cfg = SimConfig()
@@ -390,6 +392,14 @@ class TestBuiltAttributes:
         assert cfg.tx_power_w == dbm_to_watts(cfg.tx_power_dbm)
         assert cfg.noise_power_w == dbm_to_watts(cfg.noise_psd_dbm_hz + 10.0 * math.log10(cfg.bandwidth_hz))
         assert (cfg.tx_power_w, cfg.noise_power_w) != (SimConfig().tx_power_w, SimConfig().noise_power_w)
+
+    def test_cells_are_the_csv_cells_in_order(self, tmp_path):
+        cfg = SimConfig(trials=1, elements_sweep=(9, 4, 8), architectures=("gc:2", "sc", "fc", "gc:3"))
+        emit_csv(run_sweep(cfg), tmp_path / "out.csv")
+        rows = [line.split(",")[:2] for line in (tmp_path / "out.csv").read_text().splitlines()[1:]]
+        assert [(label, str(m)) for label, _, m in cfg.cells] == list(dict.fromkeys(map(tuple, rows)))
+        assert all(arch == Architecture.from_label(label) for label, arch, _ in cfg.cells)
+        assert "cells" not in format_config(cfg)
 
     def test_parsed_config_builds_the_same_watts(self):
         cfg = SimConfig(tx_power_dbm=43.25, bandwidth_hz=3e7, noise_psd_dbm_hz=-171.5)

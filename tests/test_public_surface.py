@@ -61,7 +61,7 @@ CONSTRUCTOR_FIELDS = {
                   "seed", "tx_gain_dbi", "ris_element_gain_dbi", "rx_gain_dbi", "static_power_w"),
     "SweepRecord": ("arch", "elements", "trial", "h_eff_mag", "snr_db", "rate_bps",
                     "ee_bits_per_joule", "seed"),
-    "SweepRecords": ("cfg", "cells"),
+    "SweepRecords": ("cfg",),
 }
 
 # option strings of the command line, by subcommand ("" for the program itself)
@@ -275,16 +275,31 @@ def test_only_the_csv_formatter_is_imported_inside_a_function():
     assert late == []
 
 
+def run_module(*args) -> subprocess.CompletedProcess:
+    """python -m ris_ntn_sim.cli with args, on this source tree, in a process of its own."""
+    paths = [str(SOURCE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return subprocess.run([sys.executable, "-m", "ris_ntn_sim.cli", *map(str, args)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
+
+
 def test_the_module_entry_point_validates_and_warns_once(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("carrier_hz = 1e10\n")
-    paths = [str(SOURCE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
-    done = subprocess.run([sys.executable, "-m", "ris_ntn_sim.cli", "validate", "--config", str(cfg_file)],
-                          capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
+    done = run_module("validate", "--config", cfg_file)
     assert done.returncode == 0
     assert done.stdout.startswith("config ok\ncarrier_hz = 10000000000.0\n")
     assert done.stderr == "carrier 1e+10 Hz is outside the Ka band 1.77e+10-1.97e+10 Hz\n"
+
+
+def test_validate_and_sweep_log_the_same_skipped_cell_once(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("architectures = sc, gc:3\nelements_sweep = 8, 9\ntrials = 2\n")
+    validated = run_module("validate", "--config", cfg_file)
+    swept = run_module("sweep", "--config", cfg_file, "--out", tmp_path / "out.csv")
+    assert validated.returncode == swept.returncode == 0
+    assert validated.stderr == swept.stderr == (
+        "skipping arch=gc:3 elements=8: group count 3 does not divide element count 8\n")
 
 
 def test_the_console_script_is_cli_main():

@@ -109,19 +109,19 @@ class TestRunSweep:
         assert list(run_sweep(SMALL)) != list(run_sweep(other))
 
     def test_incompatible_gc_cells_are_skipped_with_warning(self, caplog):
+        # the config logs the skip when it is built, and the sweep does not log it again
         cfg = SimConfig(trials=2, elements_sweep=(8, 9), architectures=("gc:3",), seed=1)
-        with caplog.at_level(logging.WARNING, logger="ris_ntn_sim.sweep"):
-            records = run_sweep(cfg)
-        assert ("skipping arch=gc:3 elements=8: group count 3 does not divide element count 8"
-                in [rec.message for rec in caplog.records])
+        assert [(rec.name, rec.message) for rec in caplog.records] == [
+            ("ris_ntn_sim.config", "skipping arch=gc:3 elements=8: group count 3 does not divide element count 8")]
+        caplog.clear()
+        records = run_sweep(cfg)
+        assert caplog.records == []
         assert {r.elements for r in records} == {9}
 
-    def test_all_cells_skipped_gives_header_only(self, tmp_path):
-        cfg = SimConfig(trials=3, elements_sweep=(8,), architectures=("gc:3",))
-        with run_sweep(cfg) as records:
-            assert len(records) == 0
-            assert emit_csv(records, tmp_path / "none.csv") == 0
-        assert (tmp_path / "none.csv").read_text() == CSV_HEADER + "\n"
+    def test_all_cells_skipped_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="no cell to sweep") as err:
+            SimConfig(trials=3, elements_sweep=(8, 10), architectures=("gc:3", "gc:7"))
+        assert err.value.key == "architectures"
 
     def test_aggregates_match_trial_statistics(self):
         records = run_sweep(SMALL)
@@ -526,10 +526,10 @@ class TestKnownNormalsGuard:
 
 class TestEmitCsv:
     def test_header_exact(self, tmp_path):
-        cfg = SimConfig(trials=2, elements_sweep=(4,), architectures=("gc:3",))
-        path = tmp_path / "empty.csv"
+        cfg = SimConfig(trials=2, elements_sweep=(4,), architectures=("sc",))
+        path = tmp_path / "one_cell.csv"
         emit_csv(run_sweep(cfg), path)
-        assert path.read_text() == CSV_HEADER + "\n"
+        assert path.read_text().split("\n", 1)[0] == CSV_HEADER
 
     def test_one_line_per_record(self, tmp_path):
         cfg = SimConfig(trials=1, elements_sweep=(4,), architectures=("sc",))
@@ -782,6 +782,33 @@ class TestCli:
         assert err.startswith("ris-ntn-sim: error: config: ConfigError")
         assert repr(label) in err
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("arch", [" , ", "sc,", "sc,,fc"])
+    def test_sweep_arch_flag_is_parsed_as_the_file_value(self, tmp_path, capsys, arch):
+        out_csv = tmp_path / "out.csv"
+        assert main(["sweep", "--out", str(out_csv), "--arch", arch]) == 2
+        assert capsys.readouterr().err == ("ris-ntn-sim: error: config: ConfigError: key 'architectures': "
+                                           f"expected comma-separated labels, got {arch!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_config_with_no_cell_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("architectures = gc:3\nelements_sweep = 8\n")
+        out = ["--out", str(tmp_path / "out.csv")] if command == "sweep" else []
+        assert main([command, "--config", str(cfg_file), *out]) == 2
+        assert capsys.readouterr().err.startswith(
+            "ris-ntn-sim: error: config: ConfigError: key 'architectures': no cell to sweep")
+        assert list(tmp_path.iterdir()) == [cfg_file]
+
+    def test_sweep_parses_each_label_once(self, tmp_path, monkeypatch):
+        parsed = []
+        from_label = Architecture.from_label
+        monkeypatch.setattr(Architecture, "from_label",
+                            staticmethod(lambda label: parsed.append(label) or from_label(label)))
+        args = ["sweep", "--out", str(tmp_path / "out.csv"), "--trials", "2", "--arch", "sc,fc,gc:4"]
+        assert main(args) == 0
+        assert sorted(parsed) == ["fc", "gc:4", "sc"]
 
     def test_overflowing_gain_is_config_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
