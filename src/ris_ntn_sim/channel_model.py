@@ -5,19 +5,18 @@ an optional Rician fade per element. A seed's fades come from one Philox
 stream keyed (seed, 0); any key gives an independent stream (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11). Its standard normals
 are laid out element-major, two per fade, so growing the element count
-extends the stream instead of reshuffling earlier draws. The draws use one
-Philox generator per thread, made on the thread's first Rician draw:
-draw_fades resets it to each seed's key for a chunk of seeds. The sweep
-works on their powers and the real hop magnitudes (hop_magnitudes), and
-generate_channels, the one complex draw, multiplies one seed's fades by the
-complex hop amplitudes (channel_set). Once per thread, when the generator
-is made, the first normals of two keys are checked against known values;
-any difference fails that draw and every later one closed.
+extends the stream instead of reshuffling earlier draws. Each Rician
+draw_fades call makes its own Philox generator and checks the first normals
+of two keys against known values, failing closed on any difference, before
+it resets the generator to each seed's key for its chunk of seeds. No
+generator outlives its call, so every later draw checks again and draws on
+several threads share nothing. The sweep works on their powers and the real
+hop magnitudes (hop_magnitudes), and generate_channels, the one complex draw,
+multiplies one seed's fades by the complex hop amplitudes (channel_set).
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -30,9 +29,6 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 KA_BAND_HZ = (17.7e9, 19.7e9)
 
 _MASK64 = (1 << 64) - 1
-
-# holds draw_fades' Philox generator, one per thread
-_local = threading.local()
 
 # The first four standard normals of Generator(Philox(key=key)), from numpy 2.4.6.
 _KNOWN_NORMALS = {
@@ -125,15 +121,12 @@ class FadingSpec:
 
 
 def _generator() -> np.random.Generator:
-    """This thread's Philox generator, made on first use and kept only if it gives _KNOWN_NORMALS."""
-    generator = getattr(_local, "generator", None)
-    if generator is None:
-        # its seed is immaterial: every trial sets its own key and counter
-        generator = np.random.Generator(np.random.Philox(0))
-        for key, expected in _KNOWN_NORMALS.items():
-            if _restart(generator, list(key)).standard_normal(4).tolist() != list(expected):
-                raise SimulatorError(f"Philox normals under key {key} differ from their known values")
-        _local.generator = generator
+    """A new Philox generator, returned only if it gives _KNOWN_NORMALS, else SimulatorError."""
+    # its seed is immaterial: every trial sets its own key and counter
+    generator = np.random.Generator(np.random.Philox(0))
+    for key, expected in _KNOWN_NORMALS.items():
+        if _restart(generator, list(key)).standard_normal(4).tolist() != list(expected):
+            raise SimulatorError(f"Philox normals under key {key} differ from their known values")
     return generator
 
 

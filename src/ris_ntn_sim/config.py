@@ -139,14 +139,14 @@ class SimConfig:
         if len(set(self.architectures)) != len(self.architectures):
             raise _key_error("architectures", "architecture labels must be unique")
         # the swept cells, by label then element count; a gc:U cell exists only where U divides M
-        cells = []
+        cells, skipped = [], []
         for label in sorted(self.architectures):
             arch = _checked("architectures", Architecture.from_label, label)
             for m in sorted(self.elements_sweep):
                 try:
                     arch.block_size(m)
                 except InvalidInput as exc:
-                    logger.warning("skipping arch=%s elements=%d: %s", label, m, exc)
+                    skipped.append((label, m, exc))
                     continue
                 cells.append((label, arch, m))
         if not cells:
@@ -192,9 +192,6 @@ class SimConfig:
                 raise _key_error(key, f"power in watts is {watts!r}; it must be positive")
             object.__setattr__(self, name, watts)
 
-        if not KA_BAND_HZ[0] <= self.carrier_hz <= KA_BAND_HZ[1]:
-            logger.warning("carrier %.6g Hz is outside the Ka band %.4g-%.4g Hz",
-                           self.carrier_hz, *KA_BAND_HZ)
         # the unfaded |h_eff| = M a_g a_h + a_d at the smallest and largest swept M, divided and
         # multiplied by FADE_HEADROOM, must give finite link metrics, which grow with it, and SNR > 0
         a_d, a_h, a_g = self.magnitudes
@@ -214,6 +211,13 @@ class SimConfig:
                     for s in squares) and 4.0 * self.trials * largest * largest < math.inf):
             raise ConfigError(f"squares of hop magnitudes {squares} or of link metrics up to {largest:g} "
                               f"would leave the normal floats; check {LINK_BUDGET_KEYS}")
+
+        # warned about only now, so a refused config logs nothing but its error
+        for label, m, exc in skipped:
+            logger.warning("skipping arch=%s elements=%d: %s", label, m, exc)
+        if not KA_BAND_HZ[0] <= self.carrier_hz <= KA_BAND_HZ[1]:
+            logger.warning("carrier %.6g Hz is outside the Ka band %.4g-%.4g Hz",
+                           self.carrier_hz, *KA_BAND_HZ)
 
 
 def _sim_config(cfg) -> SimConfig:

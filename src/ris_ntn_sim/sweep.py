@@ -13,7 +13,6 @@ from __future__ import annotations
 import errno
 import functools
 import io
-import logging
 import math
 import os
 import tempfile
@@ -30,8 +29,6 @@ from .config import LINK_BUDGET_KEYS, MAX_TRIALS, SimConfig, format_config, link
 from .errors import InvalidInput, SimulatorError
 from .phase_optimizer import certify_cells, closed_form_cells
 from .ris_core import UNIT_TOLERANCE
-
-logger = logging.getLogger(__name__)
 
 CSV_HEADER = "arch,elements,trial,h_eff_mag,snr_db,rate_bps,ee_bits_per_joule,seed"
 

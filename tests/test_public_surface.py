@@ -239,6 +239,22 @@ def test_no_source_file_reads_the_environment():
     assert reads == []
 
 
+def test_no_source_file_imports_threading():
+    # draws keep no per-thread state: each Rician draw makes and checks its own generator
+    imports = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imports += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.partition(".")[0] == "threading"]
+    assert imports == []
+
+
 def package_imports(name: str) -> list:
     """(enclosing function or None, module) of each package module that module name imports."""
     found = []
@@ -300,6 +316,16 @@ def test_validate_and_sweep_log_the_same_skipped_cell_once(tmp_path):
     assert validated.returncode == swept.returncode == 0
     assert validated.stderr == swept.stderr == (
         "skipping arch=gc:3 elements=8: group count 3 does not divide element count 8\n")
+
+
+def test_a_refused_config_prints_only_its_error(tmp_path):
+    # the skip warning is logged after the last check, so a refused config never reaches it
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("architectures = sc, gc:3\nelements_sweep = 8\ntrials = 0\n")
+    done = run_module("validate", "--config", cfg_file)
+    assert done.returncode == 2
+    assert done.stderr == ("ris-ntn-sim: error: config: ConfigError: key 'trials': "
+                           "must be an integer in [1, 2147483647]\n")
 
 
 def test_the_console_script_is_cli_main():

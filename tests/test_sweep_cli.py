@@ -6,7 +6,6 @@ import itertools
 import logging
 import math
 import re
-import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -45,11 +44,6 @@ def csv_bytes(tmp_path, records, name="out.csv"):
     path = tmp_path / name
     emit_csv(records, path)
     return path.read_bytes()
-
-
-def fresh_generators(monkeypatch):
-    """Forget every thread's generator, so each thread's next Rician draw makes and checks a new one."""
-    monkeypatch.setattr(channel_model, "_local", threading.local())
 
 
 def count_resets(monkeypatch):
@@ -276,14 +270,12 @@ class TestRunSweep:
         with pytest.raises(SimulatorError, match=f"^arch=fc elements=8: {message}"):
             run_sweep(cfg)
 
-    @pytest.mark.parametrize("fading_model, direct_link, resets_per_trial", [
-        ("rician", "blocked", 1),  # one stream per trial, the direct link's row included
-        ("rician", "clear", 1),
-        ("pure_los", "clear", 0),
+    @pytest.mark.parametrize("fading_model, direct_link", [
+        ("rician", "blocked"),  # one stream per trial, the direct link's row included
+        ("rician", "clear"),
+        ("pure_los", "clear"),  # no stream and no guard
     ])
-    def test_philox_resets_once_per_stream_and_trial(self, monkeypatch, fading_model,
-                                                     direct_link, resets_per_trial):
-        channel_model._generator()  # the once-per-thread check's resets are not per trial
+    def test_philox_resets_once_per_stream_and_trial(self, monkeypatch, fading_model, direct_link):
         resets = count_resets(monkeypatch)
         monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", 7 * 8)  # 30 trials in 5 chunks
         phase_mode = "iid_uniform" if fading_model == "rician" else "common_los"
@@ -291,7 +283,12 @@ class TestRunSweep:
                         fading_model=fading_model, fading_phase_mode=phase_mode,
                         direct_link=direct_link, seed=5)
         run_sweep(cfg).close()
-        assert len(resets) == resets_per_trial * cfg.trials
+        # each chunk's draw opens with the guard's two resets, then resets once per trial
+        guard = [list(key) for key in channel_model._KNOWN_NORMALS]
+        seeds = sweep._trial_seeds(cfg.seed, np.arange(cfg.trials)).tolist()
+        chunks = [guard + [[seed, 0] for seed in seeds[start:start + 7]]
+                  for start in range(0, cfg.trials, 7)]
+        assert resets == (sum(chunks, []) if fading_model == "rician" else [])
 
     @pytest.mark.parametrize("cfg", [SMALL, SimConfig(trials=50)], ids=["small", "default"])
     def test_one_certificate_pass_per_sweep(self, monkeypatch, cfg):
@@ -469,7 +466,6 @@ class TestKnownNormalsGuard:
         key = max(known)
         known[key] = (*known[key][:3], float(np.nextafter(known[key][3], 0.0)))  # one ulp off
         monkeypatch.setattr(channel_model, "_KNOWN_NORMALS", known)
-        fresh_generators(monkeypatch)
 
     def test_corrupt_known_answer_fails_closed(self, tmp_path, capsys, monkeypatch):
         self.corrupt_known_answer(monkeypatch)
@@ -485,43 +481,54 @@ class TestKnownNormalsGuard:
         assert list(out_csv.parent.iterdir()) == []
 
     def test_corrupt_known_answer_fails_every_rician_draw(self, monkeypatch):
+        known = channel_model._KNOWN_NORMALS
         self.corrupt_known_answer(monkeypatch)
         geom = build_geometry(SimConfig())
 
         def draws():
-            for seed in range(3):  # a failed check keeps no generator, so every draw checks again
+            for seed in range(3):  # no draw keeps its generator, so every draw checks again
                 with pytest.raises(SimulatorError, match="differ from their known values"):
                     generate_channels(geom, FadingSpec(), 4, seed)
 
         draws()
         with ThreadPoolExecutor(max_workers=1) as pool:
             pool.submit(draws).result(60)
-        assert not hasattr(channel_model._local, "generator")
+        monkeypatch.setattr(channel_model, "_KNOWN_NORMALS", known)
+        generate_channels(geom, FadingSpec(), 4, 0)  # restored, the next draw passes its check
 
-    def test_guard_runs_once_per_thread(self, monkeypatch):
-        # a few trials per chunk, so 300 trials span many chunks
+    def test_the_guard_resets_open_every_rician_draw_call(self, monkeypatch):
+        # a few trials per chunk, so 300 trials span 43 chunks, one draw_fades call each
         monkeypatch.setattr(sweep, "CHUNK_ELEMENTS", 7 * 8)
-        channel_model._generator()  # this thread's generator is made and checked
-        resets = count_resets(monkeypatch)
-        guard_keys = [list(key) for key in channel_model._KNOWN_NORMALS]
+        resets, draw = count_resets(monkeypatch), sweep.draw_fades
+        guard = [list(key) for key in channel_model._KNOWN_NORMALS]
 
-        def guard_resets_per_sweep():
-            per_sweep = []
-            for _ in range(2):
-                resets.clear()
-                run_sweep(SimConfig(trials=300, elements_sweep=(4, 8), seed=5)).close()
-                per_sweep.append([key for key in resets if key in guard_keys])
-            return per_sweep
+        def marked(*args):
+            resets.append("call")
+            return draw(*args)
 
+        def resets_per_call():
+            resets.clear()
+            run_sweep(SimConfig(trials=300, elements_sweep=(4, 8), seed=5)).close()
+            calls = []
+            for key in resets:
+                if key == "call":
+                    calls.append([])
+                else:
+                    calls[-1].append(key)
+            return calls
+
+        monkeypatch.setattr(sweep, "draw_fades", marked)
+        for calls in (resets_per_call(), resets_per_call()):
+            assert [call[:2] for call in calls] == [guard] * 43
+            assert [len(call) - 2 for call in calls] == [7] * 42 + [6]  # then one per trial
+            assert [key for call in calls for key in call[2:] if key in guard] == []
         with ThreadPoolExecutor(max_workers=1) as pool:
-            assert pool.submit(guard_resets_per_sweep).result(60) == [guard_keys, []]
-        assert guard_resets_per_sweep() == [[], []]
+            assert pool.submit(resets_per_call).result(60) == calls
 
     def test_pure_los_draw_runs_no_guard(self, monkeypatch):
-        fresh_generators(monkeypatch)
         resets = count_resets(monkeypatch)
         channel_model.draw_fades(FadingSpec("pure_los"), 8, np.arange(3, dtype=np.uint64))
-        assert resets == [] and not hasattr(channel_model._local, "generator")
+        assert resets == []
 
 
 class TestEmitCsv:
@@ -740,6 +747,18 @@ class TestCli:
             SimConfig(carrier_hz=1e10)  # out of band: building it warns, once
         assert [(rec.levelname, rec.message) for rec in caplog.records] == [
             ("WARNING", "carrier 1e+10 Hz is outside the Ka band 1.77e+10-1.97e+10 Hz")]
+
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"architectures": ("sc", "gc:3"), "elements_sweep": (8,), "trials": 0}, "trials"),
+        ({"carrier_hz": 1e10, "architectures": ("sc", "gc:3"), "elements_sweep": (8,),
+          "tx_power_dbm": -3100.0}, None),  # the last check, the link budget's
+    ], ids=["skipped-cell", "link-budget"])
+    def test_a_refused_config_logs_no_warning(self, caplog, kwargs, key):
+        with caplog.at_level(logging.DEBUG, logger="ris_ntn_sim"):
+            with pytest.raises(ConfigError) as err:
+                SimConfig(**kwargs)
+        assert err.value.key == key
+        assert caplog.records == []
 
     def test_validate_rejects_typo(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
