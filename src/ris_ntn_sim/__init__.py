@@ -1,10 +1,11 @@
 """Simulator and phase-shift optimizer for a relay-surface-assisted satellite downlink."""
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 from .channel_model import (
     KA_BAND_HZ,
     SPEED_OF_LIGHT,
+    ChannelSet,
     FadingSpec,
     LinkGeometry,
     fspl_amplitude,
@@ -13,8 +14,8 @@ from .channel_model import (
 )
 from .config import SimConfig, build_geometry, dbm_to_watts, format_config, link_columns, parse_config
 from .errors import ConfigError, ConstraintViolated, InvalidInput, SimulatorError
-from .phase_optimizer import OptimizeResult, optimize
-from .ris_core import UNIT_TOLERANCE, Architecture, ChannelSet, PhaseShiftMatrix, validate
+from .phase_optimizer import (UNIT_TOLERANCE, Architecture, OptimizeResult, PhaseShiftMatrix, optimize,
+                              validate)
 from .sweep import CSV_HEADER, SweepRecord, SweepRecords, emit_csv, run_sweep
 
 __all__ = [

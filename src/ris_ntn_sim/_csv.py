@@ -71,9 +71,10 @@ _INT_WIDTH = 20
 _POWERS = 10 ** np.arange(_INT_WIDTH, dtype=np.uint64)
 # Digit positions 0 .. 19, as a column against per-value rows.
 _RANKS = np.arange(_INT_WIDTH, dtype=np.uint8)[:, None]
-# The trial field of a cell's aggregate rows, columns -2 and -1 for their trial -2 and -1.
-_AGGREGATE_FIELDS = np.frombuffer(b"mean".ljust(_INT_WIDTH, b"\0")
-                                  + b"stderr".ljust(_INT_WIDTH, b"\0"), np.uint8).reshape(2, -1).T
+# The trial field of a cell's aggregate rows, indexed by their trial -2 and -1.
+AGGREGATES = ("mean", "stderr")
+_AGGREGATE_FIELDS = np.frombuffer(b"".join(name.encode().ljust(_INT_WIDTH, b"\0")
+                                           for name in AGGREGATES), np.uint8).reshape(2, -1).T
 
 
 class _Tables(NamedTuple):
@@ -235,7 +236,7 @@ def row_texts(trials: np.ndarray, seeds: np.ndarray) -> tuple[list[bytes], list[
     # one '%' call per column, each text ended by a NUL to split on
     trial_texts = (b"%d,\0" * len(trials) % tuple(trials.tolist())).split(b"\0")[:-1]
     for i in np.flatnonzero(trials < 0).tolist():
-        trial_texts[i] = (b"mean,", b"stderr,")[trials[i]]
+        trial_texts[i] = AGGREGATES[trials[i]].encode() + b","
     return trial_texts, (b"%d\n\0" * len(seeds) % tuple(seeds.tolist())).split(b"\0")[:-1]
 
 

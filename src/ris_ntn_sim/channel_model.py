@@ -12,7 +12,8 @@ it resets the generator to each seed's key for its chunk of seeds. No
 generator outlives its call, so every later draw checks again and draws on
 several threads share nothing. The sweep works on their powers and the real
 hop magnitudes (hop_magnitudes), and generate_channels, the one complex draw,
-multiplies one seed's fades by the complex hop amplitudes (channel_set).
+multiplies one seed's fades by the complex hop amplitudes (channel_set) into
+a ChannelSet, the type of one channel realization.
 """
 from __future__ import annotations
 
@@ -22,8 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (InvalidInput, SimulatorError, checked_args, exact_int, finite_float, linear_from_db,
-                     positive_float)
-from .ris_core import ChannelSet
+                     number_array, positive_float)
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 KA_BAND_HZ = (17.7e9, 19.7e9)
@@ -91,6 +91,44 @@ class LinkGeometry:
     @property
     def d_ris_ut_m(self) -> float:
         return self.haps_altitude_m
+
+
+@dataclass(frozen=True)
+class ChannelSet:
+    """One channel realization: per-element hop vectors plus the direct path.
+
+    h holds the satellite-to-surface amplitude gains, g the surface-to-terminal
+    amplitude gains, and h_d the direct satellite-to-terminal gain. All values
+    are dimensionless complex amplitude ratios; each must hold numbers
+    (number_array), and h_d be a scalar, else InvalidInput.
+    """
+
+    h: np.ndarray
+    g: np.ndarray
+    h_d: complex
+
+    def __post_init__(self):
+        h, g, h_d = checked_args(number_array, h=self.h, g=self.g, h_d=self.h_d)
+        if h_d.ndim:
+            raise InvalidInput(f"h_d must be a scalar, got shape {h_d.shape}")
+        h = np.array(h, dtype=np.complex128, copy=True)
+        g = np.array(g, dtype=np.complex128, copy=True)
+        if h.ndim != 1 or g.ndim != 1 or h.size != g.size or h.size < 1:
+            raise InvalidInput(
+                f"h and g must be 1-D vectors of equal positive length, got {h.shape} and {g.shape}"
+            )
+        h_d = complex(h_d)
+        if not (np.isfinite(h).all() and np.isfinite(g).all() and np.isfinite([h_d]).all()):
+            raise InvalidInput("channel entries must be finite")
+        h.setflags(write=False)
+        g.setflags(write=False)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "h_d", h_d)
+
+    @property
+    def elements(self) -> int:
+        return int(self.h.size)
 
 
 FADING_MODELS = ("pure_los", "rician")

@@ -17,7 +17,7 @@ import numpy as np
 from .channel_model import KA_BAND_HZ, FadingSpec, LinkGeometry, fspl_amplitude, hop_magnitudes
 from .errors import (ConfigError, InvalidInput, checked_args, exact_int, finite_float, linear_from_db,
                      number_array, positive_float)
-from .ris_core import Architecture
+from .phase_optimizer import Architecture
 
 logger = logging.getLogger(__name__)
 
@@ -87,7 +87,7 @@ class SimConfig:
     default is "blocked": at the default geometry the clear direct path is
     ~141 dB stronger than the two-hop path, which buries every element-count
     effect the sweep is designed to show. Construction checks every value
-    once and builds the attributes cells (the swept (label, Architecture, M)
+    once and builds the attributes cells (the swept (Architecture, M) pairs
     in canonical order), geometry, fading_spec, magnitudes (a_d, a_h, a_g;
     a_d = 0 if blocked), and tx_power_w and noise_power_w in watts, none a field.
     """
@@ -148,7 +148,7 @@ class SimConfig:
                 except InvalidInput as exc:
                     skipped.append((label, m, exc))
                     continue
-                cells.append((label, arch, m))
+                cells.append((arch, m))
         if not cells:
             raise _key_error("architectures", "no cell to sweep: no group count divides an element count")
         object.__setattr__(self, "cells", tuple(cells))

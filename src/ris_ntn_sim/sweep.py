@@ -27,10 +27,7 @@ from . import __version__
 from .channel_model import _MASK64, channel_set, draw_fades
 from .config import LINK_BUDGET_KEYS, MAX_TRIALS, SimConfig, format_config, link_columns
 from .errors import InvalidInput, SimulatorError
-from .phase_optimizer import certify_cells, closed_form_cells
-from .ris_core import UNIT_TOLERANCE
-
-CSV_HEADER = "arch,elements,trial,h_eff_mag,snr_db,rate_bps,ee_bits_per_joule,seed"
+from .phase_optimizer import UNIT_TOLERANCE, certify_cells, closed_form_cells
 
 # Channel entries (trials x largest element count) drawn and evaluated at a
 # time. Memory follows this, not the trial count; every benchmark workload
@@ -77,6 +74,9 @@ class SweepRecord(NamedTuple):
     seed: int
 
 
+CSV_HEADER = ",".join(SweepRecord._fields)
+
+
 class SweepRecords:
     """The records of one sweep in canonical order, streamed from a spool.
 
@@ -104,12 +104,11 @@ class SweepRecords:
     def __iter__(self):
         from . import _csv  # imported on use, as in emit_csv
 
-        for cells, trials, values, seeds in self._rows(_csv.BATCH_ROWS):
-            for c, trial, row, seed in zip(cells.tolist(), trials.tolist(), values.tolist(),
-                                           seeds.tolist()):
-                label, _, m = self.cfg.cells[c]
-                trial = trial if trial >= 0 else ("mean", "stderr")[trial]
-                yield SweepRecord(label, m, trial, *row, seed)
+        for columns in self._rows(_csv.BATCH_ROWS):
+            for c, trial, row, seed in zip(*(column.tolist() for column in columns)):
+                arch, m = self.cfg.cells[c]
+                yield SweepRecord(arch.label, m, trial if trial >= 0 else _csv.AGGREGATES[trial],
+                                  *row, seed)
 
     def _rows(self, max_rows: int):
         """(cell, trial, values, seeds) columns of at most max_rows consecutive rows, in CSV order.
@@ -201,7 +200,7 @@ def _check_cells(cells, values: np.ndarray, certificates, trials: range) -> None
         else:
             reason = (f"trial 0: matrix reaches {float(achieved[c])!r}, "
                       f"closed form gives {float(objective[c])!r}")
-        raise SimulatorError(f"arch={cells[c][0]} elements={cells[c][2]}: {reason}")
+        raise SimulatorError(f"arch={cells[c][0].label} elements={cells[c][1]}: {reason}")
 
 
 def run_sweep(cfg: SimConfig) -> SweepRecords:
@@ -231,11 +230,10 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
     """
     a_d, a_h, a_g = magnitudes = cfg.magnitudes  # cfg checked its link budget when it was built
     fading = cfg.fading_spec
-    designs = [(arch, m) for _, arch, m in cfg.cells]
-    m_max = max(m for _, m in designs)
+    m_max = max(m for _, m in cfg.cells)
     chunk_trials = max(1, CHUNK_ELEMENTS // m_max)
     records = SweepRecords(cfg)
-    moments = _Moments(len(designs))
+    moments = _Moments(len(cfg.cells))
     # a pure line-of-sight draw ignores its seed, so one row stands for every trial
     one_row = fading.model == "pure_los"
 
@@ -247,9 +245,9 @@ def run_sweep(cfg: SimConfig) -> SweepRecords:
                 fades = draw_fades(fading, m_max, seeds[:1] if one_row else seeds)
                 re, im = fades[..., 0], fades[..., 1]
                 power = re * re + im * im
-                h_eff = a_g * a_h * closed_form_cells(power[:, 2::2], power[:, 1::2], designs)
+                h_eff = a_g * a_h * closed_form_cells(power[:, 2::2], power[:, 1::2], cfg.cells)
                 h_eff += a_d * np.sqrt(power[:, 0])
-                certificates = (certify_cells(channel_set(cfg.geometry, fades[0], magnitudes), designs)
+                certificates = (certify_cells(channel_set(cfg.geometry, fades[0], magnitudes), cfg.cells)
                                 if start == 0 else None)
                 values = link_columns(h_eff, cfg)
             except (SimulatorError, ValueError, ArithmeticError) as exc:
@@ -307,7 +305,7 @@ def emit_csv(records: SweepRecords, destination) -> int:
     try:
         with open(csv_tmp, "wb") as out:
             out.write(CSV_HEADER.encode() + b"\n")
-            heads = [f"{label},{m},".encode() for label, _, m in records.cfg.cells]
+            heads = [f"{arch.label},{m},".encode() for arch, m in records.cfg.cells]
             period = records.cfg.trials + 2
             # a row's trial and seed texts depend only on its position in its cell:
             # where a cell fits in a batch, those of cell 0 serve the whole sweep

@@ -3,7 +3,7 @@
 The brute-force grid searches check the closed-form optimizers
 independently of them: each one searches a uniform grid of feasible
 matrices and is refused for instances too large to search. loop_validate
-is the entry-by-entry, block-by-block form of ris_core.validate.
+is the entry-by-entry, block-by-block form of phase_optimizer.validate.
 per_trial_fades and per_trial_channels draw one trial with a Philox generator
 of its own, the reference for the batched draw_fades and for
 generate_channels. reference_csv is the CSV written one '%' format per row,
@@ -23,6 +23,7 @@ import numpy as np
 from ris_ntn_sim import (
     CSV_HEADER,
     SPEED_OF_LIGHT,
+    UNIT_TOLERANCE,
     Architecture,
     ChannelSet,
     ConstraintViolated,
@@ -36,7 +37,6 @@ from ris_ntn_sim import (
 )
 from ris_ntn_sim import sweep
 from ris_ntn_sim.phase_optimizer import closed_form_cells
-from ris_ntn_sim.ris_core import UNIT_TOLERANCE
 
 # Floats carry 17 significant digits, which round-trips any finite double exactly.
 ROW_FORMAT = "%s,%d,%s,%.17g,%.17g,%.17g,%.17g,%d\n"
@@ -254,22 +254,21 @@ def trial_by_trial_csv(cfg, chunk_trials: int) -> bytes:
     a_d, a_h, a_g = _hop_magnitudes(geom, cfg.tx_gain_dbi, cfg.ris_element_gain_dbi,
                                     cfg.rx_gain_dbi, cfg.direct_link == "blocked")
     cells = cfg.cells
-    designs = [(arch, m) for _, arch, m in cells]
-    m_max = max(m for _, m in designs)
+    m_max = max(m for _, m in cells)
     seeds = [t ^ splitmix64(cfg.seed) for t in range(cfg.trials)]
     rows = []
     for seed in seeds:
         fades = per_trial_fades(cfg.fading_spec, 1 + 2 * m_max, seed)
         power = (fades.real * fades.real + fades.imag * fades.imag)[None]
-        h_eff = a_g * a_h * closed_form_cells(power[:, 2::2], power[:, 1::2], designs)
+        h_eff = a_g * a_h * closed_form_cells(power[:, 2::2], power[:, 1::2], cells)
         rows.append(link_columns(h_eff + a_d * np.sqrt(power[:, 0]), cfg)[:, 0])
     values = np.stack(rows, axis=1)  # (cells, trials, 4)
     moments = sweep._Moments(len(cells))
     for start in range(0, cfg.trials, chunk_trials):
         moments.add(np.ascontiguousarray(values[:, start:start + chunk_trials]))
     records = []
-    for c, (label, _, m) in enumerate(cells):
-        records += [(label, m, t, *values[c, t].tolist(), seed) for t, seed in enumerate(seeds)]
-        records.append((label, m, "mean", *moments.mean[c].tolist(), cfg.seed))
-        records.append((label, m, "stderr", *moments.stderr()[c].tolist(), cfg.seed))
+    for c, (arch, m) in enumerate(cells):
+        records += [(arch.label, m, t, *values[c, t].tolist(), seed) for t, seed in enumerate(seeds)]
+        records.append((arch.label, m, "mean", *moments.mean[c].tolist(), cfg.seed))
+        records.append((arch.label, m, "stderr", *moments.stderr()[c].tolist(), cfg.seed))
     return reference_csv(records)

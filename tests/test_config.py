@@ -311,7 +311,7 @@ class TestConstraints:
         # a (gc:U, M) pair that U does not divide is skipped while the config has a cell left
         cfg = parse_config("architectures = gc:3\nelements_sweep = 8, 9")
         assert cfg.architectures == ("gc:3",)
-        assert [(label, m) for label, _, m in cfg.cells] == [("gc:3", 9)]
+        assert cfg.cells == ((Architecture("gc", 3), 9),)
 
 
 class TestLinkBudget:
@@ -397,8 +397,8 @@ class TestBuiltAttributes:
         cfg = SimConfig(trials=1, elements_sweep=(9, 4, 8), architectures=("gc:2", "sc", "fc", "gc:3"))
         emit_csv(run_sweep(cfg), tmp_path / "out.csv")
         rows = [line.split(",")[:2] for line in (tmp_path / "out.csv").read_text().splitlines()[1:]]
-        assert [(label, str(m)) for label, _, m in cfg.cells] == list(dict.fromkeys(map(tuple, rows)))
-        assert all(arch == Architecture.from_label(label) for label, arch, _ in cfg.cells)
+        assert [(arch.label, str(m)) for arch, m in cfg.cells] == list(dict.fromkeys(map(tuple, rows)))
+        assert all(Architecture.from_label(arch.label) == arch for arch, _ in cfg.cells)
         assert "cells" not in format_config(cfg)
 
     def test_parsed_config_builds_the_same_watts(self):

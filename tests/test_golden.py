@@ -5,13 +5,16 @@ and says why in CHANGES.md.
 """
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import ris_ntn_sim
-from ris_ntn_sim import SimConfig, _csv, emit_csv, run_sweep
+from ris_ntn_sim import SimConfig, _csv, emit_csv, format_config, run_sweep
 from ris_ntn_sim.sweep import _metadata_path
 
 GOLDEN_CONFIG = SimConfig(trials=50, architectures=("sc", "fc", "gc:4"), seed=42)
@@ -19,7 +22,7 @@ GOLDEN_CONFIG = SimConfig(trials=50, architectures=("sc", "fc", "gc:4"), seed=42
 GOLDEN_CSV_SHA256 = "0977ae3f19a81b7103ec6a86db1c72d12bb1d7c5e70e2a790384a18a7450bf9e"
 
 GOLDEN_META_TAIL = """\
-software = ris-ntn-sim 0.18.0
+software = ris-ntn-sim 0.19.0
 records = 1248
 noise_psd_note = noise_psd_dbm_hz is a power spectral density in dBm/Hz; total noise power is noise_psd_dbm_hz + 10*log10(bandwidth_hz)
 
@@ -110,6 +113,36 @@ def test_golden_chunked_csv_at_every_batch_size(tmp_path, monkeypatch, batch_row
     count = emit_csv(run_sweep(GOLDEN_CHUNKS_CONFIG), path)
     assert count == GOLDEN_CHUNKS_RECORDS
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CHUNKS_CSV_SHA256
+
+
+def dispatch_above_x86_v3() -> list:
+    """numpy's SIMD dispatch targets above X86_V3 that this CPU has, in numpy's order."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy before 2.0 keeps them elsewhere
+        return []
+    if "X86_V3" not in __cpu_dispatch__:
+        return []
+    return [target for target in __cpu_dispatch__[__cpu_dispatch__.index("X86_V3") + 1:]
+            if __cpu_features__.get(target)]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: numpy's AVX-512 log kernels round unlike its AVX2 ones")
+def test_golden_csv_without_avx512_dispatch(tmp_path):
+    # numpy reads the variable at import, so the sweep runs in a process of its own
+    targets = dispatch_above_x86_v3()
+    if not targets:
+        pytest.skip("numpy dispatches no target above X86_V3 on this CPU")
+    cfg_file, path = tmp_path / "golden.cfg", tmp_path / "golden.csv"
+    cfg_file.write_text(format_config(GOLDEN_CONFIG) + "\n", encoding="utf-8")
+    source = str(Path(__file__).parents[1] / "src")
+    paths = [source, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths),
+           "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    subprocess.run([sys.executable, "-m", "ris_ntn_sim.cli", "sweep", "--config", str(cfg_file),
+                    "--out", str(path)], check=True, capture_output=True, timeout=120, env=env)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256
 
 
 def test_package_version_matches_pyproject():

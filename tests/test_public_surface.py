@@ -278,6 +278,24 @@ def test_errors_is_a_leaf_module():
     assert package_imports("errors") == []
 
 
+# The package's modules besides __init__ and the leaf _csv, in the one order they import in.
+IMPORT_ORDER = ("errors", "channel_model", "phase_optimizer", "config", "sweep", "cli")
+
+
+def test_each_module_imports_only_the_modules_before_it():
+    assert sorted(path.stem for path in SOURCE.glob("*.py")) == sorted(("__init__", "_csv", *IMPORT_ORDER))
+    assert package_imports("_csv") == []
+    assert {module for _, module in package_imports("__init__")} <= set(IMPORT_ORDER)
+    later = []
+    for rank, name in enumerate(IMPORT_ORDER):
+        for function, module in package_imports(name):
+            # sweep reads the package's version, and loads the formatter on first use
+            exempt = name == "sweep" and (module == "__version__" or (module == "_csv" and function))
+            if not exempt and module not in IMPORT_ORDER[:rank]:
+                later.append((name, function, module))
+    assert later == []
+
+
 def test_channel_model_does_not_know_the_config():
     assert "SimConfig" not in (SOURCE / "channel_model.py").read_text(encoding="utf-8")
 
