@@ -78,7 +78,30 @@ CSV_HEADER = ",".join(SweepRecord._fields)
 
 
 class SweepRecords:
-    """The records of one sweep in canonical order, streamed from a spool.
+    """The records of one sweep in canonical order: building one runs the sweep of cfg.
+
+    Canonical order is architecture label (lexicographic), then element
+    count, then trial index, with the 'mean' and 'stderr' aggregates after
+    each cell's trials. The cells are cfg.cells, which skip the
+    group-connected ones whose group count does not divide the element count.
+
+    Each chunk of trials is one array step in real arithmetic: one fade draw
+    at the largest element count, every cell's cascade gain on its element
+    prefix of the fade powers (phase_optimizer.closed_form_cells), scaled
+    once by the hop magnitudes cfg.magnitudes to |h_eff| = a_d |f_d| +
+    a_g a_h gain, as one (cells, n) array, and one link_columns call giving
+    the (cells, n, 4) trial values that go to the spool. A pure
+    line-of-sight draw ignores its seed, so such a chunk draws and evaluates
+    a single row and repeats its values over the n trials. After the last
+    chunk, every cell's 'mean' and 'stderr' rows go to the spool from moments
+    merged chunk by chunk (_Moments). Trial 0's design is certified for
+    every cell on the complex channel of its fades (channel_set), from its
+    factors, without any M x M matrix (phase_optimizer.certify_cells): its
+    unitarity bound must be within UNIT_TOLERANCE, and |g^T Phi h + h_d|
+    must match the closed form. All cells of a chunk are checked at once;
+    SimulatorError names the first faulty cell in canonical order, its
+    non-finite values before its certificate. A sweep that raises closes its
+    spool before the error leaves the constructor.
 
     The spool holds exactly the CSV's value rows, in CSV order. With T
     trials, row i belongs to cell i // (T + 2) at position i % (T + 2):
@@ -94,9 +117,48 @@ class SweepRecords:
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        self._spool = (io.BytesIO() if 32 * len(self) <= _SPOOL_MEMORY_BYTES
-                       else tempfile.TemporaryFile())
-        self._release = weakref.finalize(self, self._spool.close)
+        self._spool = spool = (io.BytesIO() if 32 * len(self) <= _SPOOL_MEMORY_BYTES
+                               else tempfile.TemporaryFile())
+        self._release = weakref.finalize(self, spool.close)
+        a_d, a_h, a_g = magnitudes = cfg.magnitudes  # cfg checked its link budget when it was built
+        fading = cfg.fading_spec
+        m_max = max(m for _, m in cfg.cells)
+        chunk_trials = max(1, CHUNK_ELEMENTS // m_max)
+        moments = _Moments(len(cfg.cells))
+        # a pure line-of-sight draw ignores its seed, so one row stands for every trial
+        one_row = fading.model == "pure_los"
+
+        def write(values: np.ndarray, position: int) -> None:
+            # C-contiguous (cells, n, 4) float64 values, as rows position onward of every cell
+            for c, block in enumerate(values):
+                spool.seek(32 * (c * (cfg.trials + 2) + position))
+                spool.write(block)
+
+        try:
+            for start in range(0, cfg.trials, chunk_trials):
+                trials = range(start, min(cfg.trials, start + chunk_trials))
+                try:
+                    seeds = _trial_seeds(cfg.seed, np.arange(start, trials.stop))
+                    fades = draw_fades(fading, m_max, seeds[:1] if one_row else seeds)
+                    re, im = fades[..., 0], fades[..., 1]
+                    power = re * re + im * im
+                    h_eff = a_g * a_h * closed_form_cells(power[:, 2::2], power[:, 1::2], cfg.cells)
+                    h_eff += a_d * np.sqrt(power[:, 0])
+                    certificates = (certify_cells(channel_set(cfg.geometry, fades[0], magnitudes), cfg.cells)
+                                    if start == 0 else None)
+                    values = link_columns(h_eff, cfg)
+                except (SimulatorError, ValueError, ArithmeticError) as exc:
+                    raise SimulatorError(f"trials {trials.start}..{trials.stop - 1}: {exc}") from exc
+                if one_row:
+                    # a real array, not a broadcast view: the moments reduce the layout they always have
+                    values = np.repeat(values, len(trials), axis=1)
+                _check_cells(cfg.cells, values, certificates, trials)
+                moments.add(values)
+                write(values, start)
+            write(np.stack([moments.mean, moments.stderr()], axis=1), cfg.trials)
+        except BaseException:
+            self.close()
+            raise
 
     def __len__(self) -> int:
         return len(self.cfg.cells) * (self.cfg.trials + 2)
@@ -139,12 +201,6 @@ class SweepRecords:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _write(self, values: np.ndarray, position: int) -> None:
-        """Spool C-contiguous (cells, n, 4) float64 values as rows position onward of every cell."""
-        for c, block in enumerate(values):
-            self._spool.seek(32 * (c * (self.cfg.trials + 2) + position))
-            self._spool.write(block)
 
 
 class _Moments:
@@ -204,65 +260,8 @@ def _check_cells(cells, values: np.ndarray, certificates, trials: range) -> None
 
 
 def run_sweep(cfg: SimConfig) -> SweepRecords:
-    """Run the full sweep and return its records in canonical order.
-
-    Canonical order is architecture label (lexicographic), then element
-    count, then trial index, with the 'mean' and 'stderr' aggregates after
-    each cell's trials. The cells are cfg.cells, which skip the
-    group-connected ones whose group count does not divide the element count.
-
-    Each chunk of trials is one array step in real arithmetic: one fade draw
-    at the largest element count, every cell's cascade gain on its element
-    prefix of the fade powers (phase_optimizer.closed_form_cells), scaled
-    once by the hop magnitudes cfg.magnitudes to |h_eff| = a_d |f_d| +
-    a_g a_h gain, as one (cells, n) array, and one link_columns call giving
-    the (cells, n, 4) trial values that go to the records' spool. A pure
-    line-of-sight draw ignores its seed, so such a chunk draws and evaluates
-    a single row and repeats its values over the n trials. After the last
-    chunk, every cell's 'mean' and 'stderr' rows go to the spool from moments
-    merged chunk by chunk (_Moments). Trial 0's design is certified for
-    every cell on the complex channel of its fades (channel_set), from its
-    factors, without any M x M matrix (phase_optimizer.certify_cells): its
-    unitarity bound must be within UNIT_TOLERANCE, and |g^T Phi h + h_d|
-    must match the closed form. All cells of a chunk are checked at once;
-    SimulatorError names the first faulty cell in canonical order, its
-    non-finite values before its certificate.
-    """
-    a_d, a_h, a_g = magnitudes = cfg.magnitudes  # cfg checked its link budget when it was built
-    fading = cfg.fading_spec
-    m_max = max(m for _, m in cfg.cells)
-    chunk_trials = max(1, CHUNK_ELEMENTS // m_max)
-    records = SweepRecords(cfg)
-    moments = _Moments(len(cfg.cells))
-    # a pure line-of-sight draw ignores its seed, so one row stands for every trial
-    one_row = fading.model == "pure_los"
-
-    try:
-        for start in range(0, cfg.trials, chunk_trials):
-            trials = range(start, min(cfg.trials, start + chunk_trials))
-            try:
-                seeds = _trial_seeds(cfg.seed, np.arange(start, trials.stop))
-                fades = draw_fades(fading, m_max, seeds[:1] if one_row else seeds)
-                re, im = fades[..., 0], fades[..., 1]
-                power = re * re + im * im
-                h_eff = a_g * a_h * closed_form_cells(power[:, 2::2], power[:, 1::2], cfg.cells)
-                h_eff += a_d * np.sqrt(power[:, 0])
-                certificates = (certify_cells(channel_set(cfg.geometry, fades[0], magnitudes), cfg.cells)
-                                if start == 0 else None)
-                values = link_columns(h_eff, cfg)
-            except (SimulatorError, ValueError, ArithmeticError) as exc:
-                raise SimulatorError(f"trials {trials.start}..{trials.stop - 1}: {exc}") from exc
-            if one_row:
-                # a real array, not a broadcast view: the moments reduce the layout they always have
-                values = np.repeat(values, len(trials), axis=1)
-            _check_cells(cfg.cells, values, certificates, trials)
-            moments.add(values)
-            records._write(values, start)
-        records._write(np.stack([moments.mean, moments.stderr()], axis=1), cfg.trials)
-    except BaseException:
-        records.close()
-        raise
-    return records
+    """Run the full sweep of cfg and return its records: SweepRecords(cfg)."""
+    return SweepRecords(cfg)
 
 
 def _metadata_path(destination: Path) -> Path:
@@ -272,8 +271,9 @@ def _metadata_path(destination: Path) -> Path:
 
 
 def _temporary_path(path: Path) -> Path:
-    # same directory as path, so os.replace is an atomic rename
-    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    # same directory as path, so os.replace is an atomic rename; a random name per call,
+    # created exclusively, so no two calls, in one process or in two, ever share a temporary
+    return path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
 
 
 def emit_csv(records: SweepRecords, destination) -> int:
@@ -301,9 +301,8 @@ def emit_csv(records: SweepRecords, destination) -> int:
     # without cached bytecode, compiling it takes about 3 ms
     from . import _csv
 
-    count = 0
     try:
-        with open(csv_tmp, "wb") as out:
+        with open(csv_tmp, "xb") as out:
             out.write(CSV_HEADER.encode() + b"\n")
             heads = [f"{arch.label},{m},".encode() for arch, m in records.cfg.cells]
             period = records.cfg.trials + 2
@@ -313,22 +312,22 @@ def emit_csv(records: SweepRecords, destination) -> int:
                      if period <= _csv.BATCH_ROWS else None)
             for cells, trials, values, seeds in records._rows(_csv.BATCH_ROWS):
                 out.write(_csv.format_batch(heads, cells, trials, values, seeds, texts))
-                count += len(seeds)
         meta = [
             f"generated_at = {datetime.now(timezone.utc).isoformat()}",
             f"software = ris-ntn-sim {__version__}",
-            f"records = {count}",
+            f"records = {len(records)}",
             "noise_psd_note = noise_psd_dbm_hz is a power spectral density in dBm/Hz; "
             "total noise power is noise_psd_dbm_hz + 10*log10(bandwidth_hz)",
             "",
             "[resolved config]",
             format_config(records.cfg),
         ]
-        meta_tmp.write_text("\n".join(meta) + "\n", encoding="utf-8")
+        with open(meta_tmp, "x", encoding="utf-8") as out:
+            out.write("\n".join(meta) + "\n")
         os.replace(meta_tmp, metadata)
         os.replace(csv_tmp, destination)
     except BaseException:
         csv_tmp.unlink(missing_ok=True)
         meta_tmp.unlink(missing_ok=True)
         raise
-    return count
+    return len(records)

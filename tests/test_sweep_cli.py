@@ -5,7 +5,10 @@ import functools
 import itertools
 import logging
 import math
+import os
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -22,6 +25,7 @@ from ris_ntn_sim import (
     InvalidInput,
     SimConfig,
     SimulatorError,
+    SweepRecords,
     build_geometry,
     emit_csv,
     format_config,
@@ -84,6 +88,27 @@ class TestRunSweep:
         assert keys == sorted(keys)
         per_cell = [r.trial for r in list(records)[:8]]
         assert per_cell == [0, 1, 2, 3, 4, 5, "mean", "stderr"]
+
+    def test_building_records_runs_the_sweep(self, tmp_path):
+        cfg = SimConfig(trials=3, elements_sweep=(4,))
+        built, ran = SweepRecords(cfg), run_sweep(cfg)
+        assert len(built) == len(ran) == 5 * 2
+        assert list(built) == list(ran)
+        assert csv_bytes(tmp_path, built, "built.csv") == csv_bytes(tmp_path, ran, "ran.csv")
+
+    def test_a_sweep_that_raises_closes_its_spool(self, monkeypatch):
+        opened, temporary_file = [], sweep.tempfile.TemporaryFile
+
+        def opening():
+            opened.append(temporary_file())
+            return opened[-1]
+
+        monkeypatch.setattr(sweep, "_SPOOL_MEMORY_BYTES", 0)
+        monkeypatch.setattr(sweep.tempfile, "TemporaryFile", opening)
+        monkeypatch.setattr(sweep, "link_columns", lambda h_eff, cfg: np.full(h_eff.shape + (4,), np.nan))
+        with pytest.raises(SimulatorError, match="non-finite link metrics"):
+            SweepRecords(SMALL)
+        assert len(opened) == 1 and opened[0].closed
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
         a = csv_bytes(tmp_path, run_sweep(SMALL), "a.csv")
@@ -603,6 +628,43 @@ class TestEmitCsv:
     def test_returns_record_count(self, tmp_path):
         records = run_sweep(SMALL)
         assert emit_csv(records, tmp_path / "n.csv") == len(records)
+
+    def test_outputs_get_the_mode_the_umask_gives(self, tmp_path):
+        path = tmp_path / "run.csv"
+        umask = os.umask(0o022)
+        try:
+            emit_csv(run_sweep(SMALL), path)
+        finally:
+            os.umask(umask)
+        assert [p.stat().st_mode & 0o777 for p in (path, _metadata_path(path))] == [0o644, 0o644]
+
+    def test_concurrent_emits_to_one_path_each_leave_whole_files(self, tmp_path):
+        sweeps = [run_sweep(SimConfig(trials=500, elements_sweep=(4, 8), seed=seed)) for seed in (1, 2)]
+        tail = lambda p: p.read_text().split("\n", 1)[1]
+        csvs, sidecars = [], []
+        for i, records in enumerate(sweeps):
+            csvs.append(csv_bytes(tmp_path, records, f"{i}.csv"))
+            sidecars.append(tail(_metadata_path(tmp_path / f"{i}.csv")))
+        path = tmp_path / "shared" / "run.csv"
+        path.parent.mkdir()
+        start = threading.Barrier(len(sweeps))
+
+        def emit(records):
+            start.wait(timeout=10)
+            return emit_csv(records, path)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(sweeps)) as pool:
+                for _ in range(20):
+                    futures = [pool.submit(emit, records) for records in sweeps]
+                    assert [f.result(timeout=60) for f in futures] == [len(r) for r in sweeps]
+                    assert sorted(p.name for p in path.parent.iterdir()) == ["run.csv", "run.meta.txt"]
+                    assert path.read_bytes() in csvs
+                    assert tail(_metadata_path(path)) in sidecars
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_metadata_deterministic_after_timestamp(self, tmp_path):
         records = run_sweep(SMALL)
