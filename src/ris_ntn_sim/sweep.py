@@ -108,11 +108,13 @@ class SweepRecords:
     trial r, then 'mean', then 'stderr'. Its four float64 values sit at bytes
     [32 i, 32 i + 32). The final size is known at construction, so the spool
     is in memory up to _SPOOL_MEMORY_BYTES and a temporary file beyond. Trial
-    seeds are derived again on read. The records can be iterated front to
-    back any number of times, _csv.BATCH_ROWS rows read at a time, as
-    emit_csv reads them; close() releases the spool, and they cannot be read
-    after it. cfg is the config the sweep ran, whose cells the records hold
-    and which emit_csv echoes.
+    seeds are derived again on read. The constructor is the spool's only
+    writer; every read after it takes its rows at their absolute offset, so
+    the records can be iterated front to back any number of times, and
+    iterated and emitted from several threads at once, _csv.BATCH_ROWS rows
+    read at a time, as emit_csv reads them. close() releases the spool;
+    iterating or emitting after it raises ValueError. cfg is the config the
+    sweep ran, whose cells the records hold and which emit_csv echoes.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -156,6 +158,7 @@ class SweepRecords:
                 moments.add(values)
                 write(values, start)
             write(np.stack([moments.mean, moments.stderr()], axis=1), cfg.trials)
+            spool.flush()  # os.pread reads only what reached the file
         except BaseException:
             self.close()
             raise
@@ -177,21 +180,18 @@ class SweepRecords:
 
         A cell's 'mean' and 'stderr' rows have trial -2 and -1, and the run seed.
         """
+        period, spool = self.cfg.trials + 2, self._spool
         for start in range(0, len(self), max_rows):
-            cells, trials, seeds = self._columns(start, min(len(self), start + max_rows))
-            self._spool.seek(32 * start)
-            values = np.frombuffer(self._spool.read(32 * len(cells)), dtype=np.float64)
-            yield cells, trials, values.reshape(-1, 4), seeds
-
-    def _columns(self, start: int, stop: int):
-        """(cell, trial, seed) columns of rows start .. stop - 1, as _rows gives them."""
-        period = self.cfg.trials + 2
-        cells, trials = np.divmod(np.arange(start, stop), period)
-        seeds = np.full(len(cells), self.cfg.seed, dtype=np.uint64)
-        trial_rows = trials < self.cfg.trials
-        seeds[trial_rows] = _trial_seeds(self.cfg.seed, trials[trial_rows])
-        trials[~trial_rows] -= period
-        return cells, trials, seeds
+            stop = min(len(self), start + max_rows)
+            # a copy: an array on the buffer itself would keep it exported, and close() would fail
+            data = (spool.getbuffer()[32 * start:32 * stop].tobytes() if isinstance(spool, io.BytesIO)
+                    else os.pread(spool.fileno(), 32 * (stop - start), 32 * start))
+            cells, trials = np.divmod(np.arange(start, stop), period)
+            seeds = np.full(len(cells), self.cfg.seed, dtype=np.uint64)
+            trial_rows = trials < self.cfg.trials
+            seeds[trial_rows] = _trial_seeds(self.cfg.seed, trials[trial_rows])
+            trials[~trial_rows] -= period
+            yield cells, trials, np.frombuffer(data, dtype=np.float64).reshape(-1, 4), seeds
 
     def close(self) -> None:
         self._release()
@@ -308,7 +308,7 @@ def emit_csv(records: SweepRecords, destination) -> int:
             period = records.cfg.trials + 2
             # a row's trial and seed texts depend only on its position in its cell:
             # where a cell fits in a batch, those of cell 0 serve the whole sweep
-            texts = (functools.cache(lambda: _csv.row_texts(*records._columns(0, period)[1:]))
+            texts = (functools.cache(lambda: _csv.row_texts(*next(records._rows(period))[1::2]))
                      if period <= _csv.BATCH_ROWS else None)
             for cells, trials, values, seeds in records._rows(_csv.BATCH_ROWS):
                 out.write(_csv.format_batch(heads, cells, trials, values, seeds, texts))

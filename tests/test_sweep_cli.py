@@ -2,6 +2,7 @@
 
 import argparse
 import functools
+import io
 import itertools
 import logging
 import math
@@ -9,6 +10,7 @@ import os
 import re
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -109,6 +111,21 @@ class TestRunSweep:
         with pytest.raises(SimulatorError, match="non-finite link metrics"):
             SweepRecords(SMALL)
         assert len(opened) == 1 and opened[0].closed
+
+    @pytest.mark.parametrize("memory_bytes", [sweep._SPOOL_MEMORY_BYTES, 0], ids=["memory", "file"])
+    def test_closed_records_cannot_be_read(self, tmp_path, monkeypatch, memory_bytes):
+        monkeypatch.setattr(sweep, "_SPOOL_MEMORY_BYTES", memory_bytes)
+        records = run_sweep(SMALL)
+        reading = iter(records)
+        next(reading)
+        # no row read before close() holds on to the spool
+        records.close()
+        with pytest.raises(ValueError):
+            list(records)
+        with pytest.raises(ValueError):
+            emit_csv(records, tmp_path / "run.csv")
+        # no CSV, no sidecar and no temporary
+        assert list(tmp_path.iterdir()) == []
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
         a = csv_bytes(tmp_path, run_sweep(SMALL), "a.csv")
@@ -665,6 +682,54 @@ class TestEmitCsv:
                     assert tail(_metadata_path(path)) in sidecars
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("memory_bytes", [sweep._SPOOL_MEMORY_BYTES, 2**10], ids=["memory", "file"])
+    def test_threads_iterate_and_emit_one_records_object(self, tmp_path, monkeypatch, memory_bytes):
+        # every spool read first yields the thread, so a read that relies on a file
+        # position finds it moved by the other thread
+        class YieldingBytesIO(io.BytesIO):
+            def read(self, *args):
+                time.sleep(0)
+                return super().read(*args)
+
+            def getbuffer(self):
+                time.sleep(0)
+                return super().getbuffer()
+
+        class YieldingFile:
+            def __init__(self):
+                self._file = temporary_file()
+
+            def __getattr__(self, name):
+                return getattr(self._file, name)
+
+            def read(self, *args):
+                time.sleep(0)
+                return self._file.read(*args)
+
+            def fileno(self):
+                time.sleep(0)
+                return self._file.fileno()
+
+        temporary_file = sweep.tempfile.TemporaryFile
+        monkeypatch.setattr(sweep, "_SPOOL_MEMORY_BYTES", memory_bytes)
+        monkeypatch.setattr(sweep.io, "BytesIO", YieldingBytesIO)
+        monkeypatch.setattr(sweep.tempfile, "TemporaryFile", YieldingFile)
+        # 4 cells of 502 rows: three batches, the first two straddling cells
+        records = run_sweep(SimConfig(trials=500, elements_sweep=(4, 8), seed=4))
+        spool = YieldingFile if memory_bytes < 32 * len(records) else YieldingBytesIO
+        assert isinstance(records._spool, spool)
+        alone, rows = csv_bytes(tmp_path, records, "alone.csv"), list(records)
+        start = threading.Barrier(2)
+
+        def read(name):
+            start.wait(timeout=10)
+            return list(records), csv_bytes(tmp_path, records, name)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(10):
+                futures = [pool.submit(read, f"{i}.csv") for i in range(2)]
+                assert [f.result(timeout=60) for f in futures] == [(rows, alone)] * 2
 
     def test_metadata_deterministic_after_timestamp(self, tmp_path):
         records = run_sweep(SMALL)
