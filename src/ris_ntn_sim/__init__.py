@@ -1,22 +1,33 @@
 """Simulator and phase-shift optimizer for a relay-surface-assisted satellite downlink."""
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"
 
-from .channel_model import (
-    KA_BAND_HZ,
-    SPEED_OF_LIGHT,
-    ChannelSet,
-    FadingSpec,
-    LinkGeometry,
-    fspl_amplitude,
-    generate_channels,
-    path_loss_db,
-)
-from .config import SimConfig, build_geometry, dbm_to_watts, format_config, link_columns, parse_config
+import importlib
+
+from .config import (KA_BAND_HZ, SPEED_OF_LIGHT, Architecture, FadingSpec, LinkGeometry, SimConfig, build_geometry,
+                     dbm_to_watts, format_config, fspl_amplitude, link_columns, parse_config, path_loss_db)
 from .errors import ConfigError, ConstraintViolated, InvalidInput, SimulatorError
-from .phase_optimizer import (UNIT_TOLERANCE, Architecture, OptimizeResult, PhaseShiftMatrix, optimize,
-                              validate)
-from .sweep import CSV_HEADER, SweepRecord, SweepRecords, emit_csv, run_sweep
+
+# The numeric names, by the module that defines them. Each module, and numpy with it, loads on
+# the first access to one of its names (PEP 562), so building and checking configs loads no numpy.
+_LAZY = {
+    **dict.fromkeys(("ChannelSet", "generate_channels"), "channel_model"),
+    **dict.fromkeys(("UNIT_TOLERANCE", "OptimizeResult", "PhaseShiftMatrix", "optimize", "validate"),
+                    "phase_optimizer"),
+    **dict.fromkeys(("CSV_HEADER", "SweepRecord", "SweepRecords", "emit_csv", "run_sweep"), "sweep"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "__version__",

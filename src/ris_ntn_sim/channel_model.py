@@ -11,22 +11,19 @@ of two keys against known values, failing closed on any difference, before
 it resets the generator to each seed's key for its chunk of seeds. No
 generator outlives its call, so every later draw checks again and draws on
 several threads share nothing. The sweep works on their powers and the real
-hop magnitudes (hop_magnitudes), and generate_channels, the one complex draw,
+hop magnitudes (config.hop_magnitudes), and generate_channels, the one complex draw,
 multiplies one seed's fades by the complex hop amplitudes (channel_set) into
 a ChannelSet, the type of one channel realization.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidInput, SimulatorError, checked_args, exact_int, finite_float, linear_from_db,
-                     number_array, positive_float)
-
-SPEED_OF_LIGHT = 299_792_458.0  # m/s
-KA_BAND_HZ = (17.7e9, 19.7e9)
+from .config import SPEED_OF_LIGHT, FadingSpec, LinkGeometry, hop_magnitudes
+from .errors import InvalidInput, SimulatorError, checked_args, exact_int, number_array
 
 _MASK64 = (1 << 64) - 1
 
@@ -35,62 +32,6 @@ _KNOWN_NORMALS = {
     (0, 0): (0.15929546600623282, -1.7741885208017214, 1.3265118818830892, 1.2048090979493156),
     (_MASK64, 0): (-2.7686715823603945, 1.6779206516595908, -0.45223270389849135, 2.5150349369881924),
 }
-
-
-def fspl_amplitude(distance_m: float, freq_hz: float) -> float:
-    """Free-space amplitude gain lambda / (4 pi d) of one hop.
-
-    Raises InvalidInput unless the inputs (positive_float) and the gain are finite and positive.
-    """
-    distance_m, freq_hz = checked_args(positive_float, distance_m=distance_m, freq_hz=freq_hz)
-    product = 4.0 * math.pi * distance_m * freq_hz  # may underflow to zero or overflow
-    amplitude = SPEED_OF_LIGHT / product if product > 0 else math.inf
-    if not 0 < amplitude < math.inf:
-        raise InvalidInput(f"gain at {distance_m} m and {freq_hz} Hz is {amplitude}, "
-                           "not finite and positive")
-    return amplitude
-
-
-def path_loss_db(distance_m: float, freq_hz: float) -> float:
-    """One-hop free-space power loss in dB, 20*log10(4 pi d f / c)."""
-    return -20.0 * math.log10(fspl_amplitude(distance_m, freq_hz))
-
-
-@dataclass(frozen=True)
-class LinkGeometry:
-    """The vertical satellite stack: satellite, relay surface and terminal co-vertical.
-
-    Two altitudes and a carrier fix it, stored as finite Python floats
-    (finite_float, else InvalidInput). The direct distance is the satellite
-    altitude, satellite to surface the altitude difference, and surface to
-    terminal the platform altitude.
-    """
-
-    leo_altitude_m: float
-    haps_altitude_m: float
-    carrier_hz: float
-
-    def __post_init__(self):
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        for name, value in zip(values, checked_args(finite_float, **values)):
-            object.__setattr__(self, name, value)
-        if not self.leo_altitude_m > self.haps_altitude_m > 0:
-            raise InvalidInput(f"need leo_altitude_m > haps_altitude_m > 0, "
-                               f"got {self.leo_altitude_m} and {self.haps_altitude_m}")
-        if not self.carrier_hz > 0:
-            raise InvalidInput(f"carrier_hz must be positive, got {self.carrier_hz}")
-
-    @property
-    def d_direct_m(self) -> float:
-        return self.leo_altitude_m
-
-    @property
-    def d_leo_ris_m(self) -> float:
-        return self.leo_altitude_m - self.haps_altitude_m
-
-    @property
-    def d_ris_ut_m(self) -> float:
-        return self.haps_altitude_m
 
 
 @dataclass(frozen=True)
@@ -129,33 +70,6 @@ class ChannelSet:
     @property
     def elements(self) -> int:
         return int(self.h.size)
-
-
-FADING_MODELS = ("pure_los", "rician")
-
-
-@dataclass(frozen=True)
-class FadingSpec:
-    """Per-element small-scale fading model, normalized to unit mean power.
-
-    A Rician fade with linear factor k is sqrt(k/(k+1)) plus sqrt(1/(k+1))
-    times a standard complex Gaussian, so E|fade|^2 = 1 for any k. With one
-    antenna at each end no output depends on the phase of the line-of-sight
-    term, and the envelope's law does not either (Rice), so it is zero.
-    k_factor_db is stored as a finite Python float; a bool, a non-real or a
-    non-finite value, or one whose linear factor 10 ** (k / 10) overflows, is
-    an InvalidInput, as is an unknown model.
-    """
-
-    model: str = "rician"
-    k_factor_db: float = 10.0
-
-    def __post_init__(self):
-        if self.model not in FADING_MODELS:
-            raise InvalidInput(f"unknown fading model {self.model!r} (expected {FADING_MODELS})")
-        k = checked_args(finite_float, k_factor_db=self.k_factor_db)[0]
-        checked_args(lambda k: linear_from_db(k, 10.0), k_factor_db=k)  # draw_fades' linear factor
-        object.__setattr__(self, "k_factor_db", k)
 
 
 def _generator() -> np.random.Generator:
@@ -204,29 +118,6 @@ def draw_fades(fading: FadingSpec, elements: int, seeds) -> np.ndarray:
     fades *= math.sqrt(0.5 / (k_lin + 1.0))
     fades[..., 0] += math.sqrt(k_lin / (k_lin + 1.0))
     return fades
-
-
-def hop_magnitudes(geom: LinkGeometry, *, tx_gain_dbi: float = 0.0,
-                   ris_element_gain_dbi: float = 0.0, rx_gain_dbi: float = 0.0,
-                   direct_blocked: bool = False) -> tuple[float, float, float]:
-    """(a_d, a_h, a_g): free-space gain times end antenna gains of each hop, a_d = 0 if blocked.
-
-    The hops are direct, satellite-to-surface and surface-to-terminal.
-    Raises InvalidInput for a gain that is not finite_float, or whose linear
-    value 10 ** (gain / 20) or a hop's product of two of them overflows.
-    """
-    tx, ris, rx = checked_args(lambda dbi: linear_from_db(dbi, 20.0), tx_gain_dbi=tx_gain_dbi,
-                               ris_element_gain_dbi=ris_element_gain_dbi, rx_gain_dbi=rx_gain_dbi)
-    for a, b, product in (("tx_gain_dbi", "ris_element_gain_dbi", tx * ris),
-                          ("ris_element_gain_dbi", "rx_gain_dbi", ris * rx),
-                          ("tx_gain_dbi", "rx_gain_dbi", tx * rx)):
-        if not math.isfinite(product):
-            raise InvalidInput(f"{a} and {b}: 10 ** ({a} / 20) * 10 ** ({b} / 20), a hop's gain, "
-                               "overflows a float")
-    f = geom.carrier_hz
-    a_d = 0.0 if direct_blocked else tx * rx * fspl_amplitude(geom.d_direct_m, f)
-    return (a_d, tx * ris * fspl_amplitude(geom.d_leo_ris_m, f),
-            ris * rx * fspl_amplitude(geom.d_ris_ut_m, f))
 
 
 def channel_set(geom: LinkGeometry, fades: np.ndarray,

@@ -7,10 +7,17 @@ import functools
 import sys
 from pathlib import Path
 
-from .channel_model import path_loss_db
-from .config import _PARSERS, SimConfig, _parse_keys, format_config
+from .config import _PARSERS, SimConfig, _parse_keys, format_config, path_loss_db
 from .errors import ConfigError, SimulatorError
-from .sweep import emit_csv, run_sweep
+
+
+def __getattr__(name: str):
+    # the sweep, and numpy with it, loads on first use, so validate and budget start without it
+    if name not in ("emit_csv", "run_sweep"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import sweep
+    value = globals()[name] = getattr(sweep, name)
+    return value
 
 
 def _load_config(path: Path | None, **overrides) -> SimConfig:
@@ -27,8 +34,10 @@ def _cmd_sweep(args) -> int:
     # --arch is spelled as the file's value, and parsed by the same parser
     arch = None if args.arch is None else _PARSERS["architectures"]("architectures", args.arch)
     cfg = _load_config(args.config, trials=args.trials, seed=args.seed, architectures=arch)
-    with run_sweep(cfg) as records:
-        count = emit_csv(records, args.out)
+    # through the module, whose __getattr__ binds each name on first use, and which a tracer may rebind
+    cli = sys.modules[__name__]
+    with cli.run_sweep(cfg) as records:
+        count = cli.emit_csv(records, args.out)
     print(f"wrote {count} records to {args.out}")
     return 0
 

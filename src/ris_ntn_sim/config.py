@@ -3,23 +3,29 @@
 Config files are UTF-8 "key = value" lines with '#' comments. Unknown keys
 are hard errors so typos never silently fall back to defaults. A SimConfig
 checks its values and link budget once, so one that exists can be swept, and
-builds what run_sweep and link_columns (SNR, Shannon rate, energy efficiency) read.
+builds what run_sweep and link_columns (SNR, Shannon rate, energy efficiency) read,
+LinkGeometry, FadingSpec, Architecture and hop magnitudes included: all scalar
+arithmetic, so no numpy loads until link_columns is first called.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .channel_model import KA_BAND_HZ, FadingSpec, LinkGeometry, fspl_amplitude, hop_magnitudes
 from .errors import (ConfigError, InvalidInput, checked_args, exact_int, finite_float, linear_from_db,
                      number_array, positive_float)
-from .phase_optimizer import Architecture
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
+
+SPEED_OF_LIGHT = 299_792_458.0  # m/s
+KA_BAND_HZ = (17.7e9, 19.7e9)
 
 # The sweep itself needs O(M) memory per trial, but any swept cell can be
 # inspected with phase_optimizer.optimize, which builds and validates the
@@ -39,6 +45,174 @@ LINK_BUDGET_KEYS = ("tx_power_dbm, bandwidth_hz, noise_psd_dbm_hz, static_power_
                     "rx_gain_dbi, direct_link and elements_sweep")
 
 _LN2 = math.log(2.0)
+
+
+def fspl_amplitude(distance_m: float, freq_hz: float) -> float:
+    """Free-space amplitude gain lambda / (4 pi d) of one hop.
+
+    Raises InvalidInput unless the inputs (positive_float) and the gain are finite and positive.
+    """
+    distance_m, freq_hz = checked_args(positive_float, distance_m=distance_m, freq_hz=freq_hz)
+    product = 4.0 * math.pi * distance_m * freq_hz  # may underflow to zero or overflow
+    amplitude = SPEED_OF_LIGHT / product if product > 0 else math.inf
+    if not 0 < amplitude < math.inf:
+        raise InvalidInput(f"gain at {distance_m} m and {freq_hz} Hz is {amplitude}, "
+                           "not finite and positive")
+    return amplitude
+
+
+def path_loss_db(distance_m: float, freq_hz: float) -> float:
+    """One-hop free-space power loss in dB, 20*log10(4 pi d f / c)."""
+    return -20.0 * math.log10(fspl_amplitude(distance_m, freq_hz))
+
+
+@dataclass(frozen=True)
+class LinkGeometry:
+    """The vertical satellite stack: satellite, relay surface and terminal co-vertical.
+
+    Two altitudes and a carrier fix it, stored as finite Python floats
+    (finite_float, else InvalidInput). The direct distance is the satellite
+    altitude, satellite to surface the altitude difference, and surface to
+    terminal the platform altitude.
+    """
+
+    leo_altitude_m: float
+    haps_altitude_m: float
+    carrier_hz: float
+
+    def __post_init__(self):
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, value in zip(values, checked_args(finite_float, **values)):
+            object.__setattr__(self, name, value)
+        if not self.leo_altitude_m > self.haps_altitude_m > 0:
+            raise InvalidInput(f"need leo_altitude_m > haps_altitude_m > 0, "
+                               f"got {self.leo_altitude_m} and {self.haps_altitude_m}")
+        if not self.carrier_hz > 0:
+            raise InvalidInput(f"carrier_hz must be positive, got {self.carrier_hz}")
+
+    @property
+    def d_direct_m(self) -> float:
+        return self.leo_altitude_m
+
+    @property
+    def d_leo_ris_m(self) -> float:
+        return self.leo_altitude_m - self.haps_altitude_m
+
+    @property
+    def d_ris_ut_m(self) -> float:
+        return self.haps_altitude_m
+
+
+FADING_MODELS = ("pure_los", "rician")
+
+
+@dataclass(frozen=True)
+class FadingSpec:
+    """Per-element small-scale fading model, normalized to unit mean power.
+
+    A Rician fade with linear factor k is sqrt(k/(k+1)) plus sqrt(1/(k+1))
+    times a standard complex Gaussian, so E|fade|^2 = 1 for any k. With one
+    antenna at each end no output depends on the phase of the line-of-sight
+    term, and the envelope's law does not either (Rice), so it is zero.
+    k_factor_db is stored as a finite Python float; a bool, a non-real or a
+    non-finite value, or one whose linear factor 10 ** (k / 10) overflows, is
+    an InvalidInput, as is an unknown model.
+    """
+
+    model: str = "rician"
+    k_factor_db: float = 10.0
+
+    def __post_init__(self):
+        if self.model not in FADING_MODELS:
+            raise InvalidInput(f"unknown fading model {self.model!r} (expected {FADING_MODELS})")
+        k = checked_args(finite_float, k_factor_db=self.k_factor_db)[0]
+        checked_args(lambda k: linear_from_db(k, 10.0), k_factor_db=k)  # draw_fades' linear factor
+        object.__setattr__(self, "k_factor_db", k)
+
+
+def hop_magnitudes(geom: LinkGeometry, *, tx_gain_dbi: float = 0.0,
+                   ris_element_gain_dbi: float = 0.0, rx_gain_dbi: float = 0.0,
+                   direct_blocked: bool = False) -> tuple[float, float, float]:
+    """(a_d, a_h, a_g): free-space gain times end antenna gains of each hop, a_d = 0 if blocked.
+
+    The hops are direct, satellite-to-surface and surface-to-terminal.
+    Raises InvalidInput for a gain that is not finite_float, or whose linear
+    value 10 ** (gain / 20) or a hop's product of two of them overflows.
+    """
+    tx, ris, rx = checked_args(lambda dbi: linear_from_db(dbi, 20.0), tx_gain_dbi=tx_gain_dbi,
+                               ris_element_gain_dbi=ris_element_gain_dbi, rx_gain_dbi=rx_gain_dbi)
+    for a, b, product in (("tx_gain_dbi", "ris_element_gain_dbi", tx * ris),
+                          ("ris_element_gain_dbi", "rx_gain_dbi", ris * rx),
+                          ("tx_gain_dbi", "rx_gain_dbi", tx * rx)):
+        if not math.isfinite(product):
+            raise InvalidInput(f"{a} and {b}: 10 ** ({a} / 20) * 10 ** ({b} / 20), a hop's gain, "
+                               "overflows a float")
+    f = geom.carrier_hz
+    a_d = 0.0 if direct_blocked else tx * rx * fspl_amplitude(geom.d_direct_m, f)
+    return (a_d, tx * ris * fspl_amplitude(geom.d_leo_ris_m, f),
+            ris * rx * fspl_amplitude(geom.d_ris_ut_m, f))
+
+
+@dataclass(frozen=True)
+class Architecture:
+    """Element interconnection topology of the surface."""
+
+    kind: str  # "sc" | "fc" | "gc"
+    groups: int | None = None  # group count, "gc" only
+
+    def __post_init__(self):
+        if self.kind not in ("sc", "fc", "gc"):
+            raise InvalidInput(f"unknown architecture kind {self.kind!r}")
+        if self.kind == "gc":
+            try:
+                groups = exact_int(self.groups)
+            except ValueError:
+                groups = 0
+            if groups < 1:
+                raise InvalidInput("group-connected architecture needs a positive integer group count")
+            object.__setattr__(self, "groups", groups)
+        elif self.groups is not None:
+            raise InvalidInput(f"architecture {self.kind!r} takes no group count")
+
+    @classmethod
+    def from_label(cls, label: str) -> "Architecture":
+        """Parse a textual label: "sc", "fc" or "gc:U", spelled as label gives it back."""
+        if not isinstance(label, str):
+            raise InvalidInput(f"architecture label must be a string, got {type(label).__name__}")
+        text = label.strip()
+        if text in ("sc", "fc"):
+            return cls(text)
+        if text.startswith("gc:"):
+            count = text[3:]
+            # no sign, space, underscore or leading zero: one spelling per architecture
+            if not (count.isascii() and count.isdigit() and count == str(int(count))):
+                raise InvalidInput(f"bad group count in architecture label {label!r}")
+            return cls("gc", int(count))
+        raise InvalidInput(f"unknown architecture label {label!r} (expected sc, fc or gc:U)")
+
+    @property
+    def label(self) -> str:
+        if self.kind == "gc":
+            return f"gc:{self.groups}"
+        return self.kind
+
+    def block_size(self, elements: int) -> int:
+        """Side length of the unitary blocks for a surface with this many elements.
+
+        InvalidInput unless elements is a positive exact_int integer that the group count divides.
+        """
+        elements = checked_args(exact_int, elements=elements)[0]
+        if elements < 1:
+            raise InvalidInput(f"element count must be positive, got {elements}")
+        if self.kind == "sc":
+            return 1
+        if self.kind == "fc":
+            return elements
+        if elements % self.groups:
+            raise InvalidInput(
+                f"group count {self.groups} does not divide element count {elements}"
+            )
+        return elements // self.groups
 
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -196,18 +370,18 @@ class SimConfig:
         # multiplied by FADE_HEADROOM, must give finite link metrics, which grow with it, and SNR > 0
         a_d, a_h, a_g = self.magnitudes
         swept = (min(self.elements_sweep), max(self.elements_sweep))
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            unfaded = np.array(swept) * a_g * a_h + a_d
-            values = link_columns(unfaded * [1.0 / FADE_HEADROOM, FADE_HEADROOM], self)
-        if not np.isfinite(values).all():
-            raise ConfigError(f"unfaded |h_eff| is {unfaded.tolist()} at {list(swept)} elements, "
+        unfaded = [m * a_g * a_h + a_d for m in swept]
+        values = (*_link_values(unfaded[0] * (1.0 / FADE_HEADROOM), self),
+                  *_link_values(unfaded[1] * FADE_HEADROOM, self))
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"unfaded |h_eff| is {unfaded} at {list(swept)} elements, "
                               f"and fades may scale it by {FADE_HEADROOM:g} either way: link "
                               f"metrics would not be finite; check {LINK_BUDGET_KEYS}")
         # trial 0's certificate sums up to M squared entries of a_h and a_g, and squares a_d if
         # clear; the moments' squared deviations sum to at most 4 trials times the largest squared
         squares = [a * a for a in self.magnitudes[self.direct_link == "blocked":]]
-        largest = float(np.abs(values).max())
-        if not (all(np.finfo(float).tiny <= s / FADE_HEADROOM <= s * FADE_HEADROOM * swept[1] < math.inf
+        largest = max(map(abs, values))
+        if not (all(sys.float_info.min <= s / FADE_HEADROOM <= s * FADE_HEADROOM * swept[1] < math.inf
                     for s in squares) and 4.0 * self.trials * largest * largest < math.inf):
             raise ConfigError(f"squares of hop magnitudes {squares} or of link metrics up to {largest:g} "
                               f"would leave the normal floats; check {LINK_BUDGET_KEYS}")
@@ -218,6 +392,16 @@ class SimConfig:
         if not KA_BAND_HZ[0] <= self.carrier_hz <= KA_BAND_HZ[1]:
             logger.warning("carrier %.6g Hz is outside the Ka band %.4g-%.4g Hz",
                            self.carrier_hz, *KA_BAND_HZ)
+
+
+def _link_values(h: float, cfg: SimConfig) -> tuple[float, float, float, float]:
+    """link_columns of one gain h >= 0 in plain floats, in its operation order, for the budget gate.
+
+    h * h squares as numpy does, where float ** raises OverflowError, and log10(0) is -inf.
+    """
+    snr = cfg.tx_power_w * (h * h) / cfg.noise_power_w
+    rate = cfg.bandwidth_hz * math.log1p(snr) / _LN2
+    return h, 10.0 * math.log10(snr) if snr else -math.inf, rate, rate / (cfg.tx_power_w + cfg.static_power_w)
 
 
 def _sim_config(cfg) -> SimConfig:
@@ -242,6 +426,7 @@ def link_columns(h_eff, cfg) -> np.ndarray:
     and the energy efficiency the rate divided by the consumed power
     P_tx + static_power_w.
     """
+    import numpy as np  # loaded on first use, so building and checking a config loads no numpy
     power_w = _sim_config(cfg).tx_power_w + cfg.static_power_w
     h_eff = checked_args(number_array, h_eff=h_eff)[0]
     # in float64: an integer or narrow float would overflow or wrap in the square

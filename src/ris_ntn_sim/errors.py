@@ -3,8 +3,10 @@
 import math
 import numbers
 import operator
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SimulatorError(Exception):
@@ -63,11 +65,12 @@ def finite_float(value) -> float:
     return value
 
 
-def number_array(value) -> np.ndarray:
+def number_array(value) -> "np.ndarray":
     """np.asarray(value) if it is a rectangular array of integers, floats or complex numbers.
 
     A ragged, bool, text or object array raises ValueError, whose message follows the field's name.
     """
+    import numpy as np  # loaded on first use, so checking scalars loads no numpy
     try:
         array = np.asarray(value)
     except ValueError:  # numpy's inhomogeneous-shape error

@@ -32,73 +32,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel_model import ChannelSet
-from .errors import ConstraintViolated, InvalidInput, checked_args, exact_int, number_array
+from .config import Architecture
+from .errors import ConstraintViolated, InvalidInput, checked_args, number_array
 
 # Feasibility tolerance in max-norm. Double-precision construction lands
 # around 1e-15; the headroom absorbs accumulated rounding.
 UNIT_TOLERANCE = 1e-10
-
-
-@dataclass(frozen=True)
-class Architecture:
-    """Element interconnection topology of the surface."""
-
-    kind: str  # "sc" | "fc" | "gc"
-    groups: int | None = None  # group count, "gc" only
-
-    def __post_init__(self):
-        if self.kind not in ("sc", "fc", "gc"):
-            raise InvalidInput(f"unknown architecture kind {self.kind!r}")
-        if self.kind == "gc":
-            try:
-                groups = exact_int(self.groups)
-            except ValueError:
-                groups = 0
-            if groups < 1:
-                raise InvalidInput("group-connected architecture needs a positive integer group count")
-            object.__setattr__(self, "groups", groups)
-        elif self.groups is not None:
-            raise InvalidInput(f"architecture {self.kind!r} takes no group count")
-
-    @classmethod
-    def from_label(cls, label: str) -> "Architecture":
-        """Parse a textual label: "sc", "fc" or "gc:U", spelled as label gives it back."""
-        if not isinstance(label, str):
-            raise InvalidInput(f"architecture label must be a string, got {type(label).__name__}")
-        text = label.strip()
-        if text in ("sc", "fc"):
-            return cls(text)
-        if text.startswith("gc:"):
-            count = text[3:]
-            # no sign, space, underscore or leading zero: one spelling per architecture
-            if not (count.isascii() and count.isdigit() and count == str(int(count))):
-                raise InvalidInput(f"bad group count in architecture label {label!r}")
-            return cls("gc", int(count))
-        raise InvalidInput(f"unknown architecture label {label!r} (expected sc, fc or gc:U)")
-
-    @property
-    def label(self) -> str:
-        if self.kind == "gc":
-            return f"gc:{self.groups}"
-        return self.kind
-
-    def block_size(self, elements: int) -> int:
-        """Side length of the unitary blocks for a surface with this many elements.
-
-        InvalidInput unless elements is a positive exact_int integer that the group count divides.
-        """
-        elements = checked_args(exact_int, elements=elements)[0]
-        if elements < 1:
-            raise InvalidInput(f"element count must be positive, got {elements}")
-        if self.kind == "sc":
-            return 1
-        if self.kind == "fc":
-            return elements
-        if elements % self.groups:
-            raise InvalidInput(
-                f"group count {self.groups} does not divide element count {elements}"
-            )
-        return elements // self.groups
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,19 @@
 """Config parsing: defaults, overrides, and typo rejection."""
 
 import math
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
-from ris_ntn_sim import (Architecture, ConfigError, SimConfig, build_geometry, dbm_to_watts, emit_csv,
-                         format_config, parse_config, run_sweep)
-from ris_ntn_sim.channel_model import hop_magnitudes
-from ris_ntn_sim.config import LINK_BUDGET_KEYS, MAX_TRIALS
+from ris_ntn_sim import (Architecture, ConfigError, InvalidInput, SimConfig, build_geometry, dbm_to_watts,
+                         emit_csv, format_config, link_columns, parse_config, run_sweep)
+from ris_ntn_sim.config import FADE_HEADROOM, LINK_BUDGET_KEYS, MAX_TRIALS, hop_magnitudes
 
 
 class TestDefaults:
@@ -372,6 +374,89 @@ class TestLinkBudget:
         SimConfig(trials=1, **keys)
         with pytest.raises(ConfigError, match="or of link metrics up to 4.1484e\\+149 "):
             SimConfig(trials=MAX_TRIALS, **keys)
+
+
+def numpy_budget_verdict(keys: dict) -> str:
+    """The link-budget verdict on keys, recomputed through numpy's link_columns.
+
+    "other" for a config refused before the link budget, "finite" for link
+    metrics that would not be finite, "normal" for squares that would leave
+    the normal floats, and "accepted".
+    """
+    gains = {key: keys[key] for key in ("tx_gain_dbi", "ris_element_gain_dbi", "rx_gain_dbi")}
+    try:
+        a_d, a_h, a_g = hop_magnitudes(SimConfig().geometry, **gains,
+                                       direct_blocked=keys["direct_link"] == "blocked")
+        powers = {"tx_power_w": dbm_to_watts(keys["tx_power_dbm"]),
+                  "noise_power_w": dbm_to_watts(keys["noise_psd_dbm_hz"] + 10.0 * math.log10(keys["bandwidth_hz"]))}
+    except InvalidInput:
+        return "other"
+    if not all(watts > 0 for watts in powers.values()):
+        return "other"
+    # link_columns takes only a SimConfig, and reads these four attributes of it
+    budget = object.__new__(SimConfig)
+    for name, value in {**powers, "bandwidth_hz": keys["bandwidth_hz"],
+                        "static_power_w": keys["static_power_w"]}.items():
+        object.__setattr__(budget, name, value)
+    swept = np.array([min(keys["elements_sweep"]), max(keys["elements_sweep"])])
+    with np.errstate(all="ignore"):
+        values = link_columns((swept * a_g * a_h + a_d) * [1.0 / FADE_HEADROOM, FADE_HEADROOM], budget)
+    if not np.isfinite(values).all():
+        return "finite"
+    squares = [a * a for a in ((a_h, a_g) if keys["direct_link"] == "blocked" else (a_d, a_h, a_g))]
+    largest = float(np.abs(values).max())
+    if not (all(np.finfo(float).tiny <= s / FADE_HEADROOM <= s * FADE_HEADROOM * float(swept[1]) < math.inf
+                for s in squares) and 4.0 * keys["trials"] * largest * largest < math.inf):
+        return "normal"
+    return "accepted"
+
+
+def sim_config_verdict(keys: dict) -> str:
+    try:
+        SimConfig(**keys)
+    except ConfigError as exc:
+        text = str(exc)
+        return ("finite" if "link metrics would not be finite" in text
+                else "normal" if "would leave the normal floats" in text else "other")
+    return "accepted"
+
+
+def decibels(usual: tuple[float, float], edges: tuple[float, float]):
+    """A level in dB: a usual one, or one anywhere up to where its linear value leaves the floats."""
+    return st.one_of(st.floats(*usual), st.floats(*edges))
+
+
+BUDGET_KEYS = st.fixed_dictionaries({
+    "tx_power_dbm": decibels((-60.0, 80.0), (-3300.0, 3200.0)),
+    "noise_psd_dbm_hz": decibels((-200.0, -100.0), (-3300.0, 3200.0)),
+    "bandwidth_hz": st.one_of(st.floats(1e3, 1e10), st.floats(sys.float_info.min * sys.float_info.epsilon,
+                                                              sys.float_info.max)),
+    "static_power_w": st.one_of(st.just(0.0), st.floats(0.0, sys.float_info.max)),
+    **dict.fromkeys(("tx_gain_dbi", "ris_element_gain_dbi", "rx_gain_dbi"),
+                    decibels((-60.0, 60.0), (-6400.0, 6400.0))),
+    "elements_sweep": st.lists(st.integers(1, 4096), min_size=1, max_size=3, unique=True).map(tuple),
+    "direct_link": st.sampled_from(("blocked", "clear")),
+    "trials": st.sampled_from((1, 1000, MAX_TRIALS)),
+})
+
+
+USUAL_BUDGET = {"tx_power_dbm": 50.0, "noise_psd_dbm_hz": -170.0, "bandwidth_hz": 2e7, "static_power_w": 0.0,
+                "tx_gain_dbi": 0.0, "ris_element_gain_dbi": 0.0, "rx_gain_dbi": 0.0, "elements_sweep": (4,),
+                "direct_link": "blocked", "trials": 1}
+
+
+@seed(1729)
+@settings(max_examples=500, deadline=None)
+@given(BUDGET_KEYS)
+# the energy efficiency would overflow at a transmit power of 1e-303 W, but not once 1 W of
+# static power is added to it
+@example({**USUAL_BUDGET, "tx_power_dbm": -3000.0, "tx_gain_dbi": 2800.0, "static_power_w": 1.0})
+# a_h squared over the headroom is subnormal: not zero, yet outside the normal floats
+@example({**USUAL_BUDGET, "tx_gain_dbi": -2780.0, "rx_gain_dbi": 2780.0})
+def test_the_float_gate_refuses_what_numpy_link_columns_refuses(keys):
+    # SimConfig checks its link budget in plain floats, so building one loads no numpy; its verdict
+    # is that of link_columns on the same unfaded gains, near every float edge of the budget's keys
+    assert sim_config_verdict(keys) == numpy_budget_verdict(keys)
 
 
 class TestBuiltAttributes:

@@ -279,7 +279,7 @@ def test_errors_is_a_leaf_module():
 
 
 # The package's modules besides __init__ and the leaf _csv, in the one order they import in.
-IMPORT_ORDER = ("errors", "channel_model", "phase_optimizer", "config", "sweep", "cli")
+IMPORT_ORDER = ("errors", "config", "channel_model", "phase_optimizer", "sweep", "cli")
 
 
 def test_each_module_imports_only_the_modules_before_it():
@@ -301,20 +301,53 @@ def test_channel_model_does_not_know_the_config():
 
 
 def test_only_the_csv_formatter_is_imported_inside_a_function():
-    # an import inside a function can hide a cycle; _csv waits for its first use to keep
-    # the package's import fast
+    # an import inside a function can hide a cycle; _csv, and the sweep that the CLI binds in
+    # its module __getattr__, wait for their first use to keep startup fast
     late = [(path.stem, function, module) for path in sorted(SOURCE.glob("*.py"))
             for function, module in package_imports(path.stem)
-            if function is not None and module != "_csv"]
+            if function is not None and module != "_csv"
+            and (path.stem, function, module) != ("cli", "__getattr__", "sweep")]
     assert late == []
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """python with args, on this source tree, in a process of its own."""
+    paths = [str(SOURCE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
 
 
 def run_module(*args) -> subprocess.CompletedProcess:
     """python -m ris_ntn_sim.cli with args, on this source tree, in a process of its own."""
-    paths = [str(SOURCE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
-    return subprocess.run([sys.executable, "-m", "ris_ntn_sim.cli", *map(str, args)],
-                          capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
+    return run_python("-m", "ris_ntn_sim.cli", *args)
+
+
+# (what a fresh interpreter runs, whether it loads numpy): configs are scalar arithmetic, so only
+# a numeric name or a sweep loads it
+NUMPY_LOADS = {
+    "import": (["-c", "import ris_ntn_sim"], False),
+    "dir": (["-c", "import ris_ntn_sim\nassert set(ris_ntn_sim.__all__) <= set(dir(ris_ntn_sim))"], False),
+    "config": (["-c", "from ris_ntn_sim import build_geometry, format_config, parse_config\n"
+                      "cfg = parse_config('trials = 5\\narchitectures = sc, gc:2')\n"
+                      "build_geometry(cfg)\nformat_config(cfg)"], False),
+    "validate": (["-m", "ris_ntn_sim.cli", "validate", "--config", "{config}"], False),
+    "budget": (["-m", "ris_ntn_sim.cli", "budget", "--distance-m", "600e3", "--freq-hz", "19e9"], False),
+    "numeric-name": (["-c", "import ris_ntn_sim\nris_ntn_sim.run_sweep"], True),
+    "sweep": (["-m", "ris_ntn_sim.cli", "sweep", "--config", "{config}", "--out", "{out}"], True),
+}
+
+
+@pytest.mark.parametrize("args, loads", NUMPY_LOADS.values(), ids=NUMPY_LOADS)
+def test_only_numeric_work_loads_numpy(tmp_path, args, loads):
+    config = tmp_path / "run.cfg"
+    config.write_text("trials = 2\n")
+    args = [arg.format(config=config, out=tmp_path / "out.csv") for arg in args]
+    done = run_python("-X", "importtime", *args)  # each module's first import is a line on stderr
+    assert done.returncode == 0, done.stderr
+    imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "ris_ntn_sim.config" in imported
+    assert ("numpy" in imported) == loads
 
 
 def test_the_module_entry_point_validates_and_warns_once(tmp_path):
