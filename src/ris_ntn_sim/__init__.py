@@ -1,6 +1,6 @@
 """Simulator and phase-shift optimizer for a relay-surface-assisted satellite downlink."""
 
-__version__ = "0.22.0"
+__version__ = "0.23.0"
 
 import importlib
 

@@ -5,12 +5,12 @@ are hard errors so typos never silently fall back to defaults. A SimConfig
 checks its values and link budget once, so one that exists can be swept, and
 builds what run_sweep and link_columns (SNR, Shannon rate, energy efficiency) read,
 LinkGeometry, FadingSpec, Architecture and hop magnitudes included: all scalar
-arithmetic, so no numpy loads until link_columns is first called.
+arithmetic, so no numpy loads until link_columns is first called, and logging
+only with a config's first warning.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -21,8 +21,6 @@ from .errors import (ConfigError, InvalidInput, checked_args, exact_int, finite_
 
 if TYPE_CHECKING:
     import numpy as np
-
-logger = logging.getLogger(__name__)
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 KA_BAND_HZ = (17.7e9, 19.7e9)
@@ -371,8 +369,8 @@ class SimConfig:
         a_d, a_h, a_g = self.magnitudes
         swept = (min(self.elements_sweep), max(self.elements_sweep))
         unfaded = [m * a_g * a_h + a_d for m in swept]
-        values = (*_link_values(unfaded[0] * (1.0 / FADE_HEADROOM), self),
-                  *_link_values(unfaded[1] * FADE_HEADROOM, self))
+        values = (*_link(unfaded[0] * (1.0 / FADE_HEADROOM), self, math.log1p, _log10),
+                  *_link(unfaded[1] * FADE_HEADROOM, self, math.log1p, _log10))
         if not all(map(math.isfinite, values)):
             raise ConfigError(f"unfaded |h_eff| is {unfaded} at {list(swept)} elements, "
                               f"and fades may scale it by {FADE_HEADROOM:g} either way: link "
@@ -387,21 +385,33 @@ class SimConfig:
                               f"would leave the normal floats; check {LINK_BUDGET_KEYS}")
 
         # warned about only now, so a refused config logs nothing but its error
-        for label, m, exc in skipped:
-            logger.warning("skipping arch=%s elements=%d: %s", label, m, exc)
+        warnings = [("skipping arch=%s elements=%d: %s", label, m, exc) for label, m, exc in skipped]
         if not KA_BAND_HZ[0] <= self.carrier_hz <= KA_BAND_HZ[1]:
-            logger.warning("carrier %.6g Hz is outside the Ka band %.4g-%.4g Hz",
-                           self.carrier_hz, *KA_BAND_HZ)
+            warnings.append(("carrier %.6g Hz is outside the Ka band %.4g-%.4g Hz",
+                             self.carrier_hz, *KA_BAND_HZ))
+        if warnings:
+            import logging  # loaded on first use, so a config that warns of nothing never loads it
+            logger = logging.getLogger(__name__)
+            for warning in warnings:
+                logger.warning(*warning)
 
 
-def _link_values(h: float, cfg: SimConfig) -> tuple[float, float, float, float]:
-    """link_columns of one gain h >= 0 in plain floats, in its operation order, for the budget gate.
+def _link(h, cfg: SimConfig, log1p, log10) -> tuple:
+    """(h, snr_db, rate_bps, ee_bits_per_joule) of gains h >= 0: the link equations, in one order.
 
-    h * h squares as numpy does, where float ** raises OverflowError, and log10(0) is -inf.
+    The budget gate passes floats, math.log1p and _log10; link_columns float64
+    arrays and numpy's functions. h * h squares as numpy's ** 2 does, bit for
+    bit, where a float's ** 2 would raise OverflowError.
     """
     snr = cfg.tx_power_w * (h * h) / cfg.noise_power_w
-    rate = cfg.bandwidth_hz * math.log1p(snr) / _LN2
-    return h, 10.0 * math.log10(snr) if snr else -math.inf, rate, rate / (cfg.tx_power_w + cfg.static_power_w)
+    # log1p keeps precision in the deep-noise regime where SNR << eps
+    rate = cfg.bandwidth_hz * log1p(snr) / _LN2
+    return h, 10.0 * log10(snr), rate, rate / (cfg.tx_power_w + cfg.static_power_w)
+
+
+def _log10(x: float) -> float:
+    """math.log10(x), but -inf at 0, as numpy's is."""
+    return math.log10(x) if x else -math.inf
 
 
 def _sim_config(cfg) -> SimConfig:
@@ -427,16 +437,13 @@ def link_columns(h_eff, cfg) -> np.ndarray:
     P_tx + static_power_w.
     """
     import numpy as np  # loaded on first use, so building and checking a config loads no numpy
-    power_w = _sim_config(cfg).tx_power_w + cfg.static_power_w
+    cfg = _sim_config(cfg)
     h_eff = checked_args(number_array, h_eff=h_eff)[0]
     # in float64: an integer or narrow float would overflow or wrap in the square
     magnitude = np.abs(h_eff.astype(complex if h_eff.dtype.kind == "c" else float, copy=False))
-    snr = cfg.tx_power_w * magnitude ** 2 / cfg.noise_power_w
-    # log1p keeps precision in the deep-noise regime where SNR << eps
-    rate = cfg.bandwidth_hz * np.log1p(snr) / _LN2
     # a zero channel gives -inf dB, without numpy's divide-by-zero warning
     with np.errstate(divide="ignore"):
-        return np.stack([magnitude, 10.0 * np.log10(snr), rate, rate / power_w], axis=-1)
+        return np.stack(_link(magnitude, cfg, np.log1p, np.log10), axis=-1)
 
 
 def _parse_int(key: str, value: str) -> int:

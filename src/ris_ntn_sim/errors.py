@@ -1,7 +1,6 @@
 """Exception types shared across the simulator modules, and the checks of numeric inputs."""
 
 import math
-import numbers
 import operator
 from typing import TYPE_CHECKING
 
@@ -54,12 +53,14 @@ def finite_float(value) -> float:
 
     Anything else raises ValueError, whose message follows the field's name.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"must be a real number, got {type(value).__name__}")
-    try:
-        value = float(value)
-    except OverflowError:  # an int beyond the float range
-        value = math.inf
+    if type(value) is not float:
+        import numbers  # loaded on first use, so the floats a config holds never load it
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"must be a real number, got {type(value).__name__}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
     if not math.isfinite(value):
         raise ValueError("must be finite")
     return value

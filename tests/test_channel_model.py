@@ -363,6 +363,18 @@ class TestDrawFades:
         k = 10.0 ** 0.3
         assert abs(fades.mean() - math.sqrt(k / (k + 1.0))) <= 4.0 / math.sqrt(2 * (k + 1) * fades.size)
 
+    def test_fade_powers_are_uncorrelated_across_trials_hops_and_elements(self):
+        # the run seed, n and the 4/sqrt(n) bound were fixed before the first run; the seeds of
+        # trials t and t + 1 differ only in low bits
+        n = 20_000
+        fades = draw_fades(FadingSpec(), 2, _trial_seeds(42, np.arange(n + 1)))
+        power = (fades ** 2).sum(axis=-1)  # rows: direct link, element 0's two hops, element 1's
+        pairs = {"trial t and t + 1": (power[:-1, 1], power[1:, 1]),
+                 "the two hops of element 0": (power[:n, 1], power[:n, 2]),
+                 "elements 0 and 1": (power[:n, 1], power[:n, 3])}
+        correlations = {name: np.corrcoef(x, y)[0, 1] for name, (x, y) in pairs.items()}
+        assert all(abs(r) <= 4.0 / math.sqrt(n) for r in correlations.values()), correlations
+
 
 class TestFadingSpec:
     def test_rejects_unknown_model_and_non_finite_k(self):

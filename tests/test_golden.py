@@ -22,7 +22,7 @@ GOLDEN_CONFIG = SimConfig(trials=50, architectures=("sc", "fc", "gc:4"), seed=42
 GOLDEN_CSV_SHA256 = "0977ae3f19a81b7103ec6a86db1c72d12bb1d7c5e70e2a790384a18a7450bf9e"
 
 GOLDEN_META_TAIL = """\
-software = ris-ntn-sim 0.22.0
+software = ris-ntn-sim 0.23.0
 records = 1248
 noise_psd_note = noise_psd_dbm_hz is a power spectral density in dBm/Hz; total noise power is noise_psd_dbm_hz + 10*log10(bandwidth_hz)
 

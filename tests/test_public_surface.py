@@ -322,14 +322,17 @@ def run_module(*args) -> subprocess.CompletedProcess:
     return run_python("-m", "ris_ntn_sim.cli", *args)
 
 
+# builds, checks and echoes a config that warns of nothing
+CONFIG_SNIPPET = ("from ris_ntn_sim import build_geometry, format_config, parse_config\n"
+                  "cfg = parse_config('trials = 5\\narchitectures = sc, gc:2')\n"
+                  "build_geometry(cfg)\nformat_config(cfg)")
+
 # (what a fresh interpreter runs, whether it loads numpy): configs are scalar arithmetic, so only
 # a numeric name or a sweep loads it
 NUMPY_LOADS = {
     "import": (["-c", "import ris_ntn_sim"], False),
     "dir": (["-c", "import ris_ntn_sim\nassert set(ris_ntn_sim.__all__) <= set(dir(ris_ntn_sim))"], False),
-    "config": (["-c", "from ris_ntn_sim import build_geometry, format_config, parse_config\n"
-                      "cfg = parse_config('trials = 5\\narchitectures = sc, gc:2')\n"
-                      "build_geometry(cfg)\nformat_config(cfg)"], False),
+    "config": (["-c", CONFIG_SNIPPET], False),
     "validate": (["-m", "ris_ntn_sim.cli", "validate", "--config", "{config}"], False),
     "budget": (["-m", "ris_ntn_sim.cli", "budget", "--distance-m", "600e3", "--freq-hz", "19e9"], False),
     "numeric-name": (["-c", "import ris_ntn_sim\nris_ntn_sim.run_sweep"], True),
@@ -348,6 +351,35 @@ def test_only_numeric_work_loads_numpy(tmp_path, args, loads):
                 if line.startswith("import time:")}
     assert "ris_ntn_sim.config" in imported
     assert ("numpy" in imported) == loads
+
+
+# (what a fresh interpreter runs, which of logging and numbers the package loads for it, what it
+# logs): only a warning due loads logging, and only a number that is not a float loads numbers
+WARNING_LOADS = {
+    "import": ("import ris_ntn_sim", [], ""),
+    "config": (CONFIG_SNIPPET, [], ""),
+    "validate": ("from ris_ntn_sim import cli\n"
+                 "assert cli.main(['validate', '--config', {config!r}]) == 0", [], ""),
+    "budget": ("from ris_ntn_sim import cli\n"
+               "assert cli.main(['budget', '--distance-m', '600e3', '--freq-hz', '19e9']) == 0", [], ""),
+    "skipped-cell": ("from ris_ntn_sim import parse_config\n"
+                     "parse_config('architectures = sc, gc:3\\nelements_sweep = 8, 9\\ntrials = 2')",
+                     ["logging"],
+                     "skipping arch=gc:3 elements=8: group count 3 does not divide element count 8\n"),
+}
+
+
+@pytest.mark.parametrize("code, loads, logged", WARNING_LOADS.values(), ids=WARNING_LOADS)
+def test_only_a_config_that_warns_loads_logging(tmp_path, code, loads, logged):
+    config = tmp_path / "run.cfg"
+    config.write_text("trials = 2\n")
+    # what was loaded before the package, by the interpreter or a site hook, is not the package's
+    probe = ("import sys\nbefore = set(sys.modules)\n" + code.format(config=str(config)) +
+             "\nprint(*sorted({'logging', 'numbers'} & (set(sys.modules) - before)))")
+    done = run_python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].split() == loads
+    assert done.stderr == logged
 
 
 def test_the_module_entry_point_validates_and_warns_once(tmp_path):
